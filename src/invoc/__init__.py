@@ -20,7 +20,7 @@ from .errors import (
     ToolError,
     ValidationError,
 )
-from .lower import LowerSolution, curvature_bound, lipschitz_probe, solve_lower
+from .lower import LowerSolution, lipschitz_probe, solve_lower
 from .model import (
     AdmissibleSetX,
     ControlBounds,
@@ -80,7 +80,6 @@ __all__ = [
     "build_grid",
     "classify",
     "compare",
-    "curvature_bound",
     "extract_candidate",
     "grad_phi",
     "grid_search",

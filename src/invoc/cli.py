@@ -291,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=float, default=None, help=(
+            "verification threshold: lower fixed-point residual, relax/path "
+            "tolerances, or certificate residual tolerance"))
 
     p = sub.add_parser("lower", help="solve the lower-level problem at one parameter")
     common(p)

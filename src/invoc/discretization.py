@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import DimensionError, GridError
 
@@ -84,7 +85,6 @@ class EllipticOperator:
         ab[0, 0] = 0.0
         ab[1, :] = 2.0 / h2
         self._factor = cholesky_banded(ab)
-        self._sts_norm: float | None = None
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the stencil (-y_{i-1} + 2 y_i - y_{i+1})/h^2 with zero boundary."""
@@ -100,41 +100,20 @@ class EllipticOperator:
         return self.apply(y)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A y = rhs.  rhs may be a vector or a matrix of columns."""
+        """Solve A y = rhs (vector or matrix of columns) by LAPACK dpbtrs."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.grid.n_nodes:
             raise DimensionError(
                 f"rhs has leading dimension {rhs.shape[0]}, "
                 f"grid has {self.grid.n_nodes} nodes"
             )
-        return cho_solve_banded((self._factor, False), rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return dpbtrs(self._factor, rhs)[0]
 
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         """Adjoint solve; identical to solve because A is self-adjoint."""
         return self.solve(rhs)
-
-    def sts_norm_bound(self) -> float:
-        """Largest eigenvalue of S*S for S = A^{-1}B, by power iteration.
-
-        Deterministic start, iterated until the Rayleigh quotient settles to
-        relative 1e-13.  Cached on the operator.
-        """
-        if self._sts_norm is None:
-            v = np.ones(self.grid.n_nodes)
-            v /= np.sqrt(inner(self.grid, v, v))
-            lam = 0.0
-            for _ in range(10000):
-                w = self.solve(self.solve(v))
-                lam_new = inner(self.grid, v, w)
-                nw = np.sqrt(inner(self.grid, w, w))
-                assert nw > 0.0
-                v = w / nw
-                if abs(lam_new - lam) <= 1e-13 * abs(lam_new):
-                    lam = lam_new
-                    break
-                lam = lam_new
-            self._sts_norm = float(lam)
-        return self._sts_norm
 
 
 def apply_A(op: EllipticOperator, y: np.ndarray) -> np.ndarray:

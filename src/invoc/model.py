@@ -283,6 +283,8 @@ class AdmissibleSetX:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(f"point has shape {x.shape}, expected ({self.n},)")
+        if not np.isfinite(x).all():
+            raise ValidationError(f"cannot project the non-finite point {x}")
         if self.kind == "box":
             return np.clip(x, self.lo, self.hi)
         # sorting-based simplex projection
@@ -439,7 +441,6 @@ class ProblemSpec:
         if self.bounds.ua.shape[0] != n_nodes:
             raise DimensionError("control bounds do not match the grid")
         object.__setattr__(self, "operator", EllipticOperator(self.grid))
-        object.__setattr__(self, "_value_cache", {})
 
     @property
     def n(self) -> int:

@@ -5,8 +5,9 @@ bilevel problem reduces to minimizing x -> F(x, psi_y(x), psi_u(x)) over
 the admissible set.  This module samples that reduced objective on a
 lattice (barycentric on the simplex, tensor on a box) and returns the best
 sample.  Lattices at resolutions m and 2m nest, so refinement can only
-improve the best value.  Lower solves run batched over lattice columns at
-a tightened tolerance so comparisons are not tolerance-dominated.
+improve the best value.  Every lattice point gets an exact lower solve from
+the active-set kernel, warm-started from its neighbour and verified at a
+tightened tolerance, so comparisons are not tolerance-dominated.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
+from .lower import _solve_qp
 from .model import ProblemSpec
-
-_CHUNK = 32768
-_BATCH_CAP = 100000
 
 
 @dataclass(eq=False)
@@ -53,60 +52,14 @@ def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, lo.size)
 
 
-def _batch_curvature(spec: ProblemSpec, X: np.ndarray) -> np.ndarray:
-    """Per-row curvature bounds for the batched lower solves.
-
-    The pointwise kind uses the rank-one sum bound 2 sum_i x_i ||s_i||^2,
-    which dominates the exact largest eigenvalue, so the induced steps are
-    conservative but always safe.
-    """
-    op, grid = spec.operator, spec.grid
-    if spec.lower.kind == "target_type":
-        return 1.02 * 2.0 * X.sum(axis=1) * op.sts_norm_bound()
-    from .lower import curvature_bound
-
-    curvature_bound(spec, X[0])  # populate the preimage cache
-    s = op._point_preimages[1]
-    w2 = grid.h * (s * s).sum(axis=0)
-    return 2.0 * X @ w2
-
-
 def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
-    """F(x, psi_y(x), psi_u(x)) for every row of X, solved as one batch."""
-    op, grid = spec.operator, spec.grid
-    lower, upper = spec.lower, spec.upper
-    m = X.shape[0]
-    ua = spec.bounds.ua[:, None]
-    ub = spec.bounds.ub[:, None]
-    tau = 1.0 / (spec.sigma + _batch_curvature(spec, X))
-
-    U = np.clip(np.zeros((grid.n_nodes, m)), ua, ub)
-    for _ in range(_BATCH_CAP):
-        Y = op.solve(U)
-        if lower.kind == "target_type":
-            R = 2.0 * X.sum(axis=1)[None, :] * Y - 2.0 * (lower.targets.T @ X.T)
-        else:
-            R = np.zeros_like(Y)
-            for i, node in enumerate(lower.points):
-                R[node, :] += 2.0 * X[:, i] * (Y[node, :] - lower.target[node]) / grid.h
-        G = spec.sigma * U + op.solve_adjoint(R)
-        step = np.clip(U - tau[None, :] * G, ua, ub)
-        res = np.sqrt(grid.h * ((U - step) ** 2).sum(axis=0))
-        if (res <= tol).all():
-            break
-        U = step
-    else:
-        raise ConvergenceError(
-            f"batched lower solves stalled above tol {tol:g}",
-            residuals={"fixed_point_max": float(res.max())},
-        )
-
-    Y = op.solve(U)
-    vals = (
-        0.5 * upper.c_y * grid.h * ((Y - upper.y_o[:, None]) ** 2).sum(axis=0)
-        + 0.5 * upper.c_u * grid.h * ((U - upper.u_o[:, None]) ** 2).sum(axis=0)
-        + 0.5 * upper.gamma * (X * X).sum(axis=1)
-    )
+    """F(x, psi_y(x), psi_u(x)) for every row of X, each row's lower solve
+    warm-started from the previous row's and verified against tol."""
+    vals = np.empty(X.shape[0])
+    u = None
+    for row, x in enumerate(X):
+        y, u, _, _ = _solve_qp(spec, x, tol, u)
+        vals[row] = spec.upper.value(spec.grid, x, y, u)
     return vals
 
 
@@ -134,26 +87,15 @@ def grid_search(
     else:
         X = _box_lattice(spec.x_set.lo, spec.x_set.hi, resolution)
 
-    best_value = np.inf
-    best_x = X[0]
-    rows = [] if keep_samples else None
-    for start in range(0, X.shape[0], _CHUNK):
-        chunk = X[start : start + _CHUNK]
-        vals = _reduced_values(spec, chunk, tol)
-        k = int(np.argmin(vals))
-        if vals[k] < best_value:
-            best_value = float(vals[k])
-            best_x = chunk[k].copy()
-        if rows is not None:
-            rows.append(np.column_stack([chunk, vals]))
-
+    vals = _reduced_values(spec, X, tol)
+    k = int(np.argmin(vals))
     return OracleResult(
-        best_x=best_x,
-        best_value=best_value,
+        best_x=X[k].copy(),
+        best_value=float(vals[k]),
         sample_count=X.shape[0],
         resolution=resolution,
         lattice=spec.x_set.kind,
-        samples=np.vstack(rows) if rows else None,
+        samples=np.column_stack([X, vals]) if keep_samples else None,
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
 from .lower import LowerSolution
 from .model import ProblemSpec
@@ -75,8 +76,6 @@ class PathTrace:
 
 
 def _recombine(spec: ProblemSpec, sol: RelaxedSolution) -> PathStep:
-    from .discretization import norm
-
     vs = value_sample(spec, sol.x)
     low = vs.lower
     a = sol.alpha
@@ -152,8 +151,6 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
     last = recs[-1]
     eps_last = last.eps
     trace.deep_enough = eps_last <= 1e-6 * trace.eps0
-
-    from .discretization import norm
 
     dxs, dus = [], []
     for a, b in zip(recs, recs[1:]):

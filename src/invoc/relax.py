@@ -22,7 +22,7 @@ from .model import (
     eval_j_grad_adjoint,
     normal_cone_residual_X,
 )
-from .value import lower_objective_value, value_sample
+from .value import ValueSample, lower_objective_value, value_sample
 
 _INNER_CAP = 20000
 _STEP_GROW = 1.3
@@ -61,7 +61,10 @@ class _Evaluator:
     def __init__(self, spec: ProblemSpec, eps: float):
         self.spec = spec
         self.eps = eps
-        self.warm_lower: np.ndarray | None = None
+        # the last value sample, keyed by the exact bits of its x: an
+        # accepted backtracking trial comes back as the next iterate
+        self.last: ValueSample | None = None
+        self.last_key: bytes | None = None
 
     def state(self, u: np.ndarray) -> np.ndarray:
         return self.spec.operator.solve(u)
@@ -71,8 +74,11 @@ class _Evaluator:
         spec = self.spec
         if y is None:
             y = self.state(u)
-        vs = value_sample(spec, x, warm_start=self.warm_lower)
-        self.warm_lower = vs.lower.u
+        if x.tobytes() != self.last_key:
+            warm = None if self.last is None else self.last.lower.u
+            self.last = value_sample(spec, x, warm_start=warm)
+            self.last_key = x.tobytes()
+        vs = self.last
         upper = spec.upper.value(spec.grid, x, y, u)
         gap = lower_objective_value(spec, x, y, u) - vs.phi
         return upper, gap, y, vs

@@ -17,7 +17,7 @@ import numpy as np
 
 from .discretization import norm
 from .errors import InfeasibleError
-from .lower import _reduced_gradient, curvature_bound
+from .lower import _fixed_point_residual
 from .model import (
     ProblemSpec,
     eval_j_grad,
@@ -108,9 +108,7 @@ def _check_feasible(spec: ProblemSpec, x, y, u) -> None:
     state_res = norm(spec.grid, spec.operator.apply(y) - u)
     if state_res > max(opt_tol, 1e-11):
         failures.append(f"state equation residual {state_res:.3e} exceeds {opt_tol:.1e}")
-    tau = 1.0 / (spec.sigma + curvature_bound(spec, x))
-    grad, _ = _reduced_gradient(spec, x, u)
-    fp = norm(spec.grid, u - spec.bounds.project(u - tau * grad))
+    fp = _fixed_point_residual(spec, x, u)[0]
     if fp > opt_tol:
         failures.append(
             f"(y, u) is not lower-level optimal at x: fixed-point residual "

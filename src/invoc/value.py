@@ -43,28 +43,14 @@ def value_sample(
     tol: float | None = None,
     warm_start: np.ndarray | None = None,
 ) -> ValueSample:
-    """Evaluate phi and its gradient at x, reusing cached lower solves.
-
-    The cache is keyed by the exact bit pattern of x and the tolerance;
-    concurrent inserts are last-writer-wins, which is harmless because any
-    two entries for the same key agree to solver tolerance.
-    """
-    if tol is None:
-        tol = spec.solver_tol
-    x = np.asarray(x, dtype=float)
-    key = (x.tobytes(), float(tol))
-    cached = spec._value_cache.get(key)
-    if cached is not None:
-        return cached
+    """Evaluate phi and its gradient at x with one exact lower solve, uncached."""
     sol = solve_lower(spec, x, tol=tol, warm_start=warm_start)
-    sample = ValueSample(
+    return ValueSample(
         x=sol.x,
         phi=lower_objective_value(spec, sol.x, sol.y, sol.u),
         grad_phi=eval_j(spec.grid, spec.lower, sol.y),
         lower=sol,
     )
-    spec._value_cache[key] = sample
-    return sample
 
 
 def phi(spec: ProblemSpec, x, tol: float | None = None) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from invoc import (
     AdmissibleSetX,
@@ -19,6 +20,12 @@ from invoc import (
     build_grid,
     solve_lower,
 )
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile(
+    "invoc", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("invoc")
 
 
 def make_generated_spec(

@@ -313,9 +313,9 @@ def test_path_failure_exits_3_without_candidate(problem_file, tmp_path, monkeypa
 
 
 def test_oracle_failure_exits_3(problem_file, tmp_path, monkeypatch):
-    import invoc.oracle
+    import invoc.lower
 
-    monkeypatch.setattr(invoc.oracle, "_BATCH_CAP", 2)
+    monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 0)
     rc = cli.main([
         "oracle", "--problem", problem_file, "--out", str(tmp_path),
         "--resolution", "5",
@@ -323,7 +323,7 @@ def test_oracle_failure_exits_3(problem_file, tmp_path, monkeypatch):
     assert rc == 3
     err = _read_json(tmp_path / "error.json")
     assert err["exit_code"] == 3
-    assert err["residuals"]["fixed_point_max"] > 0
+    assert err["residuals"]["fixed_point"] > 0
 
 
 def test_oracle_landscape_files(problem_file, tmp_path):

@@ -119,16 +119,28 @@ def test_adjoint_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
-def test_sts_norm_bound_matches_dense_spectrum():
-    # ||S* S||_h with S = A^{-1} self-adjoint equals 1/lambda_min(A)^2
+def test_banded_solve_matches_dense_and_rejects_bad_input():
     grid = build_grid(19)
     op = EllipticOperator(grid)
-    lam_min = (2.0 - 2.0 * np.cos(np.pi * grid.h)) / grid.h**2
-    exact = 1.0 / lam_min**2
-    est = op.sts_norm_bound()
-    assert est == pytest.approx(exact, rel=1e-6)
-    # cached second call returns the same object value
-    assert op.sts_norm_bound() == est
+    a = dense_matrix(grid)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(grid.n_nodes)
+    block = rng.standard_normal((grid.n_nodes, 4))
+    assert op.solve(b).shape == b.shape
+    assert_allclose(op.solve(b), np.linalg.solve(a, b), rtol=1e-12, atol=1e-14)
+    assert op.solve(block).shape == block.shape
+    assert_allclose(op.solve(block), np.linalg.solve(a, block), rtol=1e-12, atol=1e-14)
+    for bad in (np.nan, np.inf, -np.inf):
+        corrupt = b.copy()
+        corrupt[5] = bad
+        with pytest.raises(ValueError):
+            op.solve(corrupt)
+        corrupt = block.copy()
+        corrupt[2, 1] = bad
+        with pytest.raises(ValueError):
+            op.solve(corrupt)
+    with pytest.raises(DimensionError):
+        op.solve(np.zeros(grid.n_nodes + 1))
 
 
 def test_module_level_wrappers_delegate():

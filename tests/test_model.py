@@ -225,6 +225,17 @@ def test_box_projection_and_vertices():
     assert not b.contains(np.array([0.1, 1.0]))
 
 
+def test_projection_rejects_non_finite_points():
+    # the simplex projection used to fail an internal assert on these (an
+    # IndexError under python -O); the box clip passed NaN through
+    sets = (AdmissibleSetX(kind="simplex", n=2),
+            AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2)))
+    for x_set in sets:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError):
+                x_set.project(np.array([0.5, bad]))
+
+
 def test_admissible_set_validation():
     with pytest.raises(ValidationError):
         AdmissibleSetX(kind="simplex", n=0)

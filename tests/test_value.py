@@ -1,4 +1,4 @@
-"""Value function: dense oracle agreement, gradient, concavity, caching."""
+"""Value function: dense oracle agreement, gradient, concavity, exact solves."""
 
 import numpy as np
 import pytest
@@ -83,13 +83,40 @@ def test_taylor_probe_bounded_across_radii(unit_spec):
         probe_taylor(unit_spec, x_bar, radius=1e-2, trials=0)
 
 
-def test_value_cache_returns_same_sample(unit_spec):
+def test_value_sample_is_exact_whatever_the_warm_start(unit_spec, monkeypatch):
+    import invoc.relax
+    import invoc.value
+
     x = np.array([0.2, 0.8])
     first = value_sample(unit_spec, x)
-    second = value_sample(unit_spec, x)
-    assert first is second  # cached by bit pattern and tolerance
-    third = value_sample(unit_spec, x, tol=1e-12)
-    assert third is not first
+    rng = np.random.default_rng(4)
+    for warm in (first.lower.u, rng.standard_normal(16), np.full(16, 60.0)):
+        again = value_sample(unit_spec, x, warm_start=warm)
+        assert again is not first  # solved again, not cached
+        assert again.phi == first.phi
+        np.testing.assert_array_equal(again.grad_phi, first.grad_phi)
+        np.testing.assert_array_equal(again.lower.u, first.lower.u)
+
+    # the relaxed solver keeps only its last sample: one lower solve per run
+    # of equal consecutive x it asks about, plus the one in the independent
+    # KKT check of its result
+    asked, solved = [], []
+    parts, solve = invoc.relax._Evaluator.parts, invoc.value.solve_lower
+
+    def recording_parts(self, x, u, y=None):
+        asked.append(x.tobytes())
+        return parts(self, x, u, y)
+
+    def recording_solve(spec, x, **kwargs):
+        solved.append(np.asarray(x).tobytes())
+        return solve(spec, x, **kwargs)
+
+    monkeypatch.setattr(invoc.relax._Evaluator, "parts", recording_parts)
+    monkeypatch.setattr(invoc.value, "solve_lower", recording_solve)
+    invoc.relax.solve_relaxed(unit_spec, 1e-2)
+    runs = [k for i, k in enumerate(asked) if i == 0 or k != asked[i - 1]]
+    assert len(asked) > len(runs) > 1  # trials are revisited and x moves
+    assert solved == runs + [runs[-1]]
 
 
 def test_domain_restriction(unit_spec):
