@@ -71,7 +71,7 @@ class EllipticOperator:
     """Dirichlet Laplacian A = tridiag(-1, 2, -1)/h^2 with a cached factorization.
 
     A is symmetric positive definite with respect to the weighted inner
-    product, so apply/solve and their adjoint variants coincide.  The
+    product, so apply and solve serve for the adjoint equations too.  The
     Cholesky factorization of the banded matrix is computed once at
     construction; solves accept a vector or a matrix of stacked columns.
     """
@@ -95,10 +95,6 @@ class EllipticOperator:
         out[1:] -= y[:-1]
         return out / h2
 
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Adjoint application; identical to apply because A is self-adjoint."""
-        return self.apply(y)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A y = rhs (vector or matrix of columns) by LAPACK dpbtrs."""
         rhs = np.asarray(rhs, dtype=float)
@@ -110,22 +106,3 @@ class EllipticOperator:
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         return dpbtrs(self._factor, rhs)[0]
-
-    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
-        """Adjoint solve; identical to solve because A is self-adjoint."""
-        return self.solve(rhs)
-
-
-def apply_A(op: EllipticOperator, y: np.ndarray) -> np.ndarray:
-    """Apply the discrete Laplacian to a state vector."""
-    return op.apply(y)
-
-
-def solve_A(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve the discrete Poisson problem A y = rhs."""
-    return op.solve(rhs)
-
-
-def solve_A_adjoint(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve the adjoint problem; equals solve_A by symmetry."""
-    return op.solve_adjoint(rhs)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -323,18 +324,6 @@ class AdmissibleSetX:
         return float(max(0.0, gaps.max()))
 
 
-def project_X(x_set: AdmissibleSetX, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the admissible parameter set."""
-    return x_set.project(x)
-
-
-def normal_cone_residual_X(
-    x_set: AdmissibleSetX, x: np.ndarray, z: np.ndarray, tol: float = 1e-8
-) -> float:
-    """Polyhedral normal-cone membership violation for the parameter set."""
-    return x_set.normal_cone_residual(x, z, tol)
-
-
 @dataclass(frozen=True, eq=False)
 class ControlBounds:
     """Nodewise control bounds u_a < u_b; infinite entries disable one side."""
@@ -387,18 +376,6 @@ class ControlBounds:
         return float(max(viol_a.max(), viol_b.max()))
 
 
-def project_U(bounds: ControlBounds, u: np.ndarray) -> np.ndarray:
-    """Nodewise clamp of a control to its bounds."""
-    return bounds.project(u)
-
-
-def normal_cone_residual_U(
-    bounds: ControlBounds, u: np.ndarray, lam: np.ndarray, tol_act: float = 1e-6
-) -> float:
-    """Sign-condition violation of a bound multiplier at a feasible control."""
-    return bounds.normal_cone_residual(u, lam, tol_act)
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """One complete instance: grid, regularization, objectives, and sets."""
@@ -440,7 +417,11 @@ class ProblemSpec:
                 raise DimensionError(f"{label} does not match the grid")
         if self.bounds.ua.shape[0] != n_nodes:
             raise DimensionError("control bounds do not match the grid")
-        object.__setattr__(self, "operator", EllipticOperator(self.grid))
+
+    @cached_property
+    def operator(self) -> EllipticOperator:
+        """The factored Laplacian of the grid, built on first use."""
+        return EllipticOperator(self.grid)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lower import _solve_qp
+from .lower import _solve_qp, lower_qp
 from .model import ProblemSpec
 
 
@@ -58,7 +58,7 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     vals = np.empty(X.shape[0])
     u = None
     for row, x in enumerate(X):
-        y, u, _, _ = _solve_qp(spec, x, tol, u)
+        y, u, _, _ = _solve_qp(spec, lower_qp(spec, x), tol, u)
         vals[row] = spec.upper.value(spec.grid, x, y, u)
     return vals
 

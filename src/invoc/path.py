@@ -25,19 +25,6 @@ from .model import ProblemSpec
 from .relax import RelaxedSolution, solve_relaxed
 from .value import value_sample
 
-# Per-step tolerances are floored by the requested values but never demand
-# more than a fixed fraction of the current relaxation level: early in the
-# path the constraint is only resolved to eps_k anyway, and forcing tighter
-# feasibility there stiffens the penalty where its gradient is still large.
-_FEAS_CAP, _FEAS_REL = 1e-8, 1e-4
-_COMP_CAP, _COMP_REL = 1e-8, 1e-4
-_STAT_CAP, _STAT_REL = 1e-7, 1e-3
-
-
-def _step_tol(floor: float, cap: float, rel: float, eps: float) -> float:
-    return max(floor, min(cap, rel * eps))
-
-
 @dataclass(eq=False)
 class PathStep:
     """One relaxation level: the relaxed iterate, its exact lower-level
@@ -101,13 +88,10 @@ def run_path(
 ) -> PathTrace:
     """Solve the relaxed programs at eps0 * ratio^k for k = 0..steps.
 
-    Each solve is warm-started from the previous one.  The given tolerances
-    are floors: a step at relaxation eps_k is solved to the looser of the
-    floor and a fixed fraction of eps_k, so the terminal steps meet the
-    floors exactly while early steps avoid over-resolving a constraint that
-    is about to be tightened anyway.  A solver failure aborts the path but
-    returns the partial trace with a failure marker, so callers can inspect
-    how far the continuation got.
+    Each solve is warm-started from the previous level's x, alpha and u,
+    and every level is solved to the given tolerances.  A solver failure
+    aborts the path but returns the partial trace with a failure marker, so
+    callers can inspect how far the continuation got.
     """
     if not (eps0 > 0.0):
         raise ValidationError(f"eps0 must be positive, got {eps0}")
@@ -123,9 +107,7 @@ def run_path(
         try:
             sol = solve_relaxed(
                 spec, eps_k, warm=warm,
-                feas_tol=_step_tol(feas_tol, _FEAS_CAP, _FEAS_REL, eps_k),
-                stat_tol=_step_tol(stat_tol, _STAT_CAP, _STAT_REL, eps_k),
-                comp_tol=_step_tol(comp_tol, _COMP_CAP, _COMP_REL, eps_k),
+                feas_tol=feas_tol, stat_tol=stat_tol, comp_tol=comp_tol,
             )
         except ConvergenceError as err:
             trace.failure = {

@@ -1,38 +1,49 @@
 """Single relaxed program: minimize F subject to a slack on the optimal value.
 
 At relaxation level eps > 0 the program minimizes F(x, Su, u) over the
-admissible sets subject to f(x, Su, u) - phi(x) <= eps.  The feasible set
-has nonempty interior (any lower-level solution has zero gap), so KKT
-multipliers exist; they are recovered with an augmented Lagrangian on the
-single scalar constraint, with projected-gradient inner solves in the
-reduced variables (x, u).
+admissible sets subject to f(x, Su, u) - phi(x) <= eps.  Any lower-level
+solution has zero gap, so Slater's condition holds and the constraint has
+one scalar multiplier alpha >= 0.  At fixed (x, alpha) the u-minimization of
+F + alpha f is a member of the tracking-QP family that lower._solve_qp
+solves exactly.  The solver nests three steps:
+
+- phi(x) and grad phi(x) from one value sample per trial x;
+- alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
+  when gap(0) <= eps, otherwise a secant on log gap against log alpha,
+  kept inside a bracket;
+- projected gradient in x on V(x) = F at the solved u, whose gradient
+  gamma x + alpha (j(y) - grad phi(x)) is the envelope formula.  Trial
+  points are compared by the dual value F + alpha (gap - eps), which does
+  not carry the multiplier search's error in the gap to first order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, DomainError
-from .model import (
-    ProblemSpec,
-    eval_j,
-    eval_j_grad_adjoint,
-    normal_cone_residual_X,
-)
+from .lower import TrackingQP, _solve_qp, lower_qp
+from .model import ProblemSpec, eval_j, eval_j_grad_adjoint
 from .value import ValueSample, lower_objective_value, value_sample
 
-_INNER_CAP = 20000
-_STEP_GROW = 1.3
-_STEP_MAX = 1e6
-_STEP_MIN = 1e-18
+_MAX_STEPS = 200   # x-steps per relaxed solve
+_MAX_SEARCH = 60   # kernel solves per multiplier search
+_ALPHA_RTOL = 1e-9  # relative move of alpha at which the multiplier search stops
+_ARMIJO = 1e-4
+_ROUNDOFF = 1e-13  # relative roundoff allowance of the decrease test
 
 
 @dataclass(eq=False)
 class RelaxedSolution:
-    """Stationary point of one relaxed program with its KKT multipliers."""
+    """Stationary point of one relaxed program with its KKT multipliers.
+
+    inner_iterations counts the band solves of the u-subproblems and
+    outer_iterations the accepted x-steps.
+    """
 
     eps: float
     x: np.ndarray
@@ -47,161 +58,141 @@ class RelaxedSolution:
     inner_iterations: int
     outer_iterations: int
     converged: bool
-    beta: float = 1.0  # penalty level at exit, reused by warm starts
     residuals: dict = field(default_factory=dict)
 
 
-def _joint_norm(spec: ProblemSpec, dx: np.ndarray, du: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(dx, dx) + spec.grid.h * np.dot(du, du)))
+@dataclass(eq=False)
+class _Point:
+    """One trial x with its value sample and its solved u-subproblem."""
+
+    x: np.ndarray
+    vs: ValueSample
+    alpha: float
+    y: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    upper: float
+    gap: float
 
 
-class _Evaluator:
-    """Augmented Lagrangian values and gradients in the reduced variables."""
+def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray) -> float:
+    """f(x, Su, u) - phi(x) as the lower QP's expansion about its solution.
 
-    def __init__(self, spec: ProblemSpec, eps: float):
-        self.spec = spec
-        self.eps = eps
-        # the last value sample, keyed by the exact bits of its x: an
-        # accepted backtracking trial comes back as the next iterate
-        self.last: ValueSample | None = None
-        self.last_key: bytes | None = None
-
-    def state(self, u: np.ndarray) -> np.ndarray:
-        return self.spec.operator.solve(u)
-
-    def parts(self, x: np.ndarray, u: np.ndarray, y: np.ndarray | None = None):
-        """Upper value, gap, state, and the value sample at x."""
-        spec = self.spec
-        if y is None:
-            y = self.state(u)
-        if x.tobytes() != self.last_key:
-            warm = None if self.last is None else self.last.lower.u
-            self.last = value_sample(spec, x, warm_start=warm)
-            self.last_key = x.tobytes()
-        vs = self.last
-        upper = spec.upper.value(spec.grid, x, y, u)
-        gap = lower_objective_value(spec, x, y, u) - vs.phi
-        return upper, gap, y, vs
-
-    def al_value(self, alpha: float, beta: float, x: np.ndarray, u: np.ndarray):
-        upper, gap, y, vs = self.parts(x, u)
-        c = gap - self.eps
-        val = upper + 0.5 * beta * max(0.0, alpha / beta + c) ** 2 - alpha**2 / (2.0 * beta)
-        return val, upper, gap, y, vs
-
-    def al_gradient(self, alpha: float, beta: float, x: np.ndarray, u: np.ndarray):
-        """Value, gradient pair, multiplier estimate theta, and parts."""
-        spec = self.spec
-        val, upper, gap, y, vs = self.al_value(alpha, beta, x, u)
-        theta = max(0.0, alpha + beta * (gap - self.eps))
-        gx = spec.upper.grad_x(x) + theta * (
-            eval_j(spec.grid, spec.lower, y) - vs.grad_phi
-        )
-        # one adjoint solve covers both the tracking and the gap terms
-        adj_rhs = spec.upper.grad_y(y)
-        if theta != 0.0:
-            adj_rhs = adj_rhs + theta * eval_j_grad_adjoint(spec.grid, spec.lower, y, x)
-        gu = (
-            spec.upper.grad_u(u)
-            + theta * spec.sigma * u
-            + spec.operator.solve_adjoint(adj_rhs)
-        )
-        return val, gx, gu, theta, upper, gap, y, vs
-
-
-def _inner_solve(
-    ev: _Evaluator,
-    alpha: float,
-    beta: float,
-    x: np.ndarray,
-    u: np.ndarray,
-    tol: float,
-    step: float,
-):
-    """Projected gradient with backtracking on the augmented Lagrangian.
-
-    Returns the iterate together with its certified fixed-point residual
-    measured at reference step min(step, 1).
+    With du = u - psi_u: -<lam, du> + sigma/2 ||du||^2 + 1/2 <S du, d S du>,
+    nonnegative terms that are accurate relative to the gap, where f - phi
+    loses the digits of f, and alpha times that roundoff swamps the dual value.
     """
-    spec = ev.spec
-    val, gx, gu, theta, upper, gap, y, vs = ev.al_gradient(alpha, beta, x, u)
-    iterations = 0
-    frozen = 0
-    while True:
-        tau = min(step, 1.0)
-        px = spec.x_set.project(x - tau * gx)
-        pu = spec.bounds.project(u - tau * gu)
-        residual = _joint_norm(spec, x - px, u - pu) / tau
-        if residual <= tol or iterations >= _INNER_CAP or frozen >= 5:
-            info = {
-                "residual": residual, "value": val, "upper": upper, "gap": gap,
-                "y": y, "vs": vs, "theta": theta, "step": step,
-            }
-            return x, u, iterations, info
-        while True:
-            xn = spec.x_set.project(x - step * gx)
-            un = spec.bounds.project(u - step * gu)
-            dx, du = xn - x, un - u
-            dn2 = float(np.dot(dx, dx) + spec.grid.h * np.dot(du, du))
-            if dn2 == 0.0:
-                break
-            model = (
-                val
-                + float(np.dot(gx, dx) + spec.grid.h * np.dot(gu, du))
-                + dn2 / (2.0 * step)
-            )
-            trial_val, t_upper, t_gap, t_y, t_vs = ev.al_value(alpha, beta, xn, un)
-            if trial_val <= model + 1e-12 * (1.0 + abs(val)):
-                break
-            step *= 0.5
-            if step < _STEP_MIN:
-                break
-        if dn2 == 0.0 or step < _STEP_MIN:
-            # cannot move: report the current point with its residual
-            info = {
-                "residual": residual, "value": val, "upper": upper, "gap": gap,
-                "y": y, "vs": vs, "theta": theta, "step": max(step, _STEP_MIN),
-            }
-            return x, u, iterations, info
-        # movement below float resolution for several steps means the
-        # iteration is numerically exhausted at this tolerance
-        rel_move = np.sqrt(dn2) / (1.0 + _joint_norm(spec, x, u))
-        frozen = frozen + 1 if rel_move < 1e-15 else 0
-        x, u = xn, un
-        val, gx, gu, theta, upper, gap, y, vs = ev.al_gradient(alpha, beta, x, u)
-        iterations += 1
-        step = min(step * _STEP_GROW, _STEP_MAX)
-
-
-def _assemble(
-    spec: ProblemSpec,
-    eps: float,
-    x: np.ndarray,
-    u: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    upper: float,
-    gap: float,
-    vs,
-    inner_iterations: int,
-    outer_iterations: int,
-    converged: bool,
-    beta: float,
-) -> RelaxedSolution:
-    grid, op = spec.grid, spec.operator
-    jy = eval_j(grid, spec.lower, y)
-    z = -(spec.upper.grad_x(x) + alpha * (jy - vs.grad_phi))
-    adj = spec.upper.grad_y(y) + alpha * eval_j_grad_adjoint(grid, spec.lower, y, x)
-    p = op.solve_adjoint(-adj)
-    lam = p - spec.upper.grad_u(u) - alpha * spec.sigma * u
-    sol = RelaxedSolution(
-        eps=eps, x=x, y=y, u=u, alpha=alpha, z=z, p=p, lam=lam,
-        upper_value=upper, gap=gap,
-        inner_iterations=inner_iterations, outer_iterations=outer_iterations,
-        converged=converged, beta=beta,
+    du = u - vs.lower.u
+    dy = spec.operator.solve(du)
+    return spec.grid.h * float(
+        0.5 * spec.sigma * (du @ du) - vs.lower.lam @ du + 0.5 * dy @ (low.d * dy)
     )
-    sol.residuals = relaxed_kkt_residuals(spec, sol)
-    return sol
+
+
+def _next_alpha(history, log_eps: float, lo: float, hi: float) -> float:
+    """Secant through the last two points on log gap against log alpha,
+    kept inside the bracket (lo, hi) and at most a thousandfold above lo;
+    slope -2 (gap ~ alpha^-2 for large alpha) when only one point is known."""
+    log_lo = math.log(lo) if lo > 0.0 else -math.inf
+    log_hi = math.log(hi) if hi < math.inf else log_lo + math.log(1e3)
+    guess = None
+    if len(history) >= 2 and history[-1][1] != history[-2][1]:
+        (a1, g1), (a2, g2) = history[-2:]
+        guess = a2 + (log_eps - g2) * (a2 - a1) / (g2 - g1)
+    elif history:
+        guess = history[-1][0] + 0.5 * (history[-1][1] - log_eps)
+    if guess is not None and log_lo < guess < log_hi:
+        return math.exp(guess)
+    if lo > 0.0:
+        return math.sqrt(lo) * math.sqrt(hi) if hi < math.inf else 10.0 * lo
+    return 1e-3 * hi if hi < math.inf else 1.0
+
+
+class _Solver:
+    """The three steps of one relaxed solve, with its band-solve count."""
+
+    def __init__(self, spec: ProblemSpec, eps: float, feas_tol: float, comp_tol: float):
+        self.spec, self.eps = spec, eps
+        self.feas_tol, self.comp_tol = feas_tol, comp_tol
+        self.solves = 0
+
+    def feasible(self, alpha: float, gap: float) -> bool:
+        return gap - self.eps <= self.feas_tol and alpha * abs(self.eps - gap) <= self.comp_tol
+
+    def gradient(self, pt: _Point) -> np.ndarray:
+        spec = self.spec
+        jy = eval_j(spec.grid, spec.lower, pt.y)
+        return spec.upper.grad_x(pt.x) + pt.alpha * (jy - pt.vs.grad_phi)
+
+    def dual(self, pt: _Point) -> float:
+        return pt.upper + pt.alpha * (pt.gap - self.eps)
+
+    def _solve(self, vs: ValueSample, low: TrackingQP, alpha: float, warm) -> _Point:
+        spec, up = self.spec, self.spec.upper
+        if alpha == 0.0 and up.c_y == 0.0 and up.c_u == 0.0:
+            # F ignores u, so this member is singular and every control is
+            # optimal: take the lower solution, whose gap is 0
+            y, u = vs.lower.y, vs.lower.u
+            return _Point(x=vs.x, vs=vs, alpha=0.0, y=y, u=u, p=0.0 * u, gap=0.0,
+                          upper=up.value(spec.grid, vs.x, y, u))
+        qp = TrackingQP(
+            d=up.c_y + alpha * low.d,
+            c=up.c_y * up.y_o + alpha * low.c,
+            s=up.c_u + alpha * spec.sigma,
+            b=up.c_u * up.u_o,
+        )
+        y, u, p, solves = _solve_qp(spec, qp, spec.solver_tol, warm)
+        self.solves += solves
+        return _Point(x=vs.x, vs=vs, alpha=alpha, y=y, u=u, p=p,
+                      upper=spec.upper.value(spec.grid, vs.x, y, u), gap=_gap(spec, vs, low, u))
+
+    def evaluate(self, x: np.ndarray, alpha: float, u: np.ndarray, lower_warm) -> _Point:
+        """phi at x, then the multiplier search from alpha, warm-started from u.
+
+        Stops at alpha = 0 when gap(0) <= eps, or at a point that passes the
+        feasibility and complementarity tests once the secant moves alpha by
+        less than _ALPHA_RTOL; the tests alone would leave an error in alpha
+        that the envelope gradient carries.  Else returns the last point.
+        """
+        vs = value_sample(self.spec, x, warm_start=lower_warm)
+        low = lower_qp(self.spec, vs.x)
+        lo, hi = 0.0, math.inf  # gap(lo) > eps >= gap(hi)
+        history: list[tuple[float, float]] = []  # (log alpha, log gap), alpha, gap > 0
+        zero_known = alpha == 0.0
+        pt = self._solve(vs, low, alpha, u)
+        for _ in range(_MAX_SEARCH):
+            if pt.alpha == 0.0 and pt.gap <= self.eps:
+                break
+            if pt.gap > self.eps:
+                lo = pt.alpha
+            else:
+                hi = pt.alpha
+            if pt.alpha > 0.0 and pt.gap > 0.0:
+                history.append((math.log(pt.alpha), math.log(pt.gap)))
+            if hi < math.inf and not zero_known:
+                alpha, zero_known = 0.0, True  # a candidate until its gap is known
+            else:
+                alpha = _next_alpha(history, math.log(self.eps), lo, hi)
+                settled = abs(alpha - pt.alpha) <= _ALPHA_RTOL * pt.alpha
+                if settled and self.feasible(pt.alpha, pt.gap):
+                    break
+                if alpha in (lo, hi):
+                    break  # the bracket is down to adjacent floats
+            pt = self._solve(vs, low, alpha, pt.u)
+        return pt
+
+    def assemble(self, pt: _Point, steps: int, converged: bool) -> RelaxedSolution:
+        spec = self.spec
+        lam = pt.p - spec.upper.grad_u(pt.u) - pt.alpha * spec.sigma * pt.u
+        sol = RelaxedSolution(
+            eps=self.eps, x=pt.x, y=pt.y, u=pt.u, alpha=pt.alpha,
+            z=-self.gradient(pt), p=pt.p, lam=lam,
+            upper_value=pt.upper, gap=pt.gap,
+            inner_iterations=self.solves, outer_iterations=steps,
+            converged=converged,
+        )
+        sol.residuals = relaxed_kkt_residuals(spec, sol)
+        return sol
 
 
 def solve_relaxed(
@@ -211,77 +202,67 @@ def solve_relaxed(
     feas_tol: float = 1e-8,
     stat_tol: float = 1e-7,
     comp_tol: float = 1e-8,
-    beta0: float = 1.0,
-    beta_growth: float = 10.0,
-    outer_cap: int = 50,
 ) -> RelaxedSolution:
-    """Solve one relaxed program by an augmented Lagrangian outer loop.
+    """Solve one relaxed program by projected gradient in x on its value.
 
-    The scalar multiplier follows the classical update
-    alpha <- max(0, alpha + beta (gap - eps)); beta grows tenfold whenever
-    the combined feasibility and complementarity measure stalls.  Exits when
-    the inner fixed-point residual, the constraint violation, and the
-    complementarity product are all within their tolerances.
+    Each trial x gets one value sample and a multiplier search whose
+    u-subproblems the QP kernel solves exactly; steps are accepted by an
+    Armijo test on the dual value, and their length follows Barzilai-Borwein.
+    Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
+    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha
+    and u along the path.  ConvergenceError carries the best point as best.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
-    ev = _Evaluator(spec, eps)
-    beta = beta0
+    x_set = spec.x_set
     if warm is not None:
-        x = spec.x_set.project(np.asarray(warm.x, dtype=float))
+        x = x_set.project(np.asarray(warm.x, dtype=float))
         u = spec.bounds.project(np.asarray(warm.u, dtype=float))
         alpha = max(0.0, float(warm.alpha))
-        beta = max(beta0, float(warm.beta))
     else:
-        if spec.x_set.kind == "simplex":
-            x = np.full(spec.n, 1.0 / spec.n)
-        else:
-            x = 0.5 * (spec.x_set.lo + spec.x_set.hi)
+        simplex = x_set.kind == "simplex"
+        x = np.full(spec.n, 1.0 / spec.n) if simplex else 0.5 * (x_set.lo + x_set.hi)
         u = spec.bounds.project(spec.upper.u_o)
         alpha = 0.0
 
-    step = 1.0
-    total_inner = 0
-    prev_measure = np.inf
-    best = None
-    best_measure = np.inf
-
-    for outer in range(1, outer_cap + 1):
-        x, u, inner_iters, info = _inner_solve(ev, alpha, beta, x, u, stat_tol, step)
-        total_inner += inner_iters
-        step = info["step"]
-        gap = info["gap"]
-        alpha_new = max(0.0, alpha + beta * (gap - eps))
-        cplus = max(0.0, gap - eps)
-        comp = abs(alpha_new * (eps - gap))
+    solver = _Solver(spec, eps, feas_tol, comp_tol)
+    pt = solver.evaluate(x, alpha, u, None)
+    grad = solver.gradient(pt)
+    best, step = (math.inf, pt, 0), 1.0
+    for steps in range(_MAX_STEPS + 1):
+        residual = float(np.linalg.norm(pt.x - x_set.project(pt.x - grad)))
         measure = max(
-            cplus / max(feas_tol, 1e-300),
-            comp / max(comp_tol, 1e-300),
-            info["residual"] / max(stat_tol, 1e-300),
+            max(0.0, pt.gap - eps) / max(feas_tol, 1e-300),
+            pt.alpha * abs(eps - pt.gap) / max(comp_tol, 1e-300),
+            residual / max(stat_tol, 1e-300),
         )
-        if measure < best_measure:
-            best_measure = measure
-            best = (x.copy(), u.copy(), info["y"].copy(), alpha_new, info["upper"],
-                    gap, info["vs"], total_inner, outer, beta)
-        if cplus <= feas_tol and comp <= comp_tol and info["residual"] <= stat_tol:
-            return _assemble(
-                spec, eps, x, u, info["y"], alpha_new, info["upper"], gap,
-                info["vs"], total_inner, outer, converged=True, beta=beta,
-            )
-        stalled = max(cplus, comp) > 0.25 * prev_measure if np.isfinite(prev_measure) else False
-        prev_measure = max(cplus, comp)
-        alpha = alpha_new
-        if stalled or info["residual"] > stat_tol:
-            beta = min(beta * beta_growth, 1e14)
+        best = min(best, (measure, pt, steps), key=lambda b: b[0])
+        if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
+            return solver.assemble(pt, steps, converged=True)
+        if steps == _MAX_STEPS:
+            break
+        value = solver.dual(pt)
+        while True:
+            x_t = x_set.project(pt.x - step * grad)
+            move = x_t - pt.x
+            if not move.any():
+                break
+            trial = solver.evaluate(x_t, pt.alpha, pt.u, pt.vs.lower.u)
+            if solver.dual(trial) <= (value + _ARMIJO * float(grad @ move)
+                                      + _ROUNDOFF * (1.0 + abs(value))):
+                break
+            step *= 0.5
+        if not move.any():
+            break  # no step moves x: stalled at this tolerance
+        grad_t = solver.gradient(trial)
+        curvature = float(move @ (grad_t - grad))
+        step = float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
+        pt, grad = trial, grad_t
 
-    assert best is not None
-    bx, bu, by, balpha, bupper, bgap, bvs, binner, bouter, bbeta = best
-    failed = _assemble(
-        spec, eps, bx, bu, by, balpha, bupper, bgap, bvs, binner, bouter,
-        converged=False, beta=bbeta,
-    )
+    failed = solver.assemble(best[1], best[2], converged=False)
     raise ConvergenceError(
-        f"relaxed solve at eps {eps:g} exhausted {outer_cap} outer iterations",
+        f"relaxed solve at eps {eps:g} stalled after {steps} x-steps "
+        f"(gap {failed.gap:.3e}, alpha {failed.alpha:.3e})",
         best=failed,
         residuals=failed.residuals,
     )
@@ -302,12 +283,12 @@ def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:
     gap = lower_objective_value(spec, x, y, u) - vs.phi
 
     z = -(spec.upper.grad_x(x) + alpha * (jy - vs.grad_phi))
-    r_x = normal_cone_residual_X(spec.x_set, x, z, tol=1e-6)
+    r_x = spec.x_set.normal_cone_residual(x, z, tol=1e-6)
     r_y = norm(
         grid,
         spec.upper.grad_y(y)
         + alpha * eval_j_grad_adjoint(grid, spec.lower, y, x)
-        + op.apply_adjoint(sol.p),
+        + op.apply(sol.p),
     )
     r_u = norm(
         grid,

@@ -17,13 +17,12 @@ import numpy as np
 
 from .discretization import norm
 from .errors import InfeasibleError
-from .lower import _fixed_point_residual
+from .lower import _fixed_point_residual, lower_qp
 from .model import (
     ProblemSpec,
     eval_j_grad,
     eval_j_grad_adjoint,
     eval_j_hess_bilinear,
-    normal_cone_residual_X,
 )
 
 _W_IDS = (
@@ -108,7 +107,7 @@ def _check_feasible(spec: ProblemSpec, x, y, u) -> None:
     state_res = norm(spec.grid, spec.operator.apply(y) - u)
     if state_res > max(opt_tol, 1e-11):
         failures.append(f"state equation residual {state_res:.3e} exceeds {opt_tol:.1e}")
-    fp = _fixed_point_residual(spec, x, u)[0]
+    fp = _fixed_point_residual(spec, lower_qp(spec, x), u)[0]
     if fp > opt_tol:
         failures.append(
             f"(y, u) is not lower-level optimal at x: fixed-point residual "
@@ -153,15 +152,15 @@ def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> Statio
     res["CSt_y"] = norm(
         grid,
         spec.upper.grad_y(y)
-        + op.apply_adjoint(rho)
+        + op.apply(rho)
         + eval_j_hess_bilinear(grid, spec.lower, y, mu, x),
     )
     res["CSt_u"] = norm(grid, spec.upper.grad_u(u) + spec.sigma * w - rho + xi)
     res["CSt_p"] = norm(grid, op.apply(mu) - w)
-    res["CSt_z"] = normal_cone_residual_X(spec.x_set, x, z, tol=1e-8)
+    res["CSt_z"] = spec.x_set.normal_cone_residual(x, z, tol=1e-8)
 
     adj = eval_j_grad_adjoint(grid, spec.lower, y, x)
-    res["CSt_ll_y"] = norm(grid, adj + op.apply_adjoint(p))
+    res["CSt_ll_y"] = norm(grid, adj + op.apply(p))
     res["CSt_ll_u"] = norm(grid, spec.sigma * u - p + lam)
     # multiplier sign off the bounds: lam >= 0 above the lower bound,
     # lam <= 0 below the upper bound

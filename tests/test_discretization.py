@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from invoc import EllipticOperator, build_grid
-from invoc.discretization import inner, norm, solve_A, solve_A_adjoint, apply_A
+from invoc.discretization import inner, norm
 from invoc.errors import DimensionError, GridError
 
 from util_dense import dense_matrix
@@ -52,7 +52,8 @@ def test_apply_matches_dense_matrix():
     for _ in range(5):
         v = rng.standard_normal(grid.n_nodes)
         assert_allclose(op.apply(v), a @ v, rtol=1e-13, atol=1e-9)
-        assert_allclose(op.apply_adjoint(v), a.T @ v, rtol=1e-13, atol=1e-9)
+        # A is symmetric, so apply serves for the adjoint too
+        assert_allclose(op.apply(v), a.T @ v, rtol=1e-13, atol=1e-9)
 
 
 def test_solve_matches_dense_solve():
@@ -62,7 +63,7 @@ def test_solve_matches_dense_solve():
     rng = np.random.default_rng(7)
     b = rng.standard_normal(grid.n_nodes)
     assert_allclose(op.solve(b), np.linalg.solve(a, b), rtol=1e-11, atol=1e-13)
-    assert_allclose(op.solve_adjoint(b), np.linalg.solve(a.T, b), rtol=1e-11, atol=1e-13)
+    assert_allclose(op.solve(b), np.linalg.solve(a.T, b), rtol=1e-11, atol=1e-13)
 
 
 def test_solve_apply_roundtrip():
@@ -112,10 +113,10 @@ def test_adjoint_identity():
         u = rng.standard_normal(grid.n_nodes)
         v = rng.standard_normal(grid.n_nodes)
         lhs = inner(grid, op.apply(u), v)
-        rhs = inner(grid, u, op.apply_adjoint(v))
+        rhs = inner(grid, u, op.apply(v))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         lhs = inner(grid, op.solve(u), v)
-        rhs = inner(grid, u, op.solve_adjoint(v))
+        rhs = inner(grid, u, op.solve(v))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -142,11 +143,3 @@ def test_banded_solve_matches_dense_and_rejects_bad_input():
     with pytest.raises(DimensionError):
         op.solve(np.zeros(grid.n_nodes + 1))
 
-
-def test_module_level_wrappers_delegate():
-    grid = build_grid(10)
-    op = EllipticOperator(grid)
-    v = np.linspace(-1.0, 1.0, grid.n_nodes)
-    assert_allclose(apply_A(op, v), op.apply(v))
-    assert_allclose(solve_A(op, v), op.solve(v))
-    assert_allclose(solve_A_adjoint(op, v), op.solve_adjoint(v))

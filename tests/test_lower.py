@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -21,7 +22,13 @@ from invoc.discretization import inner, norm
 from invoc.errors import ConvergenceError, DimensionError, DomainError
 
 from test_stationarity import _w_not_c_fixture
-from util_dense import dense_matrix, h_norm, lower_value_dense, solve_lower_dense
+from util_dense import (
+    _least_squares_form,
+    dense_matrix,
+    h_norm,
+    lower_value_dense,
+    solve_lower_dense,
+)
 
 
 def test_matches_dense_oracle_unconstrained(unit_spec):
@@ -161,6 +168,19 @@ def test_cycling_active_sets_still_converge(monkeypatch):
     assert sol.kkt_residual <= 1e-12
 
 
+def _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o):
+    """BVLS solution (y, u) of min c_y/2 ||y - y_o||^2 + c_u/2 ||u - u_o||^2
+    + alpha f(x, y, u) with y = S u, the relaxed program's u-subproblem."""
+    c, d, s = _least_squares_form(spec, x)
+    root_y, root_u = np.sqrt(c_y * spec.grid.h), np.sqrt(c_u * spec.grid.h)
+    n_nodes = spec.grid.n_nodes
+    mat = np.vstack([np.sqrt(alpha) * c, root_y * s, root_u * np.eye(n_nodes)])
+    rhs = np.concatenate([np.sqrt(alpha) * d, root_y * y_o, root_u * u_o])
+    res = scipy.optimize.lsq_linear(mat, rhs, bounds=(spec.bounds.ua, spec.bounds.ub),
+                                    method="bvls", tol=1e-14)
+    return s @ res.x, res.x
+
+
 @given(
     n_nodes=st.integers(4, 128),
     log_sigma=st.floats(-4.0, 0.0),
@@ -169,14 +189,19 @@ def test_cycling_active_sets_still_converge(monkeypatch):
     shift=st.floats(-20.0, 20.0),
     log_lo=st.floats(-2.0, 2.0),
     log_hi=st.floats(-2.0, 2.0),
+    relaxed=st.one_of(st.none(), st.tuples(
+        st.floats(-3.0, 3.0), st.floats(0.0, 2.0), st.floats(1e-2, 2.0), st.floats(-20.0, 20.0)
+    )),
     data=st.data(),
 )
 def test_kernel_matches_bvls_across_regimes(
-    n_nodes, log_sigma, kind, x, shift, log_lo, log_hi, data
+    n_nodes, log_sigma, kind, x, shift, log_lo, log_hi, relaxed, data
 ):
     # bounds 1e-2 to 1e2 away from a shifted centre, against controls of
     # size about 10, bind on the near side, stay slack on the far side, and
-    # need not contain the cold start u = 0
+    # need not contain the cold start u = 0; relaxed draws (log alpha, c_y,
+    # c_u, size of u_o) for the relaxed program's u-subproblem in place of
+    # the lower QP
     grid = build_grid(n_nodes)
     w = grid.nodes
     if kind == "target_type":
@@ -195,11 +220,28 @@ def test_kernel_matches_bvls_across_regimes(
                              ub=np.full(n_nodes, shift + 10.0**log_hi)),
     )
     x = np.array(x)
-    sol = solve_lower(spec, x)
-    y_ref, u_ref = solve_lower_dense(spec, x)
+    if relaxed is None:
+        sol = solve_lower(spec, x)
+        y, u = sol.y, sol.u
+        y_ref, u_ref = solve_lower_dense(spec, x)
+        assert sol.kkt_residual <= 1e-9 * (1.0 + h_norm(grid, u_ref))
+
+        def value(y, u):
+            return lower_value_dense(spec, x, y, u)
+    else:
+        log_alpha, c_y, c_u, size = relaxed
+        alpha, y_o, u_o = 10.0**log_alpha, 0.3 * np.sin(np.pi * w), size * np.sin(3.0 * np.pi * w)
+        low = invoc.lower.lower_qp(spec, x)
+        qp = invoc.lower.TrackingQP(d=c_y + alpha * low.d, c=c_y * y_o + alpha * low.c,
+                                    s=c_u + alpha * spec.sigma, b=c_u * u_o)
+        y, u, _, _ = invoc.lower._solve_qp(spec, qp, spec.solver_tol)
+        y_ref, u_ref = _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o)
+
+        def value(y, u):
+            return (0.5 * c_y * h_norm(grid, y - y_o) ** 2 + 0.5 * c_u * h_norm(grid, u - u_o) ** 2
+                    + alpha * lower_value_dense(spec, x, y, u))
     scale = 1.0 + h_norm(grid, u_ref)
-    assert h_norm(grid, sol.u - u_ref) <= 1e-8 * scale
-    assert sol.kkt_residual <= 1e-9 * scale
+    assert h_norm(grid, u - u_ref) <= 1e-8 * scale
     # the kernel's point is at least as good as BVLS's, up to roundoff
-    best = lower_value_dense(spec, x, y_ref, u_ref)
-    assert lower_value_dense(spec, x, sol.y, sol.u) <= best + 1e-12 * (1.0 + abs(best))
+    best = value(y_ref, u_ref)
+    assert value(y, u) <= best + 1e-12 * (1.0 + abs(best))

@@ -15,6 +15,19 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 
+from util_dense import (
+    dense_matrix,
+    lower_value_dense,
+    phi_dense,
+    simplex_points,
+    solve_lower_dense,
+    upper_value_dense,
+)
+
+
+def _dense_state(spec, u):
+    return np.linalg.solve(dense_matrix(spec.grid), u)
+
 
 @pytest.fixture(scope="module")
 def slack_spec(unit_spec):
@@ -170,3 +183,37 @@ def test_trace_rows_export(unit_trace):
         for key in ("eps", "upper_value", "gap", "alpha", "du_lower"):
             assert key in row
         assert any(key.startswith("res_") for key in row)
+
+
+@pytest.mark.parametrize("name", ["bounded_spec", "tilted_spec"])
+def test_deep_path_with_large_multipliers(name, request):
+    # alpha grows past 1e5 on these instances; every level must still meet
+    # its gap against a dense lower solve, which needs gaps resolved far
+    # below the roundoff of f - phi, and the limit must beat the dense
+    # reduced objective on the resolution-100 simplex lattice
+    spec = request.getfixturevalue(name)
+    trace = run_path(spec, steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
+    assert trace.failure is None and len(trace.records) == 41
+    assert max(r.relaxed.alpha for r in trace.records) > 1e5
+    for rec in trace.records:
+        sol = rec.relaxed
+        gap = (lower_value_dense(spec, sol.x, _dense_state(spec, sol.u), sol.u)
+               - phi_dense(spec, sol.x))
+        assert gap <= rec.eps + 1e-12 + 1e-15
+    lattice = []
+    for x in simplex_points(100):
+        y, u = solve_lower_dense(spec, x)
+        lattice.append(upper_value_dense(spec, x, y, u))
+    assert min(lattice) - 1e-3 <= trace.limit["upper_value"] <= min(lattice) + 1e-9
+
+
+def test_default_path_on_pointwise_instance(pointwise_spec):
+    # alpha is about 3e-3 at eps 0.5 here: a multiplier that only passes
+    # |alpha (eps - gap)| <= comp_tol can be a few percent off, which moves
+    # the envelope gradient by more than stat_tol
+    trace = run_path(pointwise_spec)
+    assert trace.failure is None and len(trace.records) == 21
+    assert 0.0 < trace.records[1].relaxed.alpha < 1e-2
+    for rec in trace.records:
+        assert rec.relaxed.converged
+        assert rec.relaxed.residuals["x"] <= 1e-6

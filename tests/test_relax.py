@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from invoc import (
+    AdmissibleSetX,
     ControlBounds,
+    LowerObjective,
     ProblemSpec,
     RelaxedSolution,
     UpperObjective,
+    build_grid,
     relaxed_kkt_residuals,
     solve_lower,
     solve_relaxed,
@@ -26,13 +29,13 @@ def tilted_sol(tilted_spec):
     return solve_relaxed(tilted_spec, eps=1e-2)
 
 
-def _dummy_warm(spec, x, u, alpha=0.0, beta=1.0, eps=1.0):
+def _dummy_warm(spec, x, u, alpha=0.0, eps=1.0):
     n_nodes = spec.grid.n_nodes
     return RelaxedSolution(
         eps=eps, x=np.asarray(x, float), y=np.zeros(n_nodes), u=np.asarray(u, float),
         alpha=alpha, z=np.zeros(spec.n), p=np.zeros(n_nodes), lam=np.zeros(n_nodes),
         upper_value=0.0, gap=0.0, inner_iterations=0, outer_iterations=0,
-        converged=False, beta=beta,
+        converged=False,
     )
 
 
@@ -52,6 +55,25 @@ def test_huge_eps_returns_control_target(unit_spec):
     assert sol.alpha == 0.0
     assert norm(spec.grid, sol.u - u_o) <= 1e-6
     assert sol.gap <= 1e6
+
+
+def test_upper_objective_without_control_terms(unit_spec):
+    # with c_y = c_u = 0, F = (gamma/2)|x|^2 ignores (y, u): the alpha = 0
+    # subproblem is singular, any control is optimal, and x must reach the
+    # simplex point of least norm
+    n_nodes = unit_spec.grid.n_nodes
+    spec = ProblemSpec(
+        grid=unit_spec.grid, sigma=unit_spec.sigma, lower=unit_spec.lower,
+        upper=UpperObjective(c_y=0.0, y_o=np.zeros(n_nodes), c_u=0.0,
+                             u_o=np.zeros(n_nodes), gamma=1.0),
+        x_set=unit_spec.x_set, bounds=unit_spec.bounds,
+    )
+    warm = _dummy_warm(spec, x=[0.9, 0.1], u=np.zeros(n_nodes))
+    sol = solve_relaxed(spec, eps=1e-3, warm=warm)
+    assert sol.converged and sol.alpha == 0.0
+    np.testing.assert_allclose(sol.x, [0.5, 0.5], atol=1e-7)
+    assert sol.gap <= 1e-3
+    assert max(sol.residuals.values()) <= 1e-8
 
 
 def test_gap_bound_holds_at_solution(unit_spec, tilted_spec, tilted_sol):
@@ -134,11 +156,31 @@ def _brute_force_upper(spec, eps, resolution=100):
     return best
 
 
-def test_tiny_instance_matches_brute_force(tiny_spec):
+def _tilted_tiny(c_u):
+    # N=4 copy of the tilted instance; with c_u = 0 the u-subproblem's
+    # control weight is alpha sigma alone and vanishes at alpha = 0
+    grid = build_grid(4)
+    w = grid.nodes
+    return ProblemSpec(
+        grid=grid, sigma=1e-2,
+        lower=LowerObjective(
+            kind="target_type", targets=np.vstack([np.sin(np.pi * w), np.sin(2.0 * np.pi * w)])
+        ),
+        upper=UpperObjective(c_y=1.0, y_o=0.3 * np.sin(np.pi * w), c_u=c_u,
+                             u_o=np.zeros(4), gamma=5e-3),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(4, -50.0), ub=np.full(4, 50.0)),
+    )
+
+
+@pytest.mark.parametrize("case", ["planted", "tilted", "tilted_c_u_0"])
+def test_tiny_instance_matches_brute_force(tiny_spec, case):
+    # alpha is about 94 on the tilted instance and 0.03 with c_u = 0, at eps 1e-2
+    spec = tiny_spec if case == "planted" else _tilted_tiny(0.0 if case == "tilted_c_u_0" else 1.0)
     eps = 1e-4
-    sol = solve_relaxed(tiny_spec, eps=eps)
+    sol = solve_relaxed(spec, eps=eps)
     assert sol.converged
-    reference = _brute_force_upper(tiny_spec, eps)
+    reference = _brute_force_upper(spec, eps)
     assert abs(sol.upper_value - reference) <= 1e-3
 
 
@@ -219,7 +261,7 @@ def test_eps_validation(unit_spec):
 
 def test_convergence_error_carries_best(tilted_spec):
     with pytest.raises(ConvergenceError) as err:
-        solve_relaxed(tilted_spec, eps=1e-2, outer_cap=1, beta0=1e-12, stat_tol=1e-30)
+        solve_relaxed(tilted_spec, eps=1e-2, stat_tol=1e-30)
     best = err.value.best
     assert isinstance(best, RelaxedSolution)
     assert not best.converged
