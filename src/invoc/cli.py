@@ -241,7 +241,8 @@ def _cmd_certify(args, out: Path) -> list[str]:
 
 def _cmd_oracle(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
-    result = grid_search(spec, args.resolution, keep_samples=args.landscape)
+    tol = args.tol if args.tol is not None else 1e-12
+    result = grid_search(spec, args.resolution, tol=tol, keep_samples=args.landscape)
     outputs = [
         _write_json(out, "oracle.json", {
             "best_x": result.best_x,

@@ -11,6 +11,7 @@ product, so a Dirac at node i is e_i / h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky_banded
@@ -74,6 +75,7 @@ class EllipticOperator:
     product, so apply and solve serve for the adjoint equations too.  The
     Cholesky factorization of the banded matrix is computed once at
     construction; solves accept a vector or a matrix of stacked columns.
+    The closed-form sine eigenpairs are built on first use.
     """
 
     def __init__(self, grid: Grid):
@@ -94,6 +96,21 @@ class EllipticOperator:
         out[:-1] -= y[1:]
         out[1:] -= y[:-1]
         return out / h2
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues l and orthonormal eigenvectors Q with A = Q diag(l) Q^T.
+
+        Column k-1 of Q is the discrete sine sqrt(2h) sin(pi k omega_i), with
+        eigenvalue l_k = 4 sin^2(pi k h / 2) / h^2 (DST-I); Q is symmetric.
+        """
+        grid = self.grid
+        k = np.arange(1, grid.n_nodes + 1)
+        l = (2.0 * np.sin(0.5 * np.pi * k * grid.h) / grid.h) ** 2
+        # reduce the integer phase jk mod 2(N+1) first, so sin sees |arg| <= 2 pi
+        phase = np.outer(k, k) % (2 * (grid.n_nodes + 1))
+        Q = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
+        return l, Q
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A y = rhs (vector or matrix of columns) by LAPACK dpbtrs."""

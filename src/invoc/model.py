@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretization import EllipticOperator, Grid, build_grid, inner
+from .discretization import EllipticOperator, Grid, build_grid
 from .errors import DimensionError, InfeasibleError, ValidationError
 
 _GENERATORS = {
@@ -196,6 +196,13 @@ def eval_j_hess_bilinear(
     return out
 
 
+def _row_dot(v: np.ndarray) -> float | np.ndarray:
+    """v . v for a vector, or for each row of a matrix, summed as np.dot sums it."""
+    if v.ndim == 1:
+        return float(np.dot(v, v))
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class UpperObjective:
     """Convex quadratic tracking objective F(x, y, u).
@@ -218,14 +225,20 @@ class UpperObjective:
         object.__setattr__(self, "y_o", np.asarray(self.y_o, dtype=float))
         object.__setattr__(self, "u_o", np.asarray(self.u_o, dtype=float))
 
-    def value(self, grid: Grid, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> float:
+    def value(self, grid: Grid, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> float | np.ndarray:
+        """F at (x, y, u) as a float, or an array of F over stacked rows of x, y, u."""
+        y = np.asarray(y, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if y.shape[-1] != grid.n_nodes or u.shape[-1] != grid.n_nodes:
+            raise DimensionError("state or control length does not match grid")
         dy = y - self.y_o
         du = u - self.u_o
-        return float(
-            0.5 * self.c_y * inner(grid, dy, dy)
-            + 0.5 * self.c_u * inner(grid, du, du)
-            + 0.5 * self.gamma * np.dot(x, x)
+        out = (
+            0.5 * self.c_y * (grid.h * _row_dot(dy))
+            + 0.5 * self.c_u * (grid.h * _row_dot(du))
+            + 0.5 * self.gamma * _row_dot(np.asarray(x, dtype=float))
         )
+        return out
 
     def grad_x(self, x: np.ndarray) -> np.ndarray:
         return self.gamma * np.asarray(x, dtype=float)

@@ -5,9 +5,14 @@ bilevel problem reduces to minimizing x -> F(x, psi_y(x), psi_u(x)) over
 the admissible set.  This module samples that reduced objective on a
 lattice (barycentric on the simplex, tensor on a box) and returns the best
 sample.  Lattices at resolutions m and 2m nest, so refinement can only
-improve the best value.  Every lattice point gets an exact lower solve from
-the active-set kernel, warm-started from its neighbour and verified at a
-tightened tolerance, so comparisons are not tolerance-dominated.
+improve the best value.  Every lattice point gets an exact lower solve,
+verified at a tightened tolerance, so comparisons are not
+tolerance-dominated.  Lattice rows go in blocks.  For the target kind the
+unconstrained lower solutions of a whole block come in closed form from the
+sine eigenbasis of A, since (sigma A^2 + 2 sum(x) I) y = 2 x . y_d is
+diagonal there; a row whose candidate is feasible and passes the kernel's
+fixed-point check is solved, the QP being strictly convex.  Every other
+row, and every row of the pointwise kind, goes to the active-set kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import numpy as np
 from .errors import ValidationError
 from .lower import _solve_qp, lower_qp
 from .model import ProblemSpec
+
+_BLOCK = 256  # lattice rows per batch, so each temporary is 256 x N floats
 
 
 @dataclass(eq=False)
@@ -52,14 +59,52 @@ def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, lo.size)
 
 
+def _unconstrained_rows(spec: ProblemSpec, X: np.ndarray, tol: float):
+    """Unconstrained lower solutions (Y, U) of the target kind at the rows of X,
+    and a mask of the rows they solve.
+
+    With A = Q diag(l) Q^T, the state is y = Q ((Q^T c) / (sigma l^2 + d))
+    for c = 2 x . y_d and d = 2 sum(x), and u = A y.  Y and the adjoint P
+    come from fresh banded solves, and a row counts as solved when its u
+    lies within the bounds and ||u - P_U(p/sigma)|| <= tol, as the kernel's
+    final check asks.
+    """
+    op, bounds = spec.operator, spec.bounds
+    l, Q = op.eigenbasis
+    targets = spec.lower.targets
+    d = 2.0 * X.sum(axis=1)[:, None]
+    C = 2.0 * (X @ targets)
+    Y_hat = (2.0 * X @ (targets @ Q)) / (spec.sigma * l * l + d)
+    U = (l * Y_hat) @ Q
+    Y = op.solve(U.T).T
+    P = op.solve((C - d * Y).T).T
+    residual = np.sqrt(spec.grid.h) * np.linalg.norm(
+        U - bounds.project(P / spec.sigma), axis=1
+    )
+    feasible = ((U >= bounds.ua) & (U <= bounds.ub)).all(axis=1)
+    return Y, U, feasible & (residual <= tol)
+
+
 def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
-    """F(x, psi_y(x), psi_u(x)) for every row of X, each row's lower solve
-    warm-started from the previous row's and verified against tol."""
+    """F(x, psi_y(x), psi_u(x)) for every row of X, in blocks of _BLOCK rows.
+
+    Rows the closed form does not solve get a kernel solve, warm-started
+    from the previous row's solution and verified against tol.
+    """
     vals = np.empty(X.shape[0])
     u = None
-    for row, x in enumerate(X):
-        y, u, _, _ = _solve_qp(spec, lower_qp(spec, x), tol, u)
-        vals[row] = spec.upper.value(spec.grid, x, y, u)
+    for start in range(0, X.shape[0], _BLOCK):
+        Xb = X[start:start + _BLOCK]
+        if spec.lower.kind == "target_type":
+            Y, U, solved = _unconstrained_rows(spec, Xb, tol)
+        else:
+            Y, U = np.empty((2, Xb.shape[0], spec.grid.n_nodes))
+            solved = np.zeros(Xb.shape[0], dtype=bool)
+        for row in np.flatnonzero(~solved):
+            warm = U[row - 1] if row else u
+            Y[row], U[row], _, _ = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
+        u = U[-1]
+        vals[start:start + _BLOCK] = spec.upper.value(spec.grid, Xb, Y, U)
     return vals
 
 

@@ -47,6 +47,13 @@ def problem_file(unit_spec, tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def bounded_problem_file(bounded_spec, tmp_path_factory):
+    path = tmp_path_factory.mktemp("prob") / "bounded.json"
+    save_problem(bounded_spec, path)
+    return str(path)
+
+
 def _declared_entry_point(name):
     """The console script `name` as the project declares it.
 
@@ -312,13 +319,26 @@ def test_path_failure_exits_3_without_candidate(problem_file, tmp_path, monkeypa
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_oracle_failure_exits_3(problem_file, tmp_path, monkeypatch):
+def test_oracle_failure_exits_3(bounded_problem_file, tmp_path, monkeypatch):
+    # the bound binds at some lattice rows, which a kernel allowed no band
+    # solve cannot solve
     import invoc.lower
 
     monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 0)
     rc = cli.main([
-        "oracle", "--problem", problem_file, "--out", str(tmp_path),
+        "oracle", "--problem", bounded_problem_file, "--out", str(tmp_path),
         "--resolution", "5",
+    ])
+    assert rc == 3
+    err = _read_json(tmp_path / "error.json")
+    assert err["exit_code"] == 3
+    assert err["residuals"]["fixed_point"] > 0
+
+
+def test_oracle_tol_reaches_the_check(problem_file, tmp_path):
+    rc = cli.main([
+        "oracle", "--problem", problem_file, "--out", str(tmp_path),
+        "--resolution", "5", "--tol", "1e-300",
     ])
     assert rc == 3
     err = _read_json(tmp_path / "error.json")

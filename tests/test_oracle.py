@@ -1,11 +1,13 @@
 """Lattice oracle: planted optima, nesting under refinement, tie-breaking,
-and the batched solves against the dense reference."""
+the batched solves against the dense reference and the per-row kernel, and
+which rows reach the kernel."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import invoc.lower
+import invoc.oracle
 from invoc import (
     AdmissibleSetX,
     ControlBounds,
@@ -18,6 +20,7 @@ from invoc import (
     solve_lower,
 )
 from invoc.errors import ConvergenceError, ValidationError
+from invoc.lower import _solve_qp, lower_qp
 
 from util_dense import solve_lower_dense, upper_value_dense
 
@@ -153,10 +156,83 @@ def test_dimension_and_resolution_validation(unit_spec):
         grid_search(unit_spec, 1)
 
 
-def test_batch_iteration_cap_raises(unit_spec, monkeypatch):
-    # a kernel allowed no band solve leaves the lattice's first point at
-    # u = 0, which its fixed-point check rejects
+def test_batch_iteration_cap_raises(unit_spec, bounded_spec, monkeypatch):
+    # on bounded_spec the bound binds at some lattice rows, and a kernel
+    # allowed no band solve leaves such a row at P_U of its warm start,
+    # which its fixed-point check rejects
     monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 0)
     with pytest.raises(ConvergenceError, match="fixed-point residual") as excinfo:
-        grid_search(unit_spec, 5)
+        grid_search(bounded_spec, 5)
     assert excinfo.value.residuals["fixed_point"] > 0.0
+    monkeypatch.undo()
+    # no bound binds on unit_spec; an unreachable tol makes the batched check
+    # reject every row, and the kernel raises
+    with pytest.raises(ConvergenceError, match="fixed-point residual") as excinfo:
+        grid_search(unit_spec, 5, tol=1e-300)
+    assert excinfo.value.residuals["fixed_point"] > 0.0
+
+
+def _box(spec: ProblemSpec) -> ProblemSpec:
+    return ProblemSpec(
+        grid=spec.grid, sigma=spec.sigma, lower=spec.lower, upper=spec.upper,
+        x_set=AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2)),
+        bounds=spec.bounds,
+    )
+
+
+def _three_parameter_tracking_spec() -> ProblemSpec:
+    grid = build_grid(12)
+    w = grid.nodes
+    targets = np.vstack([np.sin(np.pi * w), np.sin(2 * np.pi * w), w * (1 - w)])
+    return ProblemSpec(
+        grid=grid, sigma=1e-2,
+        lower=LowerObjective(kind="target_type", targets=targets),
+        upper=UpperObjective(c_y=1.0, y_o=0.1 * np.sin(np.pi * w),
+                             c_u=1.0, u_o=np.zeros(12), gamma=1e-2),
+        x_set=AdmissibleSetX(kind="simplex", n=3),
+        bounds=ControlBounds(ua=np.full(12, -50.0), ub=np.full(12, 50.0)),
+    )
+
+
+@pytest.mark.parametrize("name", ["bounded_box", "pointwise", "simplex3"])
+def test_batched_values_match_per_row_kernel(name, bounded_spec, pointwise_spec):
+    spec = {
+        "bounded_box": lambda: _box(bounded_spec),
+        "pointwise": lambda: pointwise_spec,
+        "simplex3": _three_parameter_tracking_spec,
+    }[name]()
+    result = grid_search(spec, 12, keep_samples=True)
+    X, vals = result.samples[:, :-1], result.samples[:, -1]
+    want = []
+    for x in X:
+        y, u, _, _ = _solve_qp(spec, lower_qp(spec, x), 1e-12)
+        want.append(spec.upper.value(spec.grid, x, y, u))
+    assert_allclose(vals, want, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, monkeypatch):
+    calls = []
+    kernel = invoc.oracle._solve_qp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", counted)
+    grid_search(_box(unit_spec), 20)
+    assert calls == []
+    result = grid_search(_box(bounded_spec), 20)
+    assert 0 < len(calls) < result.sample_count
+    # a control above its bound by less than tol passes the fixed-point
+    # check, and still goes to the kernel
+    n_nodes = unit_spec.grid.n_nodes
+    cap = float(unit_spec.upper.u_o.max()) - 1e-12
+    grazing = ProblemSpec(
+        grid=unit_spec.grid, sigma=unit_spec.sigma, lower=unit_spec.lower,
+        upper=unit_spec.upper, x_set=unit_spec.x_set,
+        bounds=ControlBounds(ua=np.full(n_nodes, -50.0), ub=np.full(n_nodes, cap)),
+    )
+    calls.clear()
+    grid_search(grazing, 10)
+    planted = lower_qp(grazing, np.array([0.3, 0.7])).c
+    assert any(np.array_equal(qp.c, planted) for qp in calls)
