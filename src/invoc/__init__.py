@@ -20,7 +20,7 @@ from .errors import (
     ToolError,
     ValidationError,
 )
-from .lower import LowerSolution, lipschitz_probe, solve_lower
+from .lower import LowerSolution, solve_lower
 from .model import (
     AdmissibleSetX,
     ControlBounds,
@@ -84,7 +84,6 @@ __all__ = [
     "grad_phi",
     "grid_search",
     "inner",
-    "lipschitz_probe",
     "load_problem",
     "make_box_variant",
     "make_default_problem",

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgbsv
 
 from .discretization import norm
 from .errors import ConvergenceError, DimensionError, DomainError
-from .model import ProblemSpec, eval_j_grad_adjoint
+from .model import ProblemSpec, _row_dot, lower_coefficients
 
 _MAX_SOLVES = 200  # band solves per kernel call, active-set and Newton steps together
 _ROUNDOFF = 1e-13  # relative roundoff allowance of the exactness and decrease tests
@@ -69,7 +69,9 @@ class TrackingQP(NamedTuple):
     min 1/2 <y, d y> - <c, y> + s/2 ||u||^2 - <b, u> over U with A y = u,
     all pairings weighted by h.  c is a node vector, d and b node vectors or
     scalars, and s >= 0 a scalar; b = s w for a control target w, written
-    so that s = 0 needs no division.  The lower QP at x is lower_qp(spec, x).
+    so that s = 0 needs no division.  The lower QP at x is lower_qp(spec, x);
+    lower_qp on stacked parameter rows stacks c and d by row, which only
+    _fixed_point_residual accepts.
     """
 
     d: np.ndarray | float
@@ -79,20 +81,9 @@ class TrackingQP(NamedTuple):
 
 
 def lower_qp(spec: ProblemSpec, x: np.ndarray) -> TrackingQP:
-    """The lower QP at x: x . j(y) = 1/2 <y, d y> - <c, y> + const, s = sigma.
-
-    d = 2 sum(x) and c = 2 x . y_d for the target kind; d = 2 x_i / h and
-    c = d y_d at the measurement nodes for the pointwise kind.
-    """
-    if spec.lower.kind == "target_type":
-        d = 2.0 * float(np.sum(x))
-        c = 2.0 * (x @ spec.lower.targets)
-    else:
-        idx = np.asarray(spec.lower.points)
-        weight = 2.0 * x / spec.grid.h
-        d, c = np.zeros(spec.grid.n_nodes), np.zeros(spec.grid.n_nodes)
-        np.add.at(d, idx, weight)
-        np.add.at(c, idx, weight * spec.lower.target[idx])
+    """The lower QP at x, or one stacked row per row of x: the coefficients
+    of x . j(y) = 1/2 <y, d y> - <c, y> + const, and s = sigma."""
+    d, c = lower_coefficients(spec.grid, spec.lower, x)
     return TrackingQP(d=d, c=c, s=spec.sigma, b=0.0)
 
 
@@ -225,11 +216,14 @@ def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray):
 
     This is the projected-gradient residual at step 1/r, at least the
     residual at any shorter step; for the lower QP it is ||u - P_U(p/sigma)||.
+    u may stack one control row per stacked row of qp, solved together as
+    columns; then y, p and the residual have one row per row of u.
     """
     op = spec.operator
-    y = op.solve(u)
-    p = op.solve(qp.c - qp.d * y)
-    return norm(spec.grid, u - spec.bounds.project(_target(spec, qp, y, p))), y, p
+    y = op.solve(u.T).T
+    p = op.solve((qp.c - qp.d * y).T).T
+    diff = u - spec.bounds.project(_target(spec, qp, y, p))
+    return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff)), y, p
 
 
 def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | None = None):
@@ -307,9 +301,10 @@ def solve_lower(
         if warm_start.shape[0] != grid.n_nodes:
             raise DimensionError("warm start length does not match grid")
 
-    y, u, p, solves = _solve_qp(spec, lower_qp(spec, x), tol, warm_start)
+    qp = lower_qp(spec, x)
+    y, u, p, solves = _solve_qp(spec, qp, tol, warm_start)
 
-    adj = eval_j_grad_adjoint(grid, spec.lower, y, x)
+    adj = qp.d * y - qp.c  # j'(y)* x
     lam = p - spec.sigma * u
 
     state_res = norm(grid, op.apply(y) - u)
@@ -323,20 +318,3 @@ def solve_lower(
         kkt_residual=float(kkt), iterations=solves,
     )
 
-
-def lipschitz_probe(spec: ProblemSpec, x1, x2) -> dict:
-    """Solution and multiplier deltas between two parameters.
-
-    Returns dx together with du, dy, dp, dlam in the weighted norm; the
-    ratios are empirical Lipschitz quotients of the solution maps.
-    """
-    s1 = solve_lower(spec, x1)
-    s2 = solve_lower(spec, x2)
-    grid = spec.grid
-    return {
-        "dx": float(np.linalg.norm(s1.x - s2.x)),
-        "du": norm(grid, s1.u - s2.u),
-        "dy": norm(grid, s1.y - s2.y),
-        "dp": norm(grid, s1.p - s2.p),
-        "dlam": norm(grid, s1.lam - s2.lam),
-    }

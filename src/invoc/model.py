@@ -165,19 +165,32 @@ def eval_j_grad(grid: Grid, obj: LowerObjective, y: np.ndarray, v: np.ndarray) -
     return 2.0 * (y[idx] - obj.target[idx]) * v[idx]
 
 
+def lower_coefficients(grid: Grid, obj: LowerObjective, x: np.ndarray) -> tuple[np.ndarray | float, np.ndarray]:
+    """(d, c) with x . j(y) = 1/2 <y, d y> - <c, y> + const under the weighted product.
+
+    x is one parameter or a stack of parameter rows, and so are d and c.
+    d = 2 sum(x), one scalar per row, and c = 2 x . y_d for the target kind;
+    d = 2 x_i / h and c = d y_d at the measurement nodes for the pointwise
+    kind, since a Dirac at node i is e_i / h.
+    """
+    if obj.kind == "target_type":
+        c = 2.0 * (x @ obj.targets)
+        if x.ndim == 1:
+            return 2.0 * float(np.sum(x)), c
+        return 2.0 * x.sum(axis=1, keepdims=True), c
+    d = np.zeros(x.shape[:-1] + (grid.n_nodes,))
+    np.add.at(d, (..., np.asarray(obj.points)), 2.0 * x / grid.h)
+    return d, d * obj.target
+
+
 def eval_j_grad_adjoint(grid: Grid, obj: LowerObjective, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Riesz vector of j'(y)* x under the weighted inner product."""
     y = np.asarray(y, dtype=float)
     x = _check_param(obj, x)
     if y.shape[0] != grid.n_nodes:
         raise DimensionError("state length does not match grid")
-    if obj.kind == "target_type":
-        return 2.0 * np.sum(x) * y - 2.0 * (x @ obj.targets)
-    out = np.zeros(grid.n_nodes)
-    idx = np.asarray(obj.points)
-    # Dirac at node i is e_i / h under the weighted product
-    np.add.at(out, idx, 2.0 * x * (y[idx] - obj.target[idx]) / grid.h)
-    return out
+    d, c = lower_coefficients(grid, obj, x)
+    return d * y - c
 
 
 def eval_j_hess_bilinear(
@@ -188,12 +201,7 @@ def eval_j_hess_bilinear(
     x = _check_param(obj, x)
     if mu.shape[0] != grid.n_nodes:
         raise DimensionError("direction length does not match grid")
-    if obj.kind == "target_type":
-        return 2.0 * np.sum(x) * mu
-    out = np.zeros(grid.n_nodes)
-    idx = np.asarray(obj.points)
-    np.add.at(out, idx, 2.0 * x * mu[idx] / grid.h)
-    return out
+    return lower_coefficients(grid, obj, x)[0] * mu
 
 
 def _row_dot(v: np.ndarray) -> float | np.ndarray:
@@ -301,15 +309,14 @@ class AdmissibleSetX:
             raise ValidationError(f"cannot project the non-finite point {x}")
         if self.kind == "box":
             return np.clip(x, self.lo, self.hi)
-        # sorting-based simplex projection
+        # sorting-based simplex projection of x - max(x), which has the same
+        # projection; the largest entry, now 0, always passes the test
+        x = x - x.max()
         s = np.sort(x)[::-1]
         c = np.cumsum(s) - 1.0
         k = np.arange(1, x.size + 1)
-        feasible = s - c / k > 0.0
-        assert feasible.any()
-        rho = k[feasible][-1]
-        theta = c[feasible][-1] / rho
-        return np.maximum(x - theta, 0.0)
+        rho = k[s - c / k > 0.0][-1]
+        return np.maximum(x - c[rho - 1] / rho, 0.0)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)

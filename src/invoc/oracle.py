@@ -10,9 +10,11 @@ verified at a tightened tolerance, so comparisons are not
 tolerance-dominated.  Lattice rows go in blocks.  For the target kind the
 unconstrained lower solutions of a whole block come in closed form from the
 sine eigenbasis of A, since (sigma A^2 + 2 sum(x) I) y = 2 x . y_d is
-diagonal there; a row whose candidate is feasible and passes the kernel's
-fixed-point check is solved, the QP being strictly convex.  Every other
-row, and every row of the pointwise kind, goes to the active-set kernel.
+diagonal there, the coefficient 2 sum(x) being constant in space; a row
+whose candidate is feasible and passes the kernel's fixed-point check
+(lower._fixed_point_residual, on the whole block at once) is solved, the QP
+being strictly convex.  Every other row, and every row of the pointwise
+kind, goes to the active-set kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lower import _solve_qp, lower_qp
+from .lower import _fixed_point_residual, _solve_qp, lower_qp
 from .model import ProblemSpec
 
 _BLOCK = 256  # lattice rows per batch, so each temporary is 256 x N floats
@@ -64,23 +66,16 @@ def _unconstrained_rows(spec: ProblemSpec, X: np.ndarray, tol: float):
     and a mask of the rows they solve.
 
     With A = Q diag(l) Q^T, the state is y = Q ((Q^T c) / (sigma l^2 + d))
-    for c = 2 x . y_d and d = 2 sum(x), and u = A y.  Y and the adjoint P
-    come from fresh banded solves, and a row counts as solved when its u
-    lies within the bounds and ||u - P_U(p/sigma)|| <= tol, as the kernel's
-    final check asks.
+    for the coefficients c = 2 x . y_d and d = 2 sum(x) of lower_qp, and
+    u = A y.  A row counts as solved when its u lies within the bounds and
+    passes the kernel's own fixed-point check against tol, which also gives Y.
     """
-    op, bounds = spec.operator, spec.bounds
-    l, Q = op.eigenbasis
-    targets = spec.lower.targets
-    d = 2.0 * X.sum(axis=1)[:, None]
-    C = 2.0 * (X @ targets)
-    Y_hat = (2.0 * X @ (targets @ Q)) / (spec.sigma * l * l + d)
+    bounds = spec.bounds
+    l, Q = spec.operator.eigenbasis
+    qp = lower_qp(spec, X)
+    Y_hat = (2.0 * X @ (spec.lower.targets @ Q)) / (spec.sigma * l * l + qp.d)
     U = (l * Y_hat) @ Q
-    Y = op.solve(U.T).T
-    P = op.solve((C - d * Y).T).T
-    residual = np.sqrt(spec.grid.h) * np.linalg.norm(
-        U - bounds.project(P / spec.sigma), axis=1
-    )
+    residual, Y, _ = _fixed_point_residual(spec, qp, U)
     feasible = ((U >= bounds.ua) & (U <= bounds.ub)).all(axis=1)
     return Y, U, feasible & (residual <= tol)
 

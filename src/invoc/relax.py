@@ -28,7 +28,7 @@ from .discretization import norm
 from .errors import ConvergenceError, DomainError
 from .lower import TrackingQP, _solve_qp, lower_qp
 from .model import ProblemSpec, eval_j, eval_j_grad_adjoint
-from .value import ValueSample, lower_objective_value, value_sample
+from .value import ValueSample, value_sample
 
 _MAX_STEPS = 200   # x-steps per relaxed solve
 _MAX_SEARCH = 60   # kernel solves per multiplier search
@@ -273,14 +273,15 @@ def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:
 
     The parameter-space multiplier z is reconstructed as the negative
     remainder of the x-equation and checked against the polyhedral normal
-    cone, so the reported record does not trust any solver internals.
+    cone, and the gap is expanded about a fresh value sample, so the
+    reported record does not trust any solver internals.
     """
     grid, op = spec.grid, spec.operator
     x, y, u = sol.x, sol.y, sol.u
     alpha = sol.alpha
     vs = value_sample(spec, x)
     jy = eval_j(grid, spec.lower, y)
-    gap = lower_objective_value(spec, x, y, u) - vs.phi
+    gap = _gap(spec, vs, lower_qp(spec, vs.x), u)
 
     z = -(spec.upper.grad_x(x) + alpha * (jy - vs.grad_phi))
     r_x = spec.x_set.normal_cone_residual(x, z, tol=1e-6)

@@ -15,7 +15,6 @@ from invoc import (
     ProblemSpec,
     UpperObjective,
     build_grid,
-    lipschitz_probe,
     solve_lower,
 )
 from invoc.discretization import inner, norm
@@ -139,12 +138,37 @@ def test_kernel_matches_dense_bvls(unit_spec, pointwise_spec, bounded_spec):
         assert sol.kkt_residual <= 1e-12
 
 
-def test_lipschitz_probe_reports_deltas(unit_spec):
-    out = lipschitz_probe(unit_spec, np.array([0.3, 0.7]), np.array([0.4, 0.6]))
-    assert set(out) == {"dx", "du", "dy", "dp", "dlam"}
-    assert out["dx"] == pytest.approx(np.sqrt(2) * 0.1)
-    # solutions move, and boundedly so
-    assert 0.0 < out["du"] <= 100.0 * out["dx"]
+def _repeated_point_spec():
+    # two components measure the same node, so their weights add there
+    grid = build_grid(16)
+    return ProblemSpec(
+        grid=grid, sigma=1e-2,
+        lower=LowerObjective(kind="pointwise", points=(4, 4), target=np.sin(np.pi * grid.nodes)),
+        upper=UpperObjective(c_y=0.0, y_o=np.zeros(16), c_u=1.0, u_o=np.zeros(16)),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(16, -50.0), ub=np.full(16, 50.0)),
+    )
+
+
+@pytest.mark.parametrize("name", ["unit_spec", "pointwise_spec", "repeated_point"])
+def test_stacked_rows_match_single_rows(name, request):
+    spec = _repeated_point_spec() if name == "repeated_point" else request.getfixturevalue(name)
+    X = np.array([[0.3, 0.7], [1.0, 0.0], [0.0, 0.0], [0.55, 0.45]])
+    stacked = invoc.lower.lower_qp(spec, X)
+    # perturbed solutions, so the residuals are well above roundoff
+    U = np.stack([solve_lower(spec, x).u for x in X]) + 1e-3 * np.sin(np.arange(spec.grid.n_nodes))
+    residual, Y, P = invoc.lower._fixed_point_residual(spec, stacked, U)
+    for i, x in enumerate(X):
+        single = invoc.lower.lower_qp(spec, x)
+        assert_allclose(np.broadcast_to(stacked.d[i], U.shape[1:]),
+                        np.broadcast_to(single.d, U.shape[1:]), rtol=1e-15, atol=0.0)
+        assert_allclose(stacked.c[i], single.c, rtol=1e-15, atol=1e-15 * np.abs(single.c).max())
+        res_i, y_i, p_i = invoc.lower._fixed_point_residual(spec, single, U[i])
+        # the residual is a difference of node vectors of size ||u||, so the
+        # rounding of c between a matrix and a vector product shows relative to that
+        assert abs(residual[i] - res_i) <= 1e-15 * norm(spec.grid, U[i])
+        assert_allclose(Y[i], y_i, rtol=1e-15, atol=0.0)
+        assert_allclose(P[i], p_i, rtol=1e-15, atol=1e-15 * np.abs(p_i).max())
 
 
 def test_cycling_active_sets_still_converge(monkeypatch):

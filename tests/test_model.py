@@ -122,15 +122,22 @@ def test_eval_j_grad_matches_finite_differences(kind):
 @pytest.mark.parametrize("kind", ["target_type", "pointwise"])
 def test_eval_j_adjoint_identities(kind):
     # <j'(y)* x, v>_h = x . (j'(y) v) and the same transposition for the
-    # Hessian form; both sides go through different code paths
+    # Hessian form; both sides go through different code paths, and a
+    # repeated measurement node must add its components' weights
     grid = build_grid(14)
     rng = np.random.default_rng(1)
     if kind == "target_type":
-        obj = LowerObjective(kind=kind, targets=rng.standard_normal((3, 14)))
+        objs = [LowerObjective(kind=kind, targets=rng.standard_normal((3, 14)))]
     else:
-        obj = LowerObjective(kind=kind, points=(0, 5, 13),
-                             target=rng.standard_normal(14))
+        target = rng.standard_normal(14)
+        objs = [LowerObjective(kind=kind, points=pts, target=target)
+                for pts in ((0, 5, 13), (5, 0, 5))]
     y = rng.standard_normal(14)
+    for obj in objs:
+        _check_adjoint_identities(grid, obj, y, rng)
+
+
+def _check_adjoint_identities(grid, obj, y, rng):
     for _ in range(5):
         v = rng.standard_normal(14)
         x = rng.random(3)
@@ -215,6 +222,25 @@ def test_simplex_projection_variational_inequality():
             probes = [s.sample(rng) for _ in range(10)] + list(np.eye(n))
             for v in probes:
                 assert float(np.dot(x - px, v - px)) <= 1e-10
+
+
+def test_simplex_projection_of_large_entries():
+    s3 = AdmissibleSetX(kind="simplex", n=3)
+    assert_allclose(s3.project(np.array([1e17, 0.0, 0.0])), [1.0, 0.0, 0.0])
+    assert_allclose(s3.project(np.array([1e16, 3.0, 0.0])), [1.0, 0.0, 0.0])
+    assert_allclose(s3.project(np.array([1e300, 1e300, 0.0])), [0.5, 0.5, 0.0])
+    # moderate points agree with the unshifted sorting formula
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 5):
+        s = AdmissibleSetX(kind="simplex", n=n)
+        for _ in range(50):
+            x = 3.0 * rng.standard_normal(n)
+            y = np.sort(x)[::-1]
+            c = np.cumsum(y) - 1.0
+            k = np.arange(1, n + 1)
+            rho = k[y - c / k > 0.0][-1]
+            assert_allclose(s.project(x), np.maximum(x - c[rho - 1] / rho, 0.0),
+                            rtol=0.0, atol=1e-15)
 
 
 def test_box_projection_and_vertices():

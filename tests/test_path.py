@@ -195,6 +195,8 @@ def test_deep_path_with_large_multipliers(name, request):
     trace = run_path(spec, steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
     assert trace.failure is None and len(trace.records) == 41
     assert max(r.relaxed.alpha for r in trace.records) > 1e5
+    # the recorded complementarity meets the path's comp_tol
+    assert max(r.relaxed.residuals["comp"] for r in trace.records) <= 1e-12
     for rec in trace.records:
         sol = rec.relaxed
         gap = (lower_value_dense(spec, sol.x, _dense_state(spec, sol.u), sol.u)
