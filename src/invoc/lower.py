@@ -11,16 +11,18 @@ u = P_U(u + lam/r)), one banded solve of the optimality system in the
 interleaved unknowns (y_k, p_k) per step, with projected-Newton steps on the
 same band matrix if the active sets cycle.  Every solution must pass a
 fixed-point residual check ||u - P_U(u + lam/r)|| <= tol, which for the lower
-QP reads ||u - P_U(p/sigma)|| <= tol.
+QP reads ||u - P_U(p/sigma)|| <= tol.  The solution's derivative along a
+change of coefficients (_tangent) is one more solve on its last LU factors.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .discretization import norm
 from .errors import ConvergenceError, DimensionError, DomainError
@@ -121,23 +123,27 @@ def _optimality_system(spec: ProblemSpec, qp: TrackingQP):
     return ab, rhs, qp.s / r
 
 
-def _band_solve(system, fixed: np.ndarray, values: np.ndarray):
+def _band_solve(system, fixed: np.ndarray, values: np.ndarray, factors=None):
     """(y, p) with u = values on the fixed nodes (row 2k: A y = values) and
-    the gradient equation on the free ones."""
+    the gradient equation on the free ones, and the band matrix's dgbtrf
+    factors (lu, piv, fixed), taken from factors when those fix these nodes."""
     ab, rhs, ratio = system
-    mat = ab.copy()
-    mat[3, 1::2][fixed] = 0.0
-    if ratio != 1.0:
-        row = np.where(fixed, 1.0, ratio)
-        mat[4, 0::2] *= row
-        mat[2, 2::2] *= row[:-1]
-        mat[6, :-2:2] *= row[1:]
+    if factors is None or not np.array_equal(factors[2], fixed):
+        mat = ab.copy()
+        mat[3, 1::2][fixed] = 0.0
+        if ratio != 1.0:
+            row = np.where(fixed, 1.0, ratio)
+            mat[4, 0::2] *= row
+            mat[2, 2::2] *= row[:-1]
+            mat[6, :-2:2] *= row[1:]
+        lu, piv, info = dgbtrf(mat, 2, 2, overwrite_ab=1)
+        if info != 0:
+            raise ConvergenceError(f"optimality system is singular (dgbtrf info {info})")
+        factors = (lu, piv, fixed)
     b = rhs.copy()
     b[0::2] = np.where(fixed, values, rhs[0::2])
-    _, _, z, info = dgbsv(2, 2, mat, b, overwrite_ab=1, overwrite_b=1)
-    if info != 0:
-        raise ConvergenceError(f"optimality system is singular (dgbsv info {info})")
-    return z[0::2], z[1::2]
+    z, _ = dgbtrs(factors[0], 2, 2, b, factors[1], overwrite_b=1)
+    return z[0::2], z[1::2], factors
 
 
 def _target(spec: ProblemSpec, qp: TrackingQP, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -179,7 +185,7 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
     everywhere = np.ones(u.shape, dtype=bool)
 
     def at(w):  # target and objective at the control w
-        y, p = _band_solve(system, everywhere, w)
+        y, p, _ = _band_solve(system, everywhere, w)
         return _target(spec, qp, y, p), _objective(spec, qp, y, w)
 
     v, f = at(u)
@@ -193,7 +199,7 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
         frozen = ((u <= bounds.ua + width) & (grad > 0.0)) | (
             (u >= bounds.ub - width) & (grad < 0.0)
         )
-        step = np.where(frozen, v, _target(spec, qp, *_band_solve(system, frozen, u))) - u
+        step = np.where(frozen, v, _target(spec, qp, *_band_solve(system, frozen, u)[:2])) - u
         solves += 1
         alpha = 1.0
         while solves < budget:
@@ -226,6 +232,10 @@ def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray):
     return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff)), y, p
 
 
+# a solved tracking QP, with the band system and last factors _tangent reuses
+_QPSolution = namedtuple("_QPSolution", "y u p solves system factors")
+
+
 def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | None = None):
     """Exact solution (y, u, p) of one tracking QP and the band solves made.
 
@@ -246,7 +256,8 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     solves = 0
     while solves < _MAX_SOLVES:
         fixed, values = at_a | at_b, np.where(at_a, bounds.ua, bounds.ub)
-        v = _target(spec, qp, *_band_solve(system, fixed, values))
+        y, p, factors = _band_solve(system, fixed, values)
+        v = _target(spec, qp, y, p)
         solves += 1
         candidate = np.where(fixed, values, v)
         if _exact(candidate, bounds.project(v)):
@@ -275,7 +286,23 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
             f"(fixed-point residual {residual:.3e})",
             residuals={"fixed_point": float(residual)},
         )
-    return y, u, p, solves
+    return _QPSolution(y, u, p, solves, system, factors)
+
+
+def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQP):
+    """Derivative (y', u') of sol along the coefficient direction dqp, and
+    the band solves made for it: 0 on the kernel's factors, else 1.
+
+    The nodes where sol.u sits on a bound stay fixed: A y' = u',
+    A p' + d y' = dc - dd y, s u' - p' = db - ds u on the free nodes and
+    u' = 0 on the fixed ones.
+    """
+    fixed = (sol.u <= spec.bounds.ua) | (sol.u >= spec.bounds.ub)
+    rhs = np.empty(2 * spec.grid.n_nodes)
+    rhs[0::2] = (dqp.b - dqp.s * sol.u) / _scale(spec, qp)
+    rhs[1::2] = dqp.c - dqp.d * sol.y
+    y_t, _, factors = _band_solve((sol.system[0], rhs, sol.system[2]), fixed, 0.0, sol.factors)
+    return y_t, np.where(fixed, 0.0, spec.operator.apply(y_t)), int(factors is not sol.factors)
 
 
 def solve_lower(
@@ -302,7 +329,7 @@ def solve_lower(
             raise DimensionError("warm start length does not match grid")
 
     qp = lower_qp(spec, x)
-    y, u, p, solves = _solve_qp(spec, qp, tol, warm_start)
+    y, u, p, solves = _solve_qp(spec, qp, tol, warm_start)[:4]
 
     adj = qp.d * y - qp.c  # j'(y)* x
     lam = p - spec.sigma * u

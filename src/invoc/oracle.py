@@ -97,7 +97,7 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
             solved = np.zeros(Xb.shape[0], dtype=bool)
         for row in np.flatnonzero(~solved):
             warm = U[row - 1] if row else u
-            Y[row], U[row], _, _ = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
+            Y[row], U[row] = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)[:2]
         u = U[-1]
         vals[start:start + _BLOCK] = spec.upper.value(spec.grid, Xb, Y, U)
     return vals

@@ -242,6 +242,8 @@ def trace_rows(trace: PathTrace) -> list[dict]:
             "gap": r.relaxed.gap,
             "alpha": r.relaxed.alpha,
             "du_lower": r.du_lower,
+            "inner_iterations": r.relaxed.inner_iterations,
+            "outer_iterations": r.relaxed.outer_iterations,
         }
         for name, val in sorted(r.relaxed.residuals.items()):
             row[f"res_{name}"] = val

@@ -9,8 +9,8 @@ solves exactly.  The solver nests three steps:
 
 - phi(x) and grad phi(x) from one value sample per trial x;
 - alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
-  when gap(0) <= eps, otherwise a secant on log gap against log alpha,
-  kept inside a bracket;
+  when gap(0) <= eps, otherwise Newton on log gap against log alpha, kept
+  inside a bracket, with the exact slope from the kernel's tangent solve;
 - projected gradient in x on V(x) = F at the solved u, whose gradient
   gamma x + alpha (j(y) - grad phi(x)) is the envelope formula.  Trial
   points are compared by the dual value F + alpha (gap - eps), which does
@@ -26,13 +26,14 @@ import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, DomainError
-from .lower import TrackingQP, _solve_qp, lower_qp
+from .lower import TrackingQP, _solve_qp, _tangent, lower_qp
 from .model import ProblemSpec, eval_j, eval_j_grad_adjoint
 from .value import ValueSample, value_sample
 
 _MAX_STEPS = 200   # x-steps per relaxed solve
 _MAX_SEARCH = 60   # kernel solves per multiplier search
 _ALPHA_RTOL = 1e-9  # relative move of alpha at which the multiplier search stops
+_LOG_STEP = math.log(10.0)  # largest move of log alpha in one Newton step
 _ARMIJO = 1e-4
 _ROUNDOFF = 1e-13  # relative roundoff allowance of the decrease test
 
@@ -41,8 +42,8 @@ _ROUNDOFF = 1e-13  # relative roundoff allowance of the decrease test
 class RelaxedSolution:
     """Stationary point of one relaxed program with its KKT multipliers.
 
-    inner_iterations counts the band solves of the u-subproblems and
-    outer_iterations the accepted x-steps.
+    inner_iterations counts the band matrices factored for the u-subproblems
+    and outer_iterations the accepted x-steps.
     """
 
     eps: float
@@ -63,7 +64,7 @@ class RelaxedSolution:
 
 @dataclass(eq=False)
 class _Point:
-    """One trial x with its value sample and its solved u-subproblem."""
+    """One trial x with its value sample, its solved u-subproblem and d gap/d alpha."""
 
     x: np.ndarray
     vs: ValueSample
@@ -73,10 +74,13 @@ class _Point:
     p: np.ndarray
     upper: float
     gap: float
+    slope: float
 
 
-def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray) -> float:
-    """f(x, Su, u) - phi(x) as the lower QP's expansion about its solution.
+def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray,
+         tangent=None):
+    """f(x, Su, u) - phi(x) as the lower QP's expansion about its solution,
+    and its derivative along the tangent (y', u') of u, if given.
 
     With du = u - psi_u: -<lam, du> + sigma/2 ||du||^2 + 1/2 <S du, d S du>,
     nonnegative terms that are accurate relative to the gap, where f - phi
@@ -84,28 +88,29 @@ def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray) -> 
     """
     du = u - vs.lower.u
     dy = spec.operator.solve(du)
-    return spec.grid.h * float(
-        0.5 * spec.sigma * (du @ du) - vs.lower.lam @ du + 0.5 * dy @ (low.d * dy)
-    )
+    h, lam = spec.grid.h, vs.lower.lam
+    gap = h * float(0.5 * spec.sigma * (du @ du) - lam @ du + 0.5 * dy @ (low.d * dy))
+    if tangent is None:
+        return gap, None
+    y_t, u_t = tangent
+    return gap, h * float(spec.sigma * (du @ u_t) - lam @ u_t + dy @ (low.d * y_t))
 
 
-def _next_alpha(history, log_eps: float, lo: float, hi: float) -> float:
-    """Secant through the last two points on log gap against log alpha,
-    kept inside the bracket (lo, hi) and at most a thousandfold above lo;
-    slope -2 (gap ~ alpha^-2 for large alpha) when only one point is known."""
-    log_lo = math.log(lo) if lo > 0.0 else -math.inf
-    log_hi = math.log(hi) if hi < math.inf else log_lo + math.log(1e3)
-    guess = None
-    if len(history) >= 2 and history[-1][1] != history[-2][1]:
-        (a1, g1), (a2, g2) = history[-2:]
-        guess = a2 + (log_eps - g2) * (a2 - a1) / (g2 - g1)
-    elif history:
-        guess = history[-1][0] + 0.5 * (history[-1][1] - log_eps)
-    if guess is not None and log_lo < guess < log_hi:
-        return math.exp(guess)
-    if lo > 0.0:
-        return math.sqrt(lo) * math.sqrt(hi) if hi < math.inf else 10.0 * lo
-    return 1e-3 * hi if hi < math.inf else 1.0
+def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
+    """Newton's next alpha for gap(alpha) = eps, linear from alpha = 0 and on
+    log gap against log alpha elsewhere, where log alpha moves by at most
+    _LOG_STEP (by that much where the slope gives no root).  A step that
+    leaves the bracket (lo, hi) gives way to the bracket's (geometric) mean."""
+    if pt.alpha == 0.0:
+        guess = (eps - pt.gap) / pt.slope if pt.slope < 0.0 else 1.0
+    else:
+        move = math.copysign(_LOG_STEP, pt.gap - eps)
+        if pt.slope < 0.0 and pt.gap > 0.0:
+            move = (math.log(eps) - math.log(pt.gap)) * pt.gap / (pt.alpha * pt.slope)
+        guess = pt.alpha * math.exp(min(max(move, -_LOG_STEP), _LOG_STEP))
+    if lo < guess < hi or guess == pt.alpha:
+        return guess
+    return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
 
 
 class _Solver:
@@ -134,31 +139,35 @@ class _Solver:
             # optimal: take the lower solution, whose gap is 0
             y, u = vs.lower.y, vs.lower.u
             return _Point(x=vs.x, vs=vs, alpha=0.0, y=y, u=u, p=0.0 * u, gap=0.0,
-                          upper=up.value(spec.grid, vs.x, y, u))
+                          slope=0.0, upper=up.value(spec.grid, vs.x, y, u))
         qp = TrackingQP(
             d=up.c_y + alpha * low.d,
             c=up.c_y * up.y_o + alpha * low.c,
             s=up.c_u + alpha * spec.sigma,
             b=up.c_u * up.u_o,
         )
-        y, u, p, solves = _solve_qp(spec, qp, spec.solver_tol, warm)
-        self.solves += solves
-        return _Point(x=vs.x, vs=vs, alpha=alpha, y=y, u=u, p=p,
-                      upper=spec.upper.value(spec.grid, vs.x, y, u), gap=_gap(spec, vs, low, u))
+        sol = _solve_qp(spec, qp, spec.solver_tol, warm)
+        y_t, u_t, solves = _tangent(spec, qp, sol, low)
+        self.solves += sol.solves + solves
+        gap, slope = _gap(spec, vs, low, sol.u, (y_t, u_t))
+        return _Point(x=vs.x, vs=vs, alpha=alpha, y=sol.y, u=sol.u, p=sol.p,
+                      upper=spec.upper.value(spec.grid, vs.x, sol.y, sol.u),
+                      gap=gap, slope=slope)
 
     def evaluate(self, x: np.ndarray, alpha: float, u: np.ndarray, lower_warm) -> _Point:
-        """phi at x, then the multiplier search from alpha, warm-started from u.
+        """phi at x, then the Newton search for alpha starting at alpha, warm-started from u.
 
-        Stops at alpha = 0 when gap(0) <= eps, or at a point that passes the
-        feasibility and complementarity tests once the secant moves alpha by
-        less than _ALPHA_RTOL; the tests alone would leave an error in alpha
-        that the envelope gradient carries.  Else returns the last point.
+        alpha = 0 is tried once, when the tangent line at a point with
+        gap <= eps predicts gap(0) <= eps.  Stops at alpha = 0 when
+        gap(0) <= eps, or at a point that passes the feasibility and
+        complementarity tests once the Newton step moves alpha by less than
+        _ALPHA_RTOL; the tests alone would leave an error in alpha that the
+        envelope gradient carries.  Else returns the last point.
         """
         vs = value_sample(self.spec, x, warm_start=lower_warm)
         low = lower_qp(self.spec, vs.x)
         lo, hi = 0.0, math.inf  # gap(lo) > eps >= gap(hi)
-        history: list[tuple[float, float]] = []  # (log alpha, log gap), alpha, gap > 0
-        zero_known = alpha == 0.0
+        zero_tried = alpha == 0.0
         pt = self._solve(vs, low, alpha, u)
         for _ in range(_MAX_SEARCH):
             if pt.alpha == 0.0 and pt.gap <= self.eps:
@@ -167,12 +176,10 @@ class _Solver:
                 lo = pt.alpha
             else:
                 hi = pt.alpha
-            if pt.alpha > 0.0 and pt.gap > 0.0:
-                history.append((math.log(pt.alpha), math.log(pt.gap)))
-            if hi < math.inf and not zero_known:
-                alpha, zero_known = 0.0, True  # a candidate until its gap is known
+            if not zero_tried and max(pt.gap, pt.gap - pt.alpha * pt.slope) <= self.eps:
+                alpha, zero_tried = 0.0, True
             else:
-                alpha = _next_alpha(history, math.log(self.eps), lo, hi)
+                alpha = _newton(pt, self.eps, lo, hi)
                 settled = abs(alpha - pt.alpha) <= _ALPHA_RTOL * pt.alpha
                 if settled and self.feasible(pt.alpha, pt.gap):
                     break
@@ -205,7 +212,7 @@ def solve_relaxed(
 ) -> RelaxedSolution:
     """Solve one relaxed program by projected gradient in x on its value.
 
-    Each trial x gets one value sample and a multiplier search whose
+    Each trial x gets one value sample and a Newton search for alpha whose
     u-subproblems the QP kernel solves exactly; steps are accepted by an
     Armijo test on the dual value, and their length follows Barzilai-Borwein.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
@@ -281,7 +288,7 @@ def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:
     alpha = sol.alpha
     vs = value_sample(spec, x)
     jy = eval_j(grid, spec.lower, y)
-    gap = _gap(spec, vs, lower_qp(spec, vs.x), u)
+    gap, _ = _gap(spec, vs, lower_qp(spec, vs.x), u)
 
     z = -(spec.upper.grad_x(x) + alpha * (jy - vs.grad_phi))
     r_x = spec.x_set.normal_cone_residual(x, z, tol=1e-6)

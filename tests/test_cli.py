@@ -204,6 +204,12 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
     assert rc == 0
     rows = _read_csv(run / "path_trace.csv")
     assert len(rows) == 8
+    # the per-level counts match an in-process run of the same path
+    trace = invoc.run_path(load_problem(problem_file), eps0=1e-2, steps=6)
+    header = rows[0]
+    for name in ("inner_iterations", "outer_iterations"):
+        column = [int(row[header.index(name)]) for row in rows[1:]]
+        assert column == [getattr(r.relaxed, name) for r in trace.records]
     limit = _read_json(run / "limit.json")
     assert limit["completed"] == 7
     assert limit["failure"] is None

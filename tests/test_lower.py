@@ -17,7 +17,7 @@ from invoc import (
     build_grid,
     solve_lower,
 )
-from invoc.discretization import inner, norm
+from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DimensionError, DomainError
 
 from test_stationarity import _w_not_c_fixture
@@ -258,7 +258,7 @@ def test_kernel_matches_bvls_across_regimes(
         low = invoc.lower.lower_qp(spec, x)
         qp = invoc.lower.TrackingQP(d=c_y + alpha * low.d, c=c_y * y_o + alpha * low.c,
                                     s=c_u + alpha * spec.sigma, b=c_u * u_o)
-        y, u, _, _ = invoc.lower._solve_qp(spec, qp, spec.solver_tol)
+        y, u = invoc.lower._solve_qp(spec, qp, spec.solver_tol)[:2]
         y_ref, u_ref = _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o)
 
         def value(y, u):

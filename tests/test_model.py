@@ -17,10 +17,9 @@ from invoc import (
     load_problem,
     save_problem,
 )
-from invoc.discretization import inner, norm
+from invoc.discretization import inner
 from invoc.errors import (
     DimensionError,
-    DomainError,
     InfeasibleError,
     ValidationError,
 )

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from invoc import (
     ProblemSpec,
     UpperObjective,
+    classify,
     extract_candidate,
     run_path,
     solve_lower,
@@ -15,6 +16,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 
+from conftest import make_generated_spec
 from util_dense import (
     dense_matrix,
     lower_value_dense,
@@ -207,6 +209,19 @@ def test_deep_path_with_large_multipliers(name, request):
         y, u = solve_lower_dense(spec, x)
         lattice.append(upper_value_dense(spec, x, y, u))
     assert min(lattice) - 1e-3 <= trace.limit["upper_value"] <= min(lattice) + 1e-9
+
+
+def test_multiplier_search_stays_near_its_root():
+    # at eps = 1/64 (level 6) a search whose step lands on the top of its
+    # bracket must not restart decades below the root: a secant with that
+    # fallback took 41 band solves at this level, Newton on the exact slope 6
+    spec = make_generated_spec(64, (0.3, 0.7))
+    trace = run_path(spec, steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
+    assert trace.failure is None and len(trace.records) == 41
+    assert trace.records[6].eps == 1.5625e-2
+    assert trace.records[6].relaxed.inner_iterations <= 10
+    point, multipliers = extract_candidate(trace)
+    assert classify(spec, point, multipliers, tol=1e-4).classification == "S"
 
 
 def test_default_path_on_pointwise_instance(pointwise_spec):

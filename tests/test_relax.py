@@ -16,9 +16,11 @@ from invoc import (
     solve_lower,
     solve_relaxed,
 )
-from invoc.discretization import inner, norm
+from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DomainError
-from invoc.value import lower_objective_value, phi
+from invoc.lower import TrackingQP, _band_solve, _solve_qp, _tangent, lower_qp
+from invoc.relax import _Solver
+from invoc.value import lower_objective_value, value_sample
 
 from util_dense import dense_matrix, h_inner, phi_dense, simplex_points, upper_value_dense
 
@@ -266,3 +268,50 @@ def test_convergence_error_carries_best(tilted_spec):
     assert isinstance(best, RelaxedSolution)
     assert not best.converged
     assert set(err.value.residuals) >= {"x", "y", "u", "state", "comp", "lam"}
+
+
+@pytest.mark.parametrize("name", ["unit_spec", "bounded_spec", "pointwise_spec"])
+def test_gap_slope_matches_finite_difference(name, request):
+    # the Newton search's slope d gap/d alpha and the kernel's tangent
+    # (y', u') against central differences in alpha, at alphas where the
+    # active set stays put across the stencil
+    spec = request.getfixturevalue(name)
+    up, bounds = spec.upper, spec.bounds
+    vs = value_sample(spec, [0.6, 0.4])  # off the planted x*, where the gap is 0
+    low = lower_qp(spec, vs.x)
+    solver = _Solver(spec, eps=1.0, feas_tol=1e-8, comp_tol=1e-8)
+
+    def member(alpha):
+        return TrackingQP(d=up.c_y + alpha * low.d, c=up.c_y * up.y_o + alpha * low.c,
+                          s=up.c_u + alpha * spec.sigma, b=up.c_u * up.u_o)
+
+    def active(u):
+        return (u <= bounds.ua) | (u >= bounds.ub)
+
+    binding = 0
+    for alpha in (0.5, 3.0, 20.0):
+        pt = solver._solve(vs, low, alpha, None)
+        step = 1e-4 * alpha
+        plus, minus = (solver._solve(vs, low, a, pt.u) for a in (alpha + step, alpha - step))
+        assert (active(plus.u) == active(pt.u)).all() and (active(minus.u) == active(pt.u)).all()
+        binding += int(active(pt.u).sum())
+        fd = (plus.gap - minus.gap) / (2.0 * step)
+        assert pt.slope < 0.0
+        assert abs(pt.slope - fd) <= 1e-6 * abs(fd)
+
+        qp = member(alpha)
+        sol = _solve_qp(spec, qp, 1e-12)
+        y_t, u_t, solves = _tangent(spec, qp, sol, low)
+        assert solves == 0  # the kernel's own factors serve
+        # factors of another fixed set are not reused: the tangent factors once
+        stale = sol._replace(factors=_band_solve(sol.system, ~sol.factors[2], 0.0)[2])
+        again = _tangent(spec, qp, stale, low)
+        assert again[2] == 1
+        np.testing.assert_array_equal(again[0], y_t)
+        np.testing.assert_array_equal(again[1], u_t)
+        ends = [_solve_qp(spec, member(a), 1e-12, sol.u) for a in (alpha + step, alpha - step)]
+        for got, key in ((y_t, "y"), (u_t, "u")):
+            want = (getattr(ends[0], key) - getattr(ends[1], key)) / (2.0 * step)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    # the bounded instance holds nodes on its bound; the others hold none
+    assert (binding > 0) == (name == "bounded_spec")

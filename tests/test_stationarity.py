@@ -3,7 +3,6 @@ candidate built from dense algebra, active sets, and scaling invariants."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from invoc import (
     AdmissibleSetX,
