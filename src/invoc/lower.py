@@ -37,11 +37,11 @@ _ARMIJO = 1e-4
 class LowerSolution:
     """Optimal (y, u) of the parametric problem with its multipliers.
 
-    p solves the adjoint equation A*p = -j'(y)*x and lam = B*p - sigma*u,
-    so the gradient equation holds by construction; kkt_residual is the
-    maximum over the state equation, adjoint equation, gradient equation,
-    and the sign conditions of the bound multiplier.  iterations counts the
-    band solves of the active-set steps (and of projected Newton after a cycle).
+    p solves A*p = -j'(y)*x and lam = B*p - sigma*u, so the gradient equation
+    holds by construction; kkt_residual is the maximum over the state and
+    adjoint equations, the kernel's fixed-point residual ||u - P_U(p/sigma)||
+    and the bound multiplier's signs.  iterations counts the band solves of
+    the active-set steps (and of projected Newton after a cycle).
     """
 
     x: np.ndarray
@@ -57,6 +57,8 @@ def _validate_parameter(spec: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.n,):
         raise DimensionError(f"parameter has shape {x.shape}, expected ({spec.n},)")
+    if not np.isfinite(x).all():
+        raise DomainError(f"parameter {x} has a non-finite component")
     if (x < -1e-12).any():
         raise DomainError(
             f"parameter {x} has a negative component; the lower problem is "
@@ -232,8 +234,8 @@ def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray):
     return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff)), y, p
 
 
-# a solved tracking QP, with the band system and last factors _tangent reuses
-_QPSolution = namedtuple("_QPSolution", "y u p solves system factors")
+# a solved tracking QP, its fixed-point residual, and the band system and factors _tangent reuses
+_QPSolution = namedtuple("_QPSolution", "y u p solves system factors residual")
 
 
 def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | None = None):
@@ -286,7 +288,7 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
             f"(fixed-point residual {residual:.3e})",
             residuals={"fixed_point": float(residual)},
         )
-    return _QPSolution(y, u, p, solves, system, factors)
+    return _QPSolution(y, u, p, solves, system, factors, float(residual))
 
 
 def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQP):
@@ -329,16 +331,15 @@ def solve_lower(
             raise DimensionError("warm start length does not match grid")
 
     qp = lower_qp(spec, x)
-    y, u, p, solves = _solve_qp(spec, qp, tol, warm_start)[:4]
+    y, u, p, solves, _, _, residual = _solve_qp(spec, qp, tol, warm_start)
 
     adj = qp.d * y - qp.c  # j'(y)* x
     lam = p - spec.sigma * u
 
     state_res = norm(grid, op.apply(y) - u)
     adjoint_res = norm(grid, adj + op.apply(p))
-    gradient_res = norm(grid, spec.sigma * u - p + lam)
     sign_res = spec.bounds.normal_cone_residual(u, lam, spec.active_tol)
-    kkt = max(state_res, adjoint_res, gradient_res, sign_res)
+    kkt = max(state_res, adjoint_res, residual, sign_res)
 
     return LowerSolution(
         x=x, y=y, u=u, p=p, lam=lam,

@@ -2,7 +2,8 @@
 
 Runs the sequence of relaxed programs at eps_k = eps0 * ratio^k with warm
 starts, pairs every iterate with the exact lower-level solution at its
-parameter, and recombines the relaxed multipliers into the limiting tuple
+parameter, read from the value sample each relaxed solution carries, and
+recombines the relaxed multipliers into the limiting tuple
 
     mu_k  = alpha_k (y_k - psi_y(x_k))      w_k  = alpha_k (u_k - psi_u(x_k))
     rho_k = p_k - alpha_k phi_p(x_k)        xi_k = lam_k - alpha_k phi_lam(x_k)
@@ -20,20 +21,18 @@ import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
-from .lower import LowerSolution
 from .model import ProblemSpec
 from .relax import RelaxedSolution, solve_relaxed
 from .value import value_sample
 
 @dataclass(eq=False)
 class PathStep:
-    """One relaxation level: the relaxed iterate, its exact lower-level
-    companion, and the recombined multipliers."""
+    """One relaxation level: the relaxed iterate, whose value sample holds
+    its exact lower-level companion, and the recombined multipliers."""
 
     k: int
     eps: float
     relaxed: RelaxedSolution
-    lower: LowerSolution
     mu: np.ndarray
     w: np.ndarray
     rho: np.ndarray
@@ -62,9 +61,8 @@ class PathTrace:
         return self.failure is None and len(self.records) == self.steps + 1
 
 
-def _recombine(spec: ProblemSpec, sol: RelaxedSolution) -> PathStep:
-    vs = value_sample(spec, sol.x)
-    low = vs.lower
+def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution) -> PathStep:
+    low = sol.sample.lower
     a = sol.alpha
     mu = a * (sol.y - low.y)
     w = a * (sol.u - low.u)
@@ -72,7 +70,7 @@ def _recombine(spec: ProblemSpec, sol: RelaxedSolution) -> PathStep:
     xi = sol.lam - a * low.lam
     du = norm(spec.grid, sol.u - low.u)
     return PathStep(
-        k=-1, eps=sol.eps, relaxed=sol, lower=low,
+        k=k, eps=sol.eps, relaxed=sol,
         mu=mu, w=w, rho=rho, xi=xi, du_lower=du,
     )
 
@@ -88,8 +86,8 @@ def run_path(
 ) -> PathTrace:
     """Solve the relaxed programs at eps0 * ratio^k for k = 0..steps.
 
-    Each solve is warm-started from the previous level's x, alpha and u,
-    and every level is solved to the given tolerances.  A solver failure
+    Each solve is warm-started from the previous level's x, alpha, u and value
+    sample, and every level is solved to the given tolerances.  A solver failure
     aborts the path but returns the partial trace with a failure marker, so
     callers can inspect how far the continuation got.
     """
@@ -117,9 +115,7 @@ def run_path(
                 "residuals": dict(err.residuals or {}),
             }
             break
-        step = _recombine(spec, sol)
-        step.k = k
-        trace.records.append(step)
+        trace.records.append(_recombine(spec, k, sol))
         warm = sol
 
     _finalize(spec, trace)

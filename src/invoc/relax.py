@@ -7,7 +7,8 @@ one scalar multiplier alpha >= 0.  At fixed (x, alpha) the u-minimization of
 F + alpha f is a member of the tracking-QP family that lower._solve_qp
 solves exactly.  The solver nests three steps:
 
-- phi(x) and grad phi(x) from one value sample per trial x;
+- phi(x) and grad phi(x) from one value sample per trial x, and one cold
+  sample at a solution's x, which the path and the next level's start reuse;
 - alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
   when gap(0) <= eps, otherwise Newton on log gap against log alpha, kept
   inside a bracket, with the exact slope from the kernel's tangent solve;
@@ -26,7 +27,7 @@ import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, DomainError
-from .lower import TrackingQP, _solve_qp, _tangent, lower_qp
+from .lower import TrackingQP, _fixed_point_residual, _solve_qp, _tangent, lower_qp
 from .model import ProblemSpec, eval_j, eval_j_grad_adjoint
 from .value import ValueSample, value_sample
 
@@ -43,7 +44,8 @@ class RelaxedSolution:
     """Stationary point of one relaxed program with its KKT multipliers.
 
     inner_iterations counts the band matrices factored for the u-subproblems
-    and outer_iterations the accepted x-steps.
+    and outer_iterations the accepted x-steps.  sample is the cold value
+    sample at x that the residuals are taken about.
     """
 
     eps: float
@@ -60,6 +62,7 @@ class RelaxedSolution:
     outer_iterations: int
     converged: bool
     residuals: dict = field(default_factory=dict)
+    sample: ValueSample | None = None
 
 
 @dataclass(eq=False)
@@ -154,8 +157,8 @@ class _Solver:
                       upper=spec.upper.value(spec.grid, vs.x, sol.y, sol.u),
                       gap=gap, slope=slope)
 
-    def evaluate(self, x: np.ndarray, alpha: float, u: np.ndarray, lower_warm) -> _Point:
-        """phi at x, then the Newton search for alpha starting at alpha, warm-started from u.
+    def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray) -> _Point:
+        """The Newton search for alpha at vs.x starting at alpha, warm-started from u.
 
         alpha = 0 is tried once, when the tangent line at a point with
         gap <= eps predicts gap(0) <= eps.  Stops at alpha = 0 when
@@ -164,7 +167,6 @@ class _Solver:
         _ALPHA_RTOL; the tests alone would leave an error in alpha that the
         envelope gradient carries.  Else returns the last point.
         """
-        vs = value_sample(self.spec, x, warm_start=lower_warm)
         low = lower_qp(self.spec, vs.x)
         lo, hi = 0.0, math.inf  # gap(lo) > eps >= gap(hi)
         zero_tried = alpha == 0.0
@@ -196,9 +198,9 @@ class _Solver:
             z=-self.gradient(pt), p=pt.p, lam=lam,
             upper_value=pt.upper, gap=pt.gap,
             inner_iterations=self.solves, outer_iterations=steps,
-            converged=converged,
+            converged=converged, sample=value_sample(spec, pt.x),
         )
-        sol.residuals = relaxed_kkt_residuals(spec, sol)
+        sol.residuals = _residuals(spec, sol, sol.sample)
         return sol
 
 
@@ -216,8 +218,9 @@ def solve_relaxed(
     u-subproblems the QP kernel solves exactly; steps are accepted by an
     Armijo test on the dual value, and their length follows Barzilai-Borwein.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
-    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha
-    and u along the path.  ConvergenceError carries the best point as best.
+    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u
+    and, at the same x bitwise if it passes the kernel's fixed-point check
+    on spec, its value sample.  ConvergenceError carries the best point as best.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
@@ -232,8 +235,12 @@ def solve_relaxed(
         u = spec.bounds.project(spec.upper.u_o)
         alpha = 0.0
 
+    vs = warm.sample if warm is not None else None
+    if vs is None or x.tobytes() != vs.x.tobytes() or not (
+            _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
+        vs = value_sample(spec, x)
     solver = _Solver(spec, eps, feas_tol, comp_tol)
-    pt = solver.evaluate(x, alpha, u, None)
+    pt = solver.evaluate(vs, alpha, u)
     grad = solver.gradient(pt)
     best, step = (math.inf, pt, 0), 1.0
     for steps in range(_MAX_STEPS + 1):
@@ -254,7 +261,8 @@ def solve_relaxed(
             move = x_t - pt.x
             if not move.any():
                 break
-            trial = solver.evaluate(x_t, pt.alpha, pt.u, pt.vs.lower.u)
+            trial = solver.evaluate(value_sample(spec, x_t, warm_start=pt.vs.lower.u),
+                                    pt.alpha, pt.u)
             if solver.dual(trial) <= (value + _ARMIJO * float(grad @ move)
                                       + _ROUNDOFF * (1.0 + abs(value))):
                 break
@@ -283,10 +291,13 @@ def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:
     cone, and the gap is expanded about a fresh value sample, so the
     reported record does not trust any solver internals.
     """
+    return _residuals(spec, sol, value_sample(spec, sol.x))
+
+
+def _residuals(spec: ProblemSpec, sol: RelaxedSolution, vs: ValueSample) -> dict:
     grid, op = spec.grid, spec.operator
     x, y, u = sol.x, sol.y, sol.u
     alpha = sol.alpha
-    vs = value_sample(spec, x)
     jy = eval_j(grid, spec.lower, y)
     gap, _ = _gap(spec, vs, lower_qp(spec, vs.x), u)
 

@@ -104,9 +104,10 @@ def _check_feasible(spec: ProblemSpec, x, y, u) -> None:
     if not spec.bounds.feasible(u, tol=1e-9):
         failures.append("control u violates its bounds")
     opt_tol = 10.0 * spec.solver_tol
+    state_tol = max(opt_tol, 1e-11)
     state_res = norm(spec.grid, spec.operator.apply(y) - u)
-    if state_res > max(opt_tol, 1e-11):
-        failures.append(f"state equation residual {state_res:.3e} exceeds {opt_tol:.1e}")
+    if state_res > state_tol:
+        failures.append(f"state equation residual {state_res:.3e} exceeds {state_tol:.1e}")
     fp = _fixed_point_residual(spec, lower_qp(spec, x), u)[0]
     if fp > opt_tol:
         failures.append(

@@ -275,6 +275,16 @@ def test_unparsable_vector_exits_2(problem_file, tmp_path):
     assert "cannot parse vector" in err["message"]
 
 
+@pytest.mark.parametrize("text", ["nan,0.5", "inf,0.5"])
+def test_non_finite_parameter_exits_2(problem_file, tmp_path, text):
+    rc = cli.main([
+        "lower", "--problem", problem_file, "--out", str(tmp_path), "--x", text,
+    ])
+    assert rc == 2
+    err = _read_json(tmp_path / "error.json")
+    assert err["error"] == "DomainError" and err["exit_code"] == 2
+
+
 def test_lower_without_x_exits_2(problem_file, tmp_path):
     rc = cli.main(["lower", "--problem", problem_file, "--out", str(tmp_path)])
     assert rc == 2

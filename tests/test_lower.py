@@ -69,6 +69,14 @@ def test_kkt_residual_certifies_solution(unit_spec):
     assert np.abs(sol.lam[interior]).max() <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["unit_spec", "bounded_spec", "pointwise_spec"])
+def test_kkt_residual_covers_the_fixed_point_residual(name, request):
+    spec = request.getfixturevalue(name)
+    sol = solve_lower(spec, np.array([0.3, 0.7]))
+    qp = invoc.lower.lower_qp(spec, sol.x)
+    assert sol.kkt_residual >= invoc.lower._fixed_point_residual(spec, qp, sol.u)[0]
+
+
 def test_planted_parameter_recovers_tracking_targets(unit_spec):
     # the instance was generated by tracking the solve at x_star
     x_star = np.asarray(unit_spec.metadata["x_star"])
@@ -108,6 +116,12 @@ def test_parameter_validation(unit_spec):
         solve_lower(unit_spec, np.array([0.5, 0.5]), tol=0.0)
     with pytest.raises(DimensionError):
         solve_lower(unit_spec, np.array([0.5, 0.5]), warm_start=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected(unit_spec, bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        solve_lower(unit_spec, np.array([bad, 0.5]))
 
 
 def test_convergence_error_carries_residual(unit_spec, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import invoc.value
 from invoc import (
     ProblemSpec,
     UpperObjective,
@@ -222,6 +223,23 @@ def test_multiplier_search_stays_near_its_root():
     assert trace.records[6].relaxed.inner_iterations <= 10
     point, multipliers = extract_candidate(trace)
     assert classify(spec, point, multipliers, tol=1e-4).classification == "S"
+
+
+def test_each_level_samples_its_lower_solution_once(monkeypatch):
+    # one cold lower solve per level for its residuals and recombination,
+    # reused by the next level's start, plus the first start and the limit
+    cold = []
+    solve = invoc.value.solve_lower
+
+    def counted(spec, x, tol=None, warm_start=None):
+        cold.append(warm_start is None)
+        return solve(spec, x, tol=tol, warm_start=warm_start)
+
+    monkeypatch.setattr(invoc.value, "solve_lower", counted)
+    trace = run_path(make_generated_spec(64, (0.3, 0.7)),
+                     steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
+    assert trace.failure is None
+    assert sum(cold) <= len(trace.records) + 2
 
 
 def test_default_path_on_pointwise_instance(pointwise_spec):

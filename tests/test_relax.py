@@ -1,6 +1,8 @@
 """Relaxed-program solver: inactive-constraint limits, a dense brute-force
 oracle on a tiny instance, and independent KKT residual checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,33 @@ def test_warm_and_cold_agree(unit_spec):
     stage = solve_relaxed(unit_spec, eps=2e-3)
     warm = solve_relaxed(unit_spec, eps=1e-3, warm=stage)
     assert abs(cold.upper_value - warm.upper_value) <= 1e-6
+
+
+def _bits(record):
+    """A record's fields as bytes, recursively, for bitwise comparison."""
+    if dataclasses.is_dataclass(record):
+        return tuple(_bits(getattr(record, f.name)) for f in dataclasses.fields(record))
+    if isinstance(record, dict):
+        return tuple((k, _bits(v)) for k, v in sorted(record.items()))
+    return None if record is None else np.asarray(record).tobytes()
+
+
+def test_solution_carries_its_cold_value_sample(tilted_spec, tilted_sol):
+    # the residuals are taken about the stored sample, which is the cold
+    # sample that relaxed_kkt_residuals takes afresh
+    assert _bits(tilted_sol.sample) == _bits(value_sample(tilted_spec, tilted_sol.x))
+    assert tilted_sol.residuals == relaxed_kkt_residuals(tilted_spec, tilted_sol)
+
+
+@pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
+def test_warm_sample_never_changes_the_result(unit_spec, name, request):
+    # the first two share unit_spec's lower problem, so its sample is reused;
+    # it fails the fixed-point check on the other two, which sample afresh
+    spec = request.getfixturevalue(name)
+    warm = solve_relaxed(unit_spec, eps=1e-3)
+    bare = dataclasses.replace(warm, sample=None)
+    assert _bits(solve_relaxed(spec, eps=5e-4, warm=warm)) == _bits(
+        solve_relaxed(spec, eps=5e-4, warm=bare))
 
 
 def test_relaxed_solution_self_residuals(tilted_spec, tilted_sol):

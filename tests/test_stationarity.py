@@ -1,6 +1,8 @@
 """Stationarity certification: zero systems, an engineered W-but-not-C
 candidate built from dense algebra, active sets, and scaling invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,15 @@ def test_infeasible_candidates_rejected(unit_spec):
     not_optimal = dict(point, u=point["u"] + 0.1)
     with pytest.raises(InfeasibleError, match="optimal"):
         classify(spec, not_optimal, mult)
+
+
+def test_state_residual_message_names_the_applied_threshold(unit_spec):
+    # below solver_tol 1e-12 the state test keeps its 1e-11 floor
+    spec = dataclasses.replace(_zero_upper_spec(unit_spec), solver_tol=1e-13)
+    point, mult = _zero_candidate(spec, np.array([0.6, 0.4]))
+    off_state = dict(point, y=point["y"] + 1e-9)
+    with pytest.raises(InfeasibleError, match=r"state equation residual \S+ exceeds 1\.0e-11"):
+        classify(spec, off_state, mult)
 
 
 def test_scale_consistency_with_zero_upper_gradient(unit_spec):
