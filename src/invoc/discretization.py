@@ -5,7 +5,8 @@ N interior nodes omega_i = i*h with h = 1/(N+1).  Grid functions are plain
 float vectors of length N.  All pairings use the weighted inner product
 <u, v> = h * sum(u_i * v_i); dual quantities (adjoint states, point
 evaluation functionals) are stored as Riesz coefficient vectors under that
-product, so a Dirac at node i is e_i / h.
+product, so a Dirac at node i is e_i / h.  Every solve with the Laplacian
+goes through one tridiagonal LDL^T factor per grid, column by column.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import DimensionError, GridError
+from .errors import ConvergenceError, DimensionError, DomainError, GridError
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,20 @@ class EllipticOperator:
 
     A is symmetric positive definite with respect to the weighted inner
     product, so apply and solve serve for the adjoint equations too.  The
-    Cholesky factorization of the banded matrix is computed once at
-    construction; solves accept a vector or a matrix of stacked columns.
-    The closed-form sine eigenpairs are built on first use.
+    tridiagonal LDL^T factorization (LAPACK dpttrf: n pivots and n - 1
+    multipliers) is computed once at construction; solves accept a vector
+    or a matrix of stacked columns.  The closed-form sine eigenpairs are
+    built on first use.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         n = grid.n_nodes
         h2 = grid.h * grid.h
-        ab = np.empty((2, n))
-        ab[0, :] = -1.0 / h2
-        ab[0, 0] = 0.0
-        ab[1, :] = 2.0 / h2
-        self._factor = cholesky_banded(ab)
+        d, e, info = dpttrf(np.full(n, 2.0 / h2), np.full(n - 1, -1.0 / h2))
+        if info != 0:
+            raise ConvergenceError(f"Laplacian factorization failed (dpttrf info {info})")
+        self._factor = (d, e)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the stencil (-y_{i-1} + 2 y_i - y_{i+1})/h^2 with zero boundary."""
@@ -113,7 +113,8 @@ class EllipticOperator:
         return l, Q
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A y = rhs (vector or matrix of columns) by LAPACK dpbtrs."""
+        """Solve A y = rhs (vector or matrix of columns) by LAPACK dpttrs, one
+        column at a time: a block's columns equal their own solves bitwise."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.grid.n_nodes:
             raise DimensionError(
@@ -121,5 +122,5 @@ class EllipticOperator:
                 f"grid has {self.grid.n_nodes} nodes"
             )
         if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
-        return dpbtrs(self._factor, rhs)[0]
+            raise DomainError("right-hand side must not contain infs or NaNs")
+        return dpttrs(*self._factor, rhs)[0]

@@ -178,7 +178,7 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
         )
 
     if trace.failure is None:
-        low = value_sample(spec, last.relaxed.x).lower
+        low = (last.relaxed.sample or value_sample(spec, last.relaxed.x)).lower
         trace.limit = {
             "x": last.relaxed.x,
             "y": low.y,

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from invoc import EllipticOperator, build_grid
 from invoc.discretization import inner, norm
-from invoc.errors import DimensionError, GridError
+from invoc.errors import DimensionError, DomainError, GridError
 
-from util_dense import dense_matrix
+from util_dense import dense_matrix, solve_tridiagonal_extended
 
 
 def test_grid_geometry():
@@ -75,6 +75,7 @@ def test_solve_apply_roundtrip():
 
 
 def test_matrix_rhs_solve_matches_columnwise():
+    # bitwise: a lattice row's verification must not depend on its block
     grid = build_grid(12)
     op = EllipticOperator(grid)
     rng = np.random.default_rng(2)
@@ -82,7 +83,19 @@ def test_matrix_rhs_solve_matches_columnwise():
     block = op.solve(rhs)
     assert block.shape == (grid.n_nodes, 6)
     for col in range(6):
-        assert_allclose(block[:, col], op.solve(rhs[:, col]), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(block[:, col], op.solve(rhs[:, col]))
+
+
+@pytest.mark.parametrize("n_nodes, bound", [(64, 1e-14), (1024, 2e-13), (4096, 1e-11)])
+def test_solve_forward_error_against_extended_precision(n_nodes, bound):
+    # relative 2-norm error against Thomas elimination in np.longdouble; the
+    # error grows with cond(A) ~ N^2, so the bound is per N
+    grid = build_grid(n_nodes)
+    op = EllipticOperator(grid)
+    rhs = np.random.default_rng(n_nodes).standard_normal((n_nodes, 4))
+    ref = solve_tridiagonal_extended(grid, rhs)
+    err = np.linalg.norm((op.solve(rhs) - ref).astype(float), axis=0)
+    assert np.all(err <= bound * np.linalg.norm(ref.astype(float), axis=0))
 
 
 def test_discrete_sine_eigenpairs():
@@ -150,11 +163,11 @@ def test_banded_solve_matches_dense_and_rejects_bad_input():
     for bad in (np.nan, np.inf, -np.inf):
         corrupt = b.copy()
         corrupt[5] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             op.solve(corrupt)
         corrupt = block.copy()
         corrupt[2, 1] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             op.solve(corrupt)
     with pytest.raises(DimensionError):
         op.solve(np.zeros(grid.n_nodes + 1))

@@ -1,8 +1,10 @@
-"""Source hygiene: no module imports a name that it never uses.
+"""Source hygiene: no module imports a name that it never uses, and the
+package takes nothing from scipy but its LAPACK wrappers.
 
-The package's __init__.py is exempt: its imports are the public re-exports.
-An import on a line marked `# noqa: F401` is kept for its side effect, such
-as the benchmark's timed first import of the package.
+The package's __init__.py is exempt from the unused-import scan: its imports
+are the public re-exports.  An import on a line marked `# noqa: F401` is kept
+for its side effect, such as the benchmark's timed first import of the
+package.
 """
 
 import ast
@@ -43,3 +45,25 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom math import pi, tau\nimport sys  # noqa: F401\nprint(pi)\n"
     assert _unused_imports(source) == ["line 1: os", "line 2: tau"]
+
+
+def _scipy_imports(source: str) -> list[str]:
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            modules.append(node.module)
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "invoc").glob("*.py")), ids=lambda p: p.name)
+def test_package_calls_scipy_only_through_lapack(path):
+    # solves go straight to LAPACK routines, one factorization per operator;
+    # no Python-level solver wrapper sits beside them
+    assert [m for m in _scipy_imports(path.read_text()) if m != "scipy.linalg.lapack"] == []
+
+
+def test_scipy_scan_flags_every_other_import():
+    source = "import scipy.fft\nfrom scipy.linalg import cholesky_banded\nfrom scipy.linalg.lapack import dpttrs\n"
+    assert _scipy_imports(source) == ["scipy.fft", "scipy.linalg", "scipy.linalg.lapack"]

@@ -22,6 +22,7 @@ from invoc import (
 from invoc.errors import ConvergenceError, ValidationError
 from invoc.lower import _solve_qp, lower_qp
 
+from conftest import make_generated_spec
 from util_dense import solve_lower_dense, upper_value_dense
 
 
@@ -236,3 +237,10 @@ def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, monkeypatch):
     grid_search(grazing, 10)
     planted = lower_qp(grazing, np.array([0.3, 0.7])).c
     assert any(np.array_equal(qp.c, planted) for qp in calls)
+
+
+def test_default_tol_holds_at_n1024():
+    # the closed-form rows' fixed-point residuals stay below 1e-12 at N = 1024
+    spec = make_generated_spec(1024, (0.3, 0.7))
+    result = grid_search(spec, 200)
+    assert np.array_equal(result.best_x, grid_search(spec, 200, tol=1e-9).best_x)

@@ -24,6 +24,31 @@ def dense_matrix(grid) -> np.ndarray:
     return a
 
 
+def solve_tridiagonal_extended(grid, b: np.ndarray) -> np.ndarray:
+    """Thomas elimination of dense_matrix(grid) y = b in np.longdouble.
+
+    The matrix entries are the float64 ones the package factors, so the
+    result differs from the exact solution of that system only by the
+    extended-precision roundoff of the recurrence.  b may hold columns.
+    """
+    n = grid.n_nodes
+    h2 = grid.h * grid.h
+    diag = np.longdouble(2.0 / h2)
+    off = np.longdouble(-1.0 / h2)
+    ratio = np.empty(n, dtype=np.longdouble)
+    y = np.array(b, dtype=np.longdouble)
+    pivot = diag
+    ratio[0] = off / pivot
+    y[0] /= pivot
+    for i in range(1, n):
+        pivot = diag - off * ratio[i - 1]
+        ratio[i] = off / pivot
+        y[i] = (y[i] - off * y[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        y[i] -= ratio[i] * y[i + 1]
+    return y
+
+
 def h_inner(grid, a, b) -> float:
     return float(grid.h * np.dot(np.asarray(a, float), np.asarray(b, float)))
 
