@@ -6,7 +6,9 @@ float vectors of length N.  All pairings use the weighted inner product
 <u, v> = h * sum(u_i * v_i); dual quantities (adjoint states, point
 evaluation functionals) are stored as Riesz coefficient vectors under that
 product, so a Dirac at node i is e_i / h.  Every solve with the Laplacian
-goes through one tridiagonal LDL^T factor per grid, column by column.
+goes through one tridiagonal LDL^T factor per grid, column by column:
+LAPACK's dpttrf and dpttrs, taken from scipy's Fortran wrappers by _lapack
+so that importing the package does not run scipy.linalg's init.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import ConvergenceError, DimensionError, DomainError, GridError
 
 

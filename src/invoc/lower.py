@@ -9,10 +9,13 @@ One kernel computes them exactly for the whole family of tracking QPs
 program: the primal-dual active-set method (semismooth Newton on
 u = P_U(u + lam/r)), one banded solve of the optimality system in the
 interleaved unknowns (y_k, p_k) per step, with projected-Newton steps on the
-same band matrix if the active sets cycle.  Every solution must pass a
-fixed-point residual check ||u - P_U(u + lam/r)|| <= tol, which for the lower
-QP reads ||u - P_U(p/sigma)|| <= tol.  The solution's derivative along a
-change of coefficients (_tangent) is one more solve on its last LU factors.
+same band matrix if the active sets cycle.  The band matrices are factored
+and solved by LAPACK's dgbtrf and dgbtrs, which _lapack takes from scipy's
+Fortran wrappers without running scipy.linalg's init.  Every solution must
+pass a fixed-point residual check ||u - P_U(u + lam/r)|| <= tol, which for
+the lower QP reads ||u - P_U(p/sigma)|| <= tol.  The solution's derivative
+along a change of coefficients (_tangent) is one more solve on its last LU
+factors.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbtrf, dgbtrs
 from .discretization import norm
 from .errors import ConvergenceError, DimensionError, DomainError
 from .model import ProblemSpec, _row_dot, lower_coefficients

@@ -198,7 +198,8 @@ class _Solver:
             z=-self.gradient(pt), p=pt.p, lam=lam,
             upper_value=pt.upper, gap=pt.gap,
             inner_iterations=self.solves, outer_iterations=steps,
-            converged=converged, sample=value_sample(spec, pt.x),
+            # with no x-step taken, pt.vs is the start's sample, already cold at x
+            converged=converged, sample=pt.vs if steps == 0 else value_sample(spec, pt.x),
         )
         sol.residuals = _residuals(spec, sol, sol.sample)
         return sol
@@ -220,7 +221,9 @@ def solve_relaxed(
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u
     and, at the same x bitwise if it passes the kernel's fixed-point check
-    on spec, its value sample.  ConvergenceError carries the best point as best.
+    on spec, its value sample.  The solution's sample is the start's when no
+    x-step is taken, and a fresh cold one at its x otherwise.  ConvergenceError
+    carries the best point as best.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
