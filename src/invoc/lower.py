@@ -250,14 +250,14 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     repeated sets and biactive nodes.  A set pair seen before is a cycle,
     and projected Newton takes over.  At most _MAX_SOLVES band solves are
     made, and the result must pass the fixed-point check against tol or
-    ConvergenceError carries the residual.
+    ConvergenceError carries the residual, and the final iterate as best.
     """
     bounds = spec.bounds
     system = _optimality_system(spec, qp)
     u = bounds.project(np.zeros(spec.grid.n_nodes) if warm is None else warm)
     at_a, at_b = u <= bounds.ua, u >= bounds.ub
     seen = {(at_a.tobytes(), at_b.tobytes())}
-    newton = False
+    newton, factors = False, None
     solves = 0
     while solves < _MAX_SOLVES:
         fixed, values = at_a | at_b, np.where(at_a, bounds.ua, bounds.ub)
@@ -285,13 +285,14 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
         seen.add(key)
     u = bounds.project(u)
     residual, y, p = _fixed_point_residual(spec, qp, u)
+    sol = _QPSolution(y, u, p, solves, system, factors, float(residual))
     if not residual <= tol:
         raise ConvergenceError(
             f"QP solve missed tol {tol:g} after {solves} band solves "
             f"(fixed-point residual {residual:.3e})",
-            residuals={"fixed_point": float(residual)},
+            best=sol, residuals={"fixed_point": sol.residual},
         )
-    return _QPSolution(y, u, p, solves, system, factors, float(residual))
+    return sol
 
 
 def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQP):

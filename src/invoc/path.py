@@ -8,21 +8,26 @@ recombines the relaxed multipliers into the limiting tuple
     mu_k  = alpha_k (y_k - psi_y(x_k))      w_k  = alpha_k (u_k - psi_u(x_k))
     rho_k = p_k - alpha_k phi_p(x_k)        xi_k = lam_k - alpha_k phi_lam(x_k)
 
-whose limits certify stationarity of the bilevel candidate.  Convergence of
-the whole sequence is not guaranteed, only subsequential convergence, so the
-trace reports Cauchy diagnostics instead of asserting a limit.
+whose limits certify stationarity of the bilevel candidate.  The feasible
+sets shrink as eps falls, so a level that ends at alpha = 0 with gap at most
+the next eps also solves the next level, which records it without a solve.
+Convergence of the whole sequence is not guaranteed, only subsequential
+convergence, so the trace reports Cauchy diagnostics instead of asserting a
+limit.  Consecutive upper values must obey weak duality,
+alpha_k d <= F_{k+1} - F_k <= alpha_{k+1} d with d = eps_k - eps_{k+1}; a
+violation is reported as a likely switch between local minima.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
 from .model import ProblemSpec
-from .relax import RelaxedSolution, solve_relaxed
+from .relax import RelaxedSolution, _solves_level, solve_relaxed
 from .value import value_sample
 
 @dataclass(eq=False)
@@ -75,6 +80,19 @@ def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution) -> PathStep:
     )
 
 
+def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
+    """sol recorded at the level eps that it also solves, with no iterations.
+
+    Its residuals hold unchanged: only comp = |alpha (eps - gap)| depends on
+    eps, and it is 0 at alpha = 0.
+    """
+    return replace(
+        sol, eps=eps, x=sol.x.copy(), y=sol.y.copy(), u=sol.u.copy(),
+        z=sol.z.copy(), p=sol.p.copy(), lam=sol.lam.copy(),
+        inner_iterations=0, outer_iterations=0, residuals=dict(sol.residuals),
+    )
+
+
 def run_path(
     spec: ProblemSpec,
     eps0: float = 1.0,
@@ -87,7 +105,9 @@ def run_path(
     """Solve the relaxed programs at eps0 * ratio^k for k = 0..steps.
 
     Each solve is warm-started from the previous level's x, alpha, u and value
-    sample, and every level is solved to the given tolerances.  A solver failure
+    sample, and solved to the given tolerances.  A level that the previous
+    one already solves (alpha = 0, gap <= eps_k, x stationary to stat_tol)
+    is recorded as a copy of it, with zero iterations.  A solver failure
     aborts the path but returns the partial trace with a failure marker, so
     callers can inspect how far the continuation got.
     """
@@ -102,19 +122,22 @@ def run_path(
     warm: RelaxedSolution | None = None
     for k in range(steps + 1):
         eps_k = eps0 * ratio**k
-        try:
-            sol = solve_relaxed(
-                spec, eps_k, warm=warm,
-                feas_tol=feas_tol, stat_tol=stat_tol, comp_tol=comp_tol,
-            )
-        except ConvergenceError as err:
-            trace.failure = {
-                "k": k,
-                "eps": eps_k,
-                "message": str(err),
-                "residuals": dict(err.residuals or {}),
-            }
-            break
+        if warm is not None and _solves_level(spec, warm, eps_k, stat_tol):
+            sol = _carry_over(warm, eps_k)
+        else:
+            try:
+                sol = solve_relaxed(
+                    spec, eps_k, warm=warm,
+                    feas_tol=feas_tol, stat_tol=stat_tol, comp_tol=comp_tol,
+                )
+            except ConvergenceError as err:
+                trace.failure = {
+                    "k": k,
+                    "eps": eps_k,
+                    "message": str(err),
+                    "residuals": dict(err.residuals or {}),
+                }
+                break
         trace.records.append(_recombine(spec, k, sol))
         warm = sol
 
@@ -161,14 +184,17 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
             "the bounded-multiplier premise looks violated on this instance"
         )
 
-    # shrinking feasible sets should push optimal values up; a drop beyond
-    # tolerance suggests the solver left one stationary point for another
+    # weak duality between two levels that are saddle points of their
+    # Lagrangians: alpha_k d <= F_{k+1} - F_k <= alpha_{k+1} d, d = eps_k - eps_{k+1};
+    # a rise outside it says the solver left one stationary point for another
     for a, b in zip(recs, recs[1:]):
-        drop = a.relaxed.upper_value - b.relaxed.upper_value
-        if drop > 1e-6 * (1.0 + abs(a.relaxed.upper_value)):
+        rise = b.relaxed.upper_value - a.relaxed.upper_value
+        lo, hi = a.relaxed.alpha * (a.eps - b.eps), b.relaxed.alpha * (a.eps - b.eps)
+        slack = 1e-9 * (1.0 + abs(a.relaxed.upper_value))
+        if not lo - slack <= rise <= hi + slack:
             trace.warnings.append(
-                f"upper value decreased by {drop:.3e} between steps "
-                f"{a.k} and {b.k}; likely a local-minimum switch"
+                f"upper value rose by {rise:.3e} between steps {a.k} and {b.k}, "
+                f"outside [{lo:.3e}, {hi:.3e}]; likely a local-minimum switch"
             )
 
     if not trace.deep_enough:

@@ -44,8 +44,9 @@ class RelaxedSolution:
     """Stationary point of one relaxed program with its KKT multipliers.
 
     inner_iterations counts the band matrices factored for the u-subproblems
-    and outer_iterations the accepted x-steps.  sample is the cold value
-    sample at x that the residuals are taken about.
+    and outer_iterations the accepted x-steps; both are 0 on a level that
+    run_path took over from its predecessor without solving it.  sample is
+    the cold value sample at x that the residuals are taken about.
     """
 
     eps: float
@@ -205,6 +206,27 @@ class _Solver:
         return sol
 
 
+def _stationarity(x_set, x: np.ndarray, grad: np.ndarray) -> float:
+    """||x - P_X(x - grad)||, the stationarity test of solve_relaxed's x-loop."""
+    return float(np.linalg.norm(x - x_set.project(x - grad)))
+
+
+def _solves_level(spec: ProblemSpec, sol: RelaxedSolution, eps: float,
+                  stat_tol: float) -> bool:
+    """Whether sol, solved on spec at a larger eps, also solves the level eps.
+
+    The feasible set only shrinks as eps falls, so a point with alpha = 0
+    stays a KKT point while its gap is at most eps.  These are the tests
+    solve_relaxed warm-started from sol would pass at once: x is its own
+    projection, the alpha = 0 exit of _Solver.evaluate, and the x-loop's
+    stationarity test with grad V = -z.  Complementarity is 0 at alpha = 0.
+    """
+    x = sol.x
+    return (sol.alpha == 0.0 and sol.gap <= eps
+            and spec.x_set.project(x).tobytes() == x.tobytes()
+            and _stationarity(spec.x_set, x, -sol.z) <= stat_tol)
+
+
 def solve_relaxed(
     spec: ProblemSpec,
     eps: float,
@@ -223,7 +245,8 @@ def solve_relaxed(
     and, at the same x bitwise if it passes the kernel's fixed-point check
     on spec, its value sample.  The solution's sample is the start's when no
     x-step is taken, and a fresh cold one at its x otherwise.  ConvergenceError
-    carries the best point as best.
+    carries the best point as best; a failure of the QP kernel propagates
+    with the kernel's final iterate as best.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
@@ -247,7 +270,7 @@ def solve_relaxed(
     grad = solver.gradient(pt)
     best, step = (math.inf, pt, 0), 1.0
     for steps in range(_MAX_STEPS + 1):
-        residual = float(np.linalg.norm(pt.x - x_set.project(pt.x - grad)))
+        residual = _stationarity(x_set, pt.x, grad)
         measure = max(
             max(0.0, pt.gap - eps) / max(feas_tol, 1e-300),
             pt.alpha * abs(eps - pt.gap) / max(comp_tol, 1e-300),

@@ -320,9 +320,10 @@ def test_path_failure_exits_3_without_candidate(problem_file, tmp_path, monkeypa
         return real(spec, eps, **kwargs)
 
     monkeypatch.setattr(invoc.path, "solve_relaxed", flaky)
+    # at ratio 0.25, level 1 is solved rather than carried over from level 0
     rc = cli.main([
         "path", "--problem", problem_file, "--out", str(tmp_path),
-        "--eps0", "1e-2", "--steps", "4",
+        "--eps0", "1e-2", "--ratio", "0.25", "--steps", "4",
     ])
     assert rc == 3
     err = _read_json(tmp_path / "error.json")

@@ -1,5 +1,7 @@
 """Relaxation path driver: schedules, recombination, failure handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -76,6 +78,9 @@ def test_inactive_constraint_is_a_fixed_point(slack_spec):
         assert np.all(rec.mu == 0.0) and np.all(rec.w == 0.0)
         assert_allclose(rec.rho, rec.relaxed.p)
         assert_allclose(rec.xi, rec.relaxed.lam)
+    # level 0 solves levels 1 and 2 too, which are carried over unsolved
+    for rec in trace.records[1:]:
+        assert rec.relaxed.inner_iterations == rec.relaxed.outer_iterations == 0
 
 
 def test_geometric_schedule_and_record_indexing(unit_trace):
@@ -147,6 +152,30 @@ def test_upper_values_nondecreasing_on_clean_run(unit_trace):
     assert not any("local-minimum" in w for w in unit_trace.warnings)
 
 
+def test_planted_local_minimum_switch_trips_the_sandwich_check(unit_spec, monkeypatch):
+    # level 1 reports an upper value 1e-7 too high, as if the solver had
+    # moved to another stationary point: F rises beyond alpha_1 (eps_0 - eps_1)
+    # and then falls from level 1 to 2, by far less than 1e-6 each way
+    from invoc import path as path_mod
+
+    real = path_mod.solve_relaxed
+
+    def switched(spec, eps, **kwargs):
+        sol = real(spec, eps, **kwargs)
+        if eps == 2.5e-3:
+            sol = replace(sol, upper_value=sol.upper_value + 1e-7)
+        return sol
+
+    clean = run_path(unit_spec, eps0=1e-2, ratio=0.25, steps=4)
+    assert not any("local-minimum" in w for w in clean.warnings)
+    monkeypatch.setattr(path_mod, "solve_relaxed", switched)
+    trace = run_path(unit_spec, eps0=1e-2, ratio=0.25, steps=4)
+    switches = [w for w in trace.warnings if "local-minimum" in w]
+    assert len(switches) == 2
+    assert "between steps 0 and 1" in switches[0]
+    assert "between steps 1 and 2" in switches[1]
+
+
 def test_extract_candidate_shapes(unit_trace):
     point, mult = extract_candidate(unit_trace)
     assert set(point) == {"x", "y", "u"}
@@ -166,11 +195,13 @@ def test_failure_marker_keeps_partial_trace(unit_spec, monkeypatch):
         return real(spec, eps, **kwargs)
 
     monkeypatch.setattr(path_mod, "solve_relaxed", flaky)
-    trace = run_path(unit_spec, eps0=1e-2, ratio=0.5, steps=4)
+    # level 0 leaves gap 3.9e-3, so at ratio 0.5 level 1 (eps 5e-3) would be
+    # carried over without a solve; at 0.25 it is solved, and fails
+    trace = run_path(unit_spec, eps0=1e-2, ratio=0.25, steps=4)
     assert not trace.converged
     assert len(trace.records) == 1
     assert trace.failure["k"] == 1
-    assert trace.failure["eps"] == pytest.approx(5e-3)
+    assert trace.failure["eps"] == pytest.approx(2.5e-3)
     assert "forced failure" in trace.failure["message"]
     assert trace.failure["residuals"] == {"x": 1.0}
     assert trace.limit == {}
@@ -242,6 +273,39 @@ def test_each_level_samples_its_lower_solution_once(monkeypatch):
                      steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
     assert trace.failure is None
     assert sum(cold) == 1 + sum(r.relaxed.outer_iterations > 0 for r in trace.records)
+
+
+def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
+    # a level whose predecessor ends at alpha = 0 with gap <= eps and a
+    # stationary x is recorded without a solve; solving it anyway from that
+    # predecessor gives back the same point bitwise
+    from invoc import path as path_mod
+    from invoc import relax
+
+    calls = []
+
+    def counted(spec, eps, **kwargs):
+        calls.append(eps)
+        return relax.solve_relaxed(spec, eps, **kwargs)
+
+    monkeypatch.setattr(path_mod, "solve_relaxed", counted)
+    spec = make_generated_spec(64, (0.3, 0.7))
+    tols = {"feas_tol": 1e-12, "stat_tol": 1e-7, "comp_tol": 1e-12}
+    trace = run_path(spec, steps=40, **tols)
+    assert trace.failure is None and len(trace.records) == 41
+    assert len(calls) == 1 + sum(r.relaxed.outer_iterations > 0 for r in trace.records)
+    carried = [r for r in trace.records if r.eps not in calls]
+    assert carried
+    for rec in carried:
+        sol, prev = rec.relaxed, trace.records[rec.k - 1].relaxed
+        assert sol.inner_iterations == sol.outer_iterations == 0
+        assert sol.x is not prev.x and sol.residuals is not prev.residuals
+        again = relax.solve_relaxed(spec, rec.eps, warm=prev, **tols)
+        for name in ("x", "y", "u", "p", "lam", "z"):
+            assert getattr(again, name).tobytes() == getattr(sol, name).tobytes(), name
+        assert (again.alpha, again.gap, again.upper_value) == (sol.alpha, sol.gap, sol.upper_value)
+        assert again.residuals == sol.residuals
+        assert again.sample is sol.sample
 
 
 def test_default_path_on_pointwise_instance(pointwise_spec):
