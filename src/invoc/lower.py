@@ -251,6 +251,9 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     and projected Newton takes over.  At most _MAX_SOLVES band solves are
     made, and the result must pass the fixed-point check against tol or
     ConvergenceError carries the residual, and the final iterate as best.
+    A result that passes the exactness test depends only on its final
+    active sets: u is the band solve on them and y, p fresh solves of that
+    u, so a warm-started value sample that ends on them is the cold one.
     """
     bounds = spec.bounds
     system = _optimality_system(spec, qp)

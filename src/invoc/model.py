@@ -522,9 +522,6 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         ua=grid_function(grid, ub_block.get("ua"), allow_infinite=allow_inf, name="ua"),
         ub=grid_function(grid, ub_block.get("ub"), allow_infinite=allow_inf, name="ub"),
     )
-    if not allow_inf:
-        if not (np.isfinite(bounds.ua).all() and np.isfinite(bounds.ub).all()):
-            raise ValidationError("infinite control bounds need allow_infinite")
 
     tols = data.get("tolerances", {})
     metadata = data.get("metadata", {})

@@ -2,7 +2,8 @@
 
 Runs the sequence of relaxed programs at eps_k = eps0 * ratio^k with warm
 starts, pairs every iterate with the exact lower-level solution at its
-parameter, read from the value sample each relaxed solution carries, and
+parameter, read from the value sample each relaxed solution keeps from
+its accepted x (the path's only cold lower solve is its first start), and
 recombines the relaxed multipliers into the limiting tuple
 
     mu_k  = alpha_k (y_k - psi_y(x_k))      w_k  = alpha_k (u_k - psi_u(x_k))
@@ -226,7 +227,7 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
 
 
 def extract_candidate(trace: PathTrace) -> tuple[dict, dict]:
-    """Candidate point and multiplier tuple for certification.
+    """Candidate point and multiplier tuple for certification, read from trace.limit.
 
     The point is re-centered onto the lower-level solution map: the relaxed
     iterate (y, u) is only eps-optimal for the lower level, while the
@@ -239,17 +240,9 @@ def extract_candidate(trace: PathTrace) -> tuple[dict, dict]:
             f"iterates, trace has {have}"
             + (f" (failed at step {trace.failure['k']})" if trace.failure else "")
         )
-    last = trace.records[-1]
-    point = {"x": last.relaxed.x, "y": trace.limit["y"], "u": trace.limit["u"]}
-    multipliers = {
-        "z": last.relaxed.z,
-        "mu": last.mu,
-        "w": last.w,
-        "rho": last.rho,
-        "xi": last.xi,
-        "p": trace.limit["p"],
-        "lam": trace.limit["lam"],
-    }
+    limit = trace.limit
+    point = {name: limit[name] for name in ("x", "y", "u")}
+    multipliers = {name: limit[name] for name in ("z", "mu", "w", "rho", "xi", "p", "lam")}
     return point, multipliers
 
 

@@ -1,13 +1,15 @@
 """Shipped instances.
 
-The default instance is constructed so its global solution is known: the
-upper-level targets are the lower-level solution at a chosen generator
-parameter x_star, which makes the optimal upper value exactly zero at
-x_star.  That gives end-to-end runs a ground truth without any reference
+The default instance is constructed so its global solution is known: plant
+sets the upper-level targets to the lower-level solution at a chosen
+generator parameter x_star, which makes the optimal upper value exactly zero
+at x_star.  That gives end-to-end runs a ground truth without any reference
 data.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,36 +26,33 @@ from .model import (
 X_STAR = (0.3, 0.7)
 
 
+def plant(spec: ProblemSpec, x_star) -> ProblemSpec:
+    """spec with the upper targets y_o, u_o set to the lower solution at x_star.
+
+    F is then zero at x_star, so with gamma = 0 x_star is a global solution;
+    x_star is added to the metadata.
+    """
+    gen = solve_lower(spec, np.asarray(x_star, dtype=float), tol=1e-12)
+    return replace(spec, upper=replace(spec.upper, y_o=gen.y, u_o=gen.u),
+                   metadata={**spec.metadata, "x_star": [float(v) for v in x_star]})
+
+
 def _instance(x_set: AdmissibleSetX, name: str) -> ProblemSpec:
     grid = build_grid(64)
     nodes = grid.nodes
-    targets = np.stack([np.sin(np.pi * nodes), np.sin(2.0 * np.pi * nodes)])
-    lower = LowerObjective(kind="target_type", targets=targets)
-    bounds = ControlBounds(
-        ua=np.full(grid.n_nodes, -50.0), ub=np.full(grid.n_nodes, 50.0)
-    )
     zeros = np.zeros(grid.n_nodes)
-    seed_spec = ProblemSpec(
+    return plant(ProblemSpec(
         grid=grid,
         sigma=1e-2,
-        lower=lower,
+        lower=LowerObjective(
+            kind="target_type",
+            targets=np.stack([np.sin(np.pi * nodes), np.sin(2.0 * np.pi * nodes)]),
+        ),
         upper=UpperObjective(c_y=1.0, y_o=zeros, c_u=1.0, u_o=zeros, gamma=0.0),
         x_set=x_set,
-        bounds=bounds,
-    )
-    x_star = np.array(X_STAR)
-    gen = solve_lower(seed_spec, x_star, tol=1e-12)
-    return ProblemSpec(
-        grid=grid,
-        sigma=1e-2,
-        lower=lower,
-        upper=UpperObjective(c_y=1.0, y_o=gen.y, c_u=1.0, u_o=gen.u, gamma=0.0),
-        x_set=x_set,
-        bounds=bounds,
-        solver_tol=1e-10,
-        active_tol=1e-6,
-        metadata={"name": name, "x_star": list(X_STAR)},
-    )
+        bounds=ControlBounds(ua=np.full(grid.n_nodes, -50.0), ub=np.full(grid.n_nodes, 50.0)),
+        metadata={"name": name},
+    ), X_STAR)
 
 
 def make_default_problem() -> ProblemSpec:

@@ -7,8 +7,9 @@ one scalar multiplier alpha >= 0.  At fixed (x, alpha) the u-minimization of
 F + alpha f is a member of the tracking-QP family that lower._solve_qp
 solves exactly.  The solver nests three steps:
 
-- phi(x) and grad phi(x) from one value sample per trial x, and one cold
-  sample at a solution's x, which the path and the next level's start reuse;
+- phi(x) and grad phi(x) from one value sample per trial x; a solution
+  keeps the sample its x was accepted with, which the path and the next
+  level's start reuse;
 - alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
   when gap(0) <= eps, otherwise Newton on log gap against log alpha, kept
   inside a bracket, with the exact slope from the kernel's tangent solve;
@@ -46,7 +47,8 @@ class RelaxedSolution:
     inner_iterations counts the band matrices factored for the u-subproblems
     and outer_iterations the accepted x-steps; both are 0 on a level that
     run_path took over from its predecessor without solving it.  sample is
-    the cold value sample at x that the residuals are taken about.
+    the value sample x was accepted with, which the residuals are taken
+    about; it equals a cold sample at x bitwise but for lower.iterations.
     """
 
     eps: float
@@ -199,8 +201,7 @@ class _Solver:
             z=-self.gradient(pt), p=pt.p, lam=lam,
             upper_value=pt.upper, gap=pt.gap,
             inner_iterations=self.solves, outer_iterations=steps,
-            # with no x-step taken, pt.vs is the start's sample, already cold at x
-            converged=converged, sample=pt.vs if steps == 0 else value_sample(spec, pt.x),
+            converged=converged, sample=pt.vs,
         )
         sol.residuals = _residuals(spec, sol, sol.sample)
         return sol
@@ -243,10 +244,10 @@ def solve_relaxed(
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u
     and, at the same x bitwise if it passes the kernel's fixed-point check
-    on spec, its value sample.  The solution's sample is the start's when no
-    x-step is taken, and a fresh cold one at its x otherwise.  ConvergenceError
-    carries the best point as best; a failure of the QP kernel propagates
-    with the kernel's final iterate as best.
+    on spec, its value sample.  The solution keeps the sample its x was
+    accepted with.  ConvergenceError carries as best the best accepted point,
+    with converged False, or None if a kernel failure comes before the first;
+    a kernel failure keeps the kernel's residuals.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
@@ -261,44 +262,50 @@ def solve_relaxed(
         u = spec.bounds.project(spec.upper.u_o)
         alpha = 0.0
 
-    vs = warm.sample if warm is not None else None
-    if vs is None or x.tobytes() != vs.x.tobytes() or not (
-            _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
-        vs = value_sample(spec, x)
     solver = _Solver(spec, eps, feas_tol, comp_tol)
-    pt = solver.evaluate(vs, alpha, u)
-    grad = solver.gradient(pt)
-    best, step = (math.inf, pt, 0), 1.0
-    for steps in range(_MAX_STEPS + 1):
-        residual = _stationarity(x_set, pt.x, grad)
-        measure = max(
-            max(0.0, pt.gap - eps) / max(feas_tol, 1e-300),
-            pt.alpha * abs(eps - pt.gap) / max(comp_tol, 1e-300),
-            residual / max(stat_tol, 1e-300),
-        )
-        best = min(best, (measure, pt, steps), key=lambda b: b[0])
-        if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
-            return solver.assemble(pt, steps, converged=True)
-        if steps == _MAX_STEPS:
-            break
-        value = solver.dual(pt)
-        while True:
-            x_t = x_set.project(pt.x - step * grad)
-            move = x_t - pt.x
+    best = (math.inf, None, 0)  # (measure, accepted point, x-steps) of the best point
+    try:
+        vs = warm.sample if warm is not None else None
+        if vs is None or x.tobytes() != vs.x.tobytes() or not (
+                _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
+            vs = value_sample(spec, x)
+        pt = solver.evaluate(vs, alpha, u)
+        grad = solver.gradient(pt)
+        best, step = (math.inf, pt, 0), 1.0
+        for steps in range(_MAX_STEPS + 1):
+            residual = _stationarity(x_set, pt.x, grad)
+            measure = max(
+                max(0.0, pt.gap - eps) / max(feas_tol, 1e-300),
+                pt.alpha * abs(eps - pt.gap) / max(comp_tol, 1e-300),
+                residual / max(stat_tol, 1e-300),
+            )
+            best = min(best, (measure, pt, steps), key=lambda b: b[0])
+            if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
+                return solver.assemble(pt, steps, converged=True)
+            if steps == _MAX_STEPS:
+                break
+            value = solver.dual(pt)
+            while True:
+                x_t = x_set.project(pt.x - step * grad)
+                move = x_t - pt.x
+                if not move.any():
+                    break
+                trial = solver.evaluate(value_sample(spec, x_t, warm_start=pt.vs.lower.u),
+                                        pt.alpha, pt.u)
+                if solver.dual(trial) <= (value + _ARMIJO * float(grad @ move)
+                                          + _ROUNDOFF * (1.0 + abs(value))):
+                    break
+                step *= 0.5
             if not move.any():
-                break
-            trial = solver.evaluate(value_sample(spec, x_t, warm_start=pt.vs.lower.u),
-                                    pt.alpha, pt.u)
-            if solver.dual(trial) <= (value + _ARMIJO * float(grad @ move)
-                                      + _ROUNDOFF * (1.0 + abs(value))):
-                break
-            step *= 0.5
-        if not move.any():
-            break  # no step moves x: stalled at this tolerance
-        grad_t = solver.gradient(trial)
-        curvature = float(move @ (grad_t - grad))
-        step = float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
-        pt, grad = trial, grad_t
+                break  # no step moves x: stalled at this tolerance
+            grad_t = solver.gradient(trial)
+            curvature = float(move @ (grad_t - grad))
+            step = float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
+            pt, grad = trial, grad_t
+    except ConvergenceError as err:
+        failed = None if best[1] is None else solver.assemble(best[1], best[2], converged=False)
+        raise ConvergenceError(f"relaxed solve at eps {eps:g}: {err}", best=failed,
+                               residuals=err.residuals) from err
 
     failed = solver.assemble(best[1], best[2], converged=False)
     raise ConvergenceError(

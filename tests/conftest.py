@@ -1,11 +1,14 @@
 """Shared fixtures: small instances exercising every structural regime.
 
 All fixtures are session scoped; tests must not mutate them.  The
-"generated" instances plant a known parameter by tracking the lower-level
-solution at that parameter, so the upper objective has value zero there.
+"generated" instances plant a known parameter with invoc.presets.plant,
+which tracks the lower-level solution at that parameter, so the upper
+objective has value zero there.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from invoc import (
     ProblemSpec,
     UpperObjective,
     build_grid,
-    solve_lower,
 )
+from invoc.presets import plant
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile(
@@ -40,24 +43,14 @@ def make_generated_spec(
     grid = build_grid(n_nodes)
     w = grid.nodes
     targets = np.vstack([np.sin(np.pi * w), np.sin(2.0 * np.pi * w)])
-    lower = LowerObjective(kind="target_type", targets=targets)
-    bounds = ControlBounds(ua=np.full(n_nodes, -width), ub=np.full(n_nodes, width))
     if x_set is None:
         x_set = AdmissibleSetX(kind="simplex", n=2)
-    seed_upper = UpperObjective(
-        c_y=1.0, y_o=np.zeros(n_nodes), c_u=1.0, u_o=np.zeros(n_nodes), gamma=0.0
-    )
-    seed = ProblemSpec(
-        grid=grid, sigma=sigma, lower=lower, upper=seed_upper,
-        x_set=x_set, bounds=bounds,
-    )
-    gen = solve_lower(seed, np.asarray(x_star, dtype=float), tol=1e-12)
-    upper = UpperObjective(c_y=1.0, y_o=gen.y, c_u=1.0, u_o=gen.u, gamma=gamma)
-    return ProblemSpec(
-        grid=grid, sigma=sigma, lower=lower, upper=upper,
-        x_set=x_set, bounds=bounds, solver_tol=1e-10, active_tol=1e-6,
-        metadata={"x_star": list(np.asarray(x_star, dtype=float))},
-    )
+    zeros = np.zeros(n_nodes)
+    return plant(ProblemSpec(
+        grid=grid, sigma=sigma, lower=LowerObjective(kind="target_type", targets=targets),
+        upper=UpperObjective(c_y=1.0, y_o=zeros, c_u=1.0, u_o=zeros, gamma=gamma),
+        x_set=x_set, bounds=ControlBounds(ua=np.full(n_nodes, -width), ub=np.full(n_nodes, width)),
+    ), x_star)
 
 
 @pytest.fixture(scope="session")
@@ -97,18 +90,13 @@ def tilted_spec() -> ProblemSpec:
 
 
 @pytest.fixture(scope="session")
-def bounded_spec() -> ProblemSpec:
+def bounded_spec(unit_spec) -> ProblemSpec:
     # clip the upper bound below the planted control so it binds
-    base = make_generated_spec(16, (0.3, 0.7))
-    u_star = base.upper.u_o
-    cap = 0.6 * float(np.max(u_star))
+    cap = 0.6 * float(np.max(unit_spec.upper.u_o))
     assert cap > 0.0
-    return ProblemSpec(
-        grid=base.grid, sigma=base.sigma, lower=base.lower, upper=base.upper,
-        x_set=base.x_set,
-        bounds=ControlBounds(ua=np.full(base.grid.n_nodes, -50.0),
-                             ub=np.full(base.grid.n_nodes, cap)),
-    )
+    n_nodes = unit_spec.grid.n_nodes
+    return replace(unit_spec, bounds=ControlBounds(ua=np.full(n_nodes, -50.0),
+                                                   ub=np.full(n_nodes, cap)))
 
 
 @pytest.fixture(scope="session")

@@ -393,6 +393,15 @@ def test_problem_from_dict_rejects_garbage():
         problem_from_dict([1, 2, 3])
 
 
+def test_problem_from_dict_needs_allow_infinite_for_infinite_bounds(unit_spec):
+    data = problem_to_dict(unit_spec)
+    data["u_bounds"] = dict(data["u_bounds"], ua="-inf")
+    with pytest.raises(ValidationError, match="ua: infinite values"):
+        problem_from_dict(data)
+    data["u_bounds"]["allow_infinite"] = True
+    assert np.isneginf(problem_from_dict(data).bounds.ua).all()
+
+
 def test_load_problem_missing_and_malformed(tmp_path):
     with pytest.raises(OSError):
         load_problem(tmp_path / "absent.json")

@@ -12,6 +12,8 @@ from invoc import (
     UpperObjective,
     classify,
     extract_candidate,
+    make_default_problem,
+    relaxed_kkt_residuals,
     run_path,
     solve_lower,
     trace_rows,
@@ -19,7 +21,6 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 
-from conftest import make_generated_spec
 from util_dense import (
     dense_matrix,
     lower_value_dense,
@@ -247,7 +248,7 @@ def test_multiplier_search_stays_near_its_root():
     # at eps = 1/64 (level 6) a search whose step lands on the top of its
     # bracket must not restart decades below the root: a secant with that
     # fallback took 41 band solves at this level, Newton on the exact slope 6
-    spec = make_generated_spec(64, (0.3, 0.7))
+    spec = make_default_problem()
     trace = run_path(spec, steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
     assert trace.failure is None and len(trace.records) == 41
     assert trace.records[6].eps == 1.5625e-2
@@ -257,10 +258,9 @@ def test_multiplier_search_stays_near_its_root():
 
 
 def test_each_level_samples_its_lower_solution_once(monkeypatch):
-    # one cold lower solve for the first start, and one per level that takes
-    # an x-step, for its residuals and recombination; a level that takes none
-    # keeps its start's sample, and the next level's start and the limit
-    # reuse the level's sample
+    # one cold lower solve, for the first start; every level keeps the
+    # sample its x was accepted with, and the next level's start and the
+    # limit reuse it
     cold = []
     solve = invoc.value.solve_lower
 
@@ -269,10 +269,31 @@ def test_each_level_samples_its_lower_solution_once(monkeypatch):
         return solve(spec, x, tol=tol, warm_start=warm_start)
 
     monkeypatch.setattr(invoc.value, "solve_lower", counted)
-    trace = run_path(make_generated_spec(64, (0.3, 0.7)),
+    trace = run_path(make_default_problem(),
                      steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
     assert trace.failure is None
-    assert sum(cold) == 1 + sum(r.relaxed.outer_iterations > 0 for r in trace.records)
+    assert sum(cold) == 1
+
+
+def _sample_values(vs):
+    # every value of a sample as bytes; lower.iterations is left out, as it
+    # counts the band solves that made the sample, which depend on its start
+    low = vs.lower
+    return [np.asarray(v).tobytes() for v in (vs.x, vs.phi, vs.grad_phi, low.x, low.y,
+                                              low.u, low.p, low.lam, low.kkt_residual)]
+
+
+@pytest.mark.parametrize("name", ["default", "bounded_spec"])
+def test_every_level_keeps_a_cold_exact_sample(name, request):
+    # the sample a level's x was accepted with is the cold sample at that x
+    # bitwise, so its residuals are the independent check's
+    spec = make_default_problem() if name == "default" else request.getfixturevalue(name)
+    trace = run_path(spec, steps=40, feas_tol=1e-12, stat_tol=1e-7, comp_tol=1e-12)
+    assert trace.failure is None and len(trace.records) == 41
+    for rec in trace.records:
+        sol = rec.relaxed
+        assert _sample_values(sol.sample) == _sample_values(invoc.value.value_sample(spec, sol.x))
+        assert relaxed_kkt_residuals(spec, sol) == sol.residuals
 
 
 def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
@@ -289,7 +310,7 @@ def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
         return relax.solve_relaxed(spec, eps, **kwargs)
 
     monkeypatch.setattr(path_mod, "solve_relaxed", counted)
-    spec = make_generated_spec(64, (0.3, 0.7))
+    spec = make_default_problem()
     tols = {"feas_tol": 1e-12, "stat_tol": 1e-7, "comp_tol": 1e-12}
     trace = run_path(spec, steps=40, **tols)
     assert trace.failure is None and len(trace.records) == 41

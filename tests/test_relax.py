@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import invoc.lower
+import invoc.relax
 from invoc import (
     AdmissibleSetX,
     ControlBounds,
@@ -15,6 +17,7 @@ from invoc import (
     UpperObjective,
     build_grid,
     relaxed_kkt_residuals,
+    run_path,
     solve_lower,
     solve_relaxed,
 )
@@ -297,6 +300,38 @@ def test_convergence_error_carries_best(tilted_spec):
     assert isinstance(best, RelaxedSolution)
     assert not best.converged
     assert set(err.value.residuals) >= {"x", "y", "u", "state", "comp", "lam"}
+
+
+def test_kernel_failure_before_the_first_point_carries_no_best(unit_spec, monkeypatch):
+    monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 0)
+    with pytest.raises(ConvergenceError, match="relaxed solve at eps 0.01: QP solve") as err:
+        solve_relaxed(unit_spec, eps=1e-2)
+    assert err.value.best is None
+    assert set(err.value.residuals) == {"fixed_point"}
+    trace = run_path(unit_spec, eps0=1e-2, steps=4)
+    assert not trace.records and trace.failure["k"] == 0
+    assert trace.failure["residuals"] == err.value.residuals
+
+
+def test_kernel_failure_after_an_accepted_step_carries_the_best_point(unit_spec, monkeypatch):
+    # the kernel fails from the first trial sample warm-started off an
+    # accepted trial's sample, not the start's, so one x-step was accepted
+    samples, sample = [], invoc.relax.value_sample
+
+    def failing_after_first_step(spec, x, warm_start=None):
+        if warm_start is not None and warm_start is not samples[0].lower.u:
+            monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 0)
+        samples.append(sample(spec, x, warm_start=warm_start))
+        return samples[-1]
+
+    monkeypatch.setattr(invoc.relax, "value_sample", failing_after_first_step)
+    with pytest.raises(ConvergenceError, match="relaxed solve at eps 0.001: QP solve") as err:
+        solve_relaxed(unit_spec, eps=1e-3)
+    best = err.value.best
+    assert isinstance(best, RelaxedSolution) and not best.converged
+    assert best.outer_iterations <= 1
+    assert best.sample in samples and best.sample.x.tobytes() == best.x.tobytes()
+    assert set(err.value.residuals) == {"fixed_point"}
 
 
 @pytest.mark.parametrize("name", ["unit_spec", "bounded_spec", "pointwise_spec"])
