@@ -106,7 +106,7 @@ def _load_json(path: str) -> dict:
 
 
 def _tol_overrides(args) -> dict:
-    if getattr(args, "tol", None) is None:
+    if args.tol is None:
         return {}
     t = float(args.tol)
     return {"feas_tol": t, "stat_tol": t, "comp_tol": t}
@@ -287,14 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True):
+    def common(p, problem=True, tol=True):
         if problem:
             p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--tol", type=float, default=None, help=(
-            "verification threshold: lower fixed-point residual, relax/path "
-            "tolerances, or certificate residual tolerance"))
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help=(
+                "verification threshold: lower or oracle fixed-point residual, "
+                "relax/path tolerances, or certificate residual tolerance"))
 
     p = sub.add_parser("lower", help="solve the lower-level problem at one parameter")
     common(p)
@@ -302,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lower)
 
     p = sub.add_parser("value", help="sample the optimal-value function")
-    common(p)
+    common(p, tol=False)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of --samples")
     p.add_argument("--x", help="slice endpoints 'a,b;c,d' (or one point)")
     p.add_argument("--samples", type=int, default=None, help="random sample count")
     p.add_argument("--resolution", type=int, default=None, help="points per slice")
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("make-default", help="write the constructed default instance")
-    common(p, problem=False)
+    common(p, problem=False, tol=False)
     p.add_argument(
         "--variant", choices=("default", "box"), default="default",
         help="which shipped instance to write",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import norm
-from .errors import InfeasibleError
+from .errors import DimensionError, InfeasibleError
 from .lower import _fixed_point_residual, lower_qp
 from .model import (
     ProblemSpec,
@@ -118,6 +118,13 @@ def _check_feasible(spec: ProblemSpec, x, y, u) -> None:
         raise InfeasibleError("candidate infeasible: " + "; ".join(failures))
 
 
+def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
+    value = np.asarray(data[key], dtype=float)
+    if value.shape != shape:
+        raise DimensionError(f"field {key!r} has shape {value.shape}, expected {shape}")
+    return value
+
+
 def _max_over(values: np.ndarray, idx: np.ndarray) -> float:
     return float(values[idx].max()) if idx.size else 0.0
 
@@ -125,23 +132,21 @@ def _max_over(values: np.ndarray, idx: np.ndarray) -> float:
 def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> StationarityCertificate:
     """Evaluate all stationarity residuals at a candidate and classify it.
 
-    The candidate must be feasible: parameter in the admissible set and
-    (y, u) lower-level optimal at x to ten times the solver tolerance.
+    Each field must have the grid's length (x and z the parameter's) or
+    DimensionError names it.  The candidate must be feasible: parameter in
+    the admissible set and (y, u) lower-level optimal at x to ten times the
+    solver tolerance.
     Classification is W when the core residuals clear tol, C when the
     product sign condition also clears, S when the componentwise biactive
     sign conditions clear as well.
     """
     grid, op = spec.grid, spec.operator
-    x = np.asarray(point["x"], dtype=float)
-    y = np.asarray(point["y"], dtype=float)
-    u = np.asarray(point["u"], dtype=float)
-    z = np.asarray(multipliers["z"], dtype=float)
-    mu = np.asarray(multipliers["mu"], dtype=float)
-    w = np.asarray(multipliers["w"], dtype=float)
-    rho = np.asarray(multipliers["rho"], dtype=float)
-    xi = np.asarray(multipliers["xi"], dtype=float)
-    p = np.asarray(multipliers["p"], dtype=float)
-    lam = np.asarray(multipliers["lam"], dtype=float)
+    nodes = (grid.n_nodes,)
+    x, z = _field(point, "x", (spec.n,)), _field(multipliers, "z", (spec.n,))
+    y, u = (_field(point, key, nodes) for key in ("y", "u"))
+    mu, w, rho, xi, p, lam = (
+        _field(multipliers, key, nodes) for key in ("mu", "w", "rho", "xi", "p", "lam")
+    )
 
     _check_feasible(spec, x, y, u)
     sets = active_sets(spec, u, lam)

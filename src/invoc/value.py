@@ -37,14 +37,10 @@ def lower_objective_value(spec: ProblemSpec, x: np.ndarray, y: np.ndarray, u: np
     )
 
 
-def value_sample(
-    spec: ProblemSpec,
-    x,
-    tol: float | None = None,
-    warm_start: np.ndarray | None = None,
-) -> ValueSample:
-    """Evaluate phi and its gradient at x with one exact lower solve, uncached."""
-    sol = solve_lower(spec, x, tol=tol, warm_start=warm_start)
+def value_sample(spec: ProblemSpec, x, warm_start: np.ndarray | None = None) -> ValueSample:
+    """Evaluate phi and its gradient at x with one exact lower solve at the
+    spec's solver_tol, uncached."""
+    sol = solve_lower(spec, x, warm_start=warm_start)
     return ValueSample(
         x=sol.x,
         phi=lower_objective_value(spec, sol.x, sol.y, sol.u),
@@ -53,14 +49,14 @@ def value_sample(
     )
 
 
-def phi(spec: ProblemSpec, x, tol: float | None = None) -> float:
+def phi(spec: ProblemSpec, x) -> float:
     """Optimal value of the lower level at parameter x in R^n_+."""
-    return value_sample(spec, x, tol=tol).phi
+    return value_sample(spec, x).phi
 
 
-def grad_phi(spec: ProblemSpec, x, tol: float | None = None) -> np.ndarray:
+def grad_phi(spec: ProblemSpec, x) -> np.ndarray:
     """Gradient of phi at x: the lower objective at the optimal state."""
-    return value_sample(spec, x, tol=tol).grad_phi
+    return value_sample(spec, x).grad_phi
 
 
 def probe_concavity(spec: ProblemSpec, trials: int, seed: int = 0) -> float:

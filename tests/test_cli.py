@@ -6,6 +6,7 @@ its own interpreter, as the generated console-script wrapper does, and also
 runs the installed `invoc` script when one is on PATH.
 """
 
+import argparse
 import csv
 import importlib.metadata
 import json
@@ -108,7 +109,7 @@ def test_make_default_writes_problem_and_manifest(tmp_path):
     assert manifest["command"] == "make-default"
     assert manifest["outputs"] == ["default_problem.json"]
     assert manifest["tool_version"] == invoc.__version__
-    assert manifest["seed"] == 0
+    assert manifest["seed"] is None  # only value takes --seed
     assert len(manifest["problem_digest"]) == 64
     import hashlib
     digest = hashlib.sha256((out / "default_problem.json").read_bytes()).hexdigest()
@@ -309,6 +310,54 @@ def test_certify_missing_field_exits_2(problem_file, tmp_path):
     ])
     assert rc == 2
     assert "missing field" in _read_json(tmp_path / "error.json")["message"]
+
+
+@pytest.mark.parametrize("field", [None, "x", "y", "u", "z", "mu", "w", "rho", "xi", "p", "lam"])
+def test_certify_truncated_field_exits_2(problem_file, unit_spec, tmp_path, field):
+    sol = solve_lower(unit_spec, np.array([0.3, 0.7]))
+    zeros = np.zeros(16)
+    point = {"x": sol.x, "y": sol.y, "u": sol.u}
+    multipliers = {"z": np.zeros(2), "mu": zeros, "w": zeros, "rho": zeros,
+                   "xi": zeros, "p": sol.p, "lam": sol.lam}
+    if field is not None:
+        data = point if field in point else multipliers
+        data[field] = data[field][:-1]
+    files = []
+    for name, payload in (("point", point), ("multipliers", multipliers)):
+        files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({k: np.asarray(v).tolist() for k, v in payload.items()}))
+    out = tmp_path / "out"
+    rc = cli.main(["certify", "--problem", problem_file, "--out", str(out), *files])
+    if field is None:
+        assert rc == 0
+        return
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["error"] == "DimensionError"
+    assert repr(field) in err["message"]
+
+
+# every option each subcommand accepts; each one is read by its command
+_OPTIONS = {
+    "lower": {"--problem", "--out", "--tol", "--x"},
+    "value": {"--problem", "--out", "--seed", "--x", "--samples", "--resolution"},
+    "relax": {"--problem", "--out", "--tol", "--eps0"},
+    "path": {"--problem", "--out", "--tol", "--eps0", "--ratio", "--steps"},
+    "certify": {"--problem", "--out", "--tol", "--point", "--multipliers"},
+    "oracle": {"--problem", "--out", "--tol", "--resolution", "--landscape"},
+    "make-default": {"--out", "--variant"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert found == _OPTIONS
 
 
 def test_path_failure_exits_3_without_candidate(problem_file, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DimensionError, DomainError
 
+from conftest import make_generated_spec
 from test_stationarity import _w_not_c_fixture
 from util_dense import (
     _least_squares_form,
@@ -69,12 +70,22 @@ def test_kkt_residual_certifies_solution(unit_spec):
     assert np.abs(sol.lam[interior]).max() <= 1e-9
 
 
-@pytest.mark.parametrize("name", ["unit_spec", "bounded_spec", "pointwise_spec"])
+@pytest.fixture(scope="module")
+def planted_1024_spec():
+    return make_generated_spec(1024, (0.3, 0.7))
+
+
+@pytest.mark.parametrize("name", ["unit_spec", "bounded_spec", "pointwise_spec",
+                                  "planted_1024_spec"])
 def test_kkt_residual_covers_the_fixed_point_residual(name, request):
+    # kkt_residual is the kernel's fixed-point residual and lam's sign
+    # residual, nothing else: a re-applied A y - u would grow like N^2
     spec = request.getfixturevalue(name)
     sol = solve_lower(spec, np.array([0.3, 0.7]))
     qp = invoc.lower.lower_qp(spec, sol.x)
-    assert sol.kkt_residual >= invoc.lower._fixed_point_residual(spec, qp, sol.u)[0]
+    fixed_point = invoc.lower._fixed_point_residual(spec, qp, sol.u)[0]
+    sign = spec.bounds.normal_cone_residual(sol.u, sol.lam, spec.active_tol)
+    assert sol.kkt_residual == max(fixed_point, sign)
 
 
 def test_planted_parameter_recovers_tracking_targets(unit_spec):
