@@ -228,12 +228,6 @@ def _cmd_certify(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
     point = _load_json(args.point)
     multipliers = _load_json(args.multipliers)
-    for key in ("x", "y", "u"):
-        if key not in point:
-            raise ValidationError(f"point file is missing field {key!r}")
-    for key in ("z", "mu", "w", "rho", "xi", "p", "lam"):
-        if key not in multipliers:
-            raise ValidationError(f"multiplier file is missing field {key!r}")
     tol = args.tol if args.tol is not None else 1e-5
     cert = classify(spec, point, multipliers, tol=tol)
     return [_write_json(out, "certificate.json", cert.as_dict())]

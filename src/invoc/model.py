@@ -133,13 +133,6 @@ class LowerObjective:
         return len(self.points)
 
 
-def _check_param(obj: LowerObjective, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.n,):
-        raise DimensionError(f"parameter has shape {x.shape}, expected ({obj.n},)")
-    return x
-
-
 def eval_j(grid: Grid, obj: LowerObjective, y: np.ndarray) -> np.ndarray:
     """Component values j_i(y), a nonnegative vector of length n."""
     y = np.asarray(y, dtype=float)
@@ -181,27 +174,6 @@ def lower_coefficients(grid: Grid, obj: LowerObjective, x: np.ndarray) -> tuple[
     d = np.zeros(x.shape[:-1] + (grid.n_nodes,))
     np.add.at(d, (..., np.asarray(obj.points)), 2.0 * x / grid.h)
     return d, d * obj.target
-
-
-def eval_j_grad_adjoint(grid: Grid, obj: LowerObjective, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Riesz vector of j'(y)* x under the weighted inner product."""
-    y = np.asarray(y, dtype=float)
-    x = _check_param(obj, x)
-    if y.shape[0] != grid.n_nodes:
-        raise DimensionError("state length does not match grid")
-    d, c = lower_coefficients(grid, obj, x)
-    return d * y - c
-
-
-def eval_j_hess_bilinear(
-    grid: Grid, obj: LowerObjective, y: np.ndarray, mu: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Riesz vector of j''(y)(mu)* x under the weighted inner product."""
-    mu = np.asarray(mu, dtype=float)
-    x = _check_param(obj, x)
-    if mu.shape[0] != grid.n_nodes:
-        raise DimensionError("direction length does not match grid")
-    return lower_coefficients(grid, obj, x)[0] * mu
 
 
 def _row_dot(v: np.ndarray) -> float | np.ndarray:

@@ -227,11 +227,13 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
 
 
 def extract_candidate(trace: PathTrace) -> tuple[dict, dict]:
-    """Candidate point and multiplier tuple for certification, read from trace.limit.
+    """Candidate point {x, u} and multipliers {z, mu, w, rho, xi} for
+    certification, read from trace.limit.
 
-    The point is re-centered onto the lower-level solution map: the relaxed
-    iterate (y, u) is only eps-optimal for the lower level, while the
-    stationarity system is written at an exactly optimal pair.
+    The control is re-centered onto the lower-level solution map: the
+    relaxed iterate u is only eps-optimal for the lower level, while the
+    stationarity system is written at the exactly optimal u at x, whose
+    state, adjoint and bound multiplier the certificate solves for itself.
     """
     if trace.failure is not None or len(trace.records) < 2:
         have = len(trace.records)
@@ -241,8 +243,8 @@ def extract_candidate(trace: PathTrace) -> tuple[dict, dict]:
             + (f" (failed at step {trace.failure['k']})" if trace.failure else "")
         )
     limit = trace.limit
-    point = {name: limit[name] for name in ("x", "y", "u")}
-    multipliers = {name: limit[name] for name in ("z", "mu", "w", "rho", "xi", "p", "lam")}
+    point = {name: limit[name] for name in ("x", "u")}
+    multipliers = {name: limit[name] for name in ("z", "mu", "w", "rho", "xi")}
     return point, multipliers
 
 

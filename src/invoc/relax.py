@@ -29,7 +29,7 @@ import numpy as np
 from .discretization import norm
 from .errors import ConvergenceError, DomainError
 from .lower import TrackingQP, _fixed_point_residual, _solve_qp, _tangent, lower_qp
-from .model import ProblemSpec, eval_j, eval_j_grad_adjoint
+from .model import ProblemSpec, eval_j
 from .value import ValueSample, value_sample
 
 _MAX_STEPS = 200   # x-steps per relaxed solve
@@ -332,16 +332,12 @@ def _residuals(spec: ProblemSpec, sol: RelaxedSolution, vs: ValueSample) -> dict
     x, y, u = sol.x, sol.y, sol.u
     alpha = sol.alpha
     jy = eval_j(grid, spec.lower, y)
-    gap, _ = _gap(spec, vs, lower_qp(spec, vs.x), u)
+    low = lower_qp(spec, vs.x)
+    gap, _ = _gap(spec, vs, low, u)
 
     z = -(spec.upper.grad_x(x) + alpha * (jy - vs.grad_phi))
     r_x = spec.x_set.normal_cone_residual(x, z, tol=1e-6)
-    r_y = norm(
-        grid,
-        spec.upper.grad_y(y)
-        + alpha * eval_j_grad_adjoint(grid, spec.lower, y, x)
-        + op.apply(sol.p),
-    )
+    r_y = norm(grid, spec.upper.grad_y(y) + alpha * (low.d * y - low.c) + op.apply(sol.p))
     r_u = norm(
         grid,
         spec.upper.grad_u(u) + alpha * spec.sigma * u - sol.p + sol.lam,

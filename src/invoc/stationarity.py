@@ -1,12 +1,14 @@
 """Stationarity certification for bilevel candidates.
 
-Every condition of the weak/Clarke/strong stationarity systems is turned
-into a nonnegative residual; a candidate is classified by which family of
-residuals clears the tolerance.  Almost-everywhere sign conditions become
-nodewise max-violations, which is exact on a grid.  The diagonal diagnostic
-residuals (M_diag_*) mirror a sharper sign pattern on the biactive sets
-whose validity for this problem class is unsettled; they are reported but
-never influence the classification.
+A candidate is the parameter and control (x, u) with the multipliers
+(z, mu, w, rho, xi).  The lower level has a unique solution at every
+parameter, so the state y = S u, the adjoint p and the bound multiplier
+lam = p - sigma u are functions of (x, u); the feasibility test solves for
+them once and the residuals read them from there.  Every condition of the
+weak/Clarke/strong stationarity systems is turned into a nonnegative
+residual, and a candidate is classified by which family of residuals clears
+the tolerance.  Almost-everywhere sign conditions become nodewise
+max-violations, which is exact on a grid.
 """
 
 from __future__ import annotations
@@ -16,19 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import norm
-from .errors import DimensionError, InfeasibleError
-from .lower import _fixed_point_residual, lower_qp
-from .model import (
-    ProblemSpec,
-    eval_j_grad,
-    eval_j_grad_adjoint,
-    eval_j_hess_bilinear,
-)
+from .errors import DimensionError, InfeasibleError, ValidationError
+from .lower import TrackingQP, _fixed_point_residual, lower_qp
+from .model import ProblemSpec, eval_j_grad
 
 _W_IDS = (
     "CSt_x", "CSt_y", "CSt_u", "CSt_p", "CSt_z",
-    "CSt_ll_y", "CSt_ll_u", "CSt_ll_sign_a", "CSt_ll_sign_b",
-    "CSt_xi", "CSt_w",
+    "CSt_ll_sign_a", "CSt_ll_sign_b", "CSt_xi", "CSt_w",
 )
 
 
@@ -97,28 +93,34 @@ def active_sets(spec: ProblemSpec, u, lam, tol_act: float | None = None) -> Acti
     )
 
 
-def _check_feasible(spec: ProblemSpec, x, y, u) -> None:
+def _check_feasible(spec: ProblemSpec, qp: TrackingQP, x, u):
+    """(y, p, lam) of the lower QP at (x, u): y = S u, p its adjoint and
+    lam = p - sigma u, from the fresh solves of the optimality test.
+
+    Raises InfeasibleError unless x lies in the admissible set, u within its
+    bounds, and u is lower-level optimal at x: fixed-point residual at most
+    ten times the solver tolerance.
+    """
     failures = []
     if not spec.x_set.contains(x, tol=1e-8):
         failures.append("parameter x is outside the admissible set")
     if not spec.bounds.feasible(u, tol=1e-9):
         failures.append("control u violates its bounds")
     opt_tol = 10.0 * spec.solver_tol
-    state_tol = max(opt_tol, 1e-11)
-    state_res = norm(spec.grid, spec.operator.apply(y) - u)
-    if state_res > state_tol:
-        failures.append(f"state equation residual {state_res:.3e} exceeds {state_tol:.1e}")
-    fp = _fixed_point_residual(spec, lower_qp(spec, x), u)[0]
+    fp, y, p = _fixed_point_residual(spec, qp, u)
     if fp > opt_tol:
         failures.append(
-            f"(y, u) is not lower-level optimal at x: fixed-point residual "
+            f"u is not lower-level optimal at x: fixed-point residual "
             f"{fp:.3e} exceeds {opt_tol:.1e}"
         )
     if failures:
         raise InfeasibleError("candidate infeasible: " + "; ".join(failures))
+    return y, p, p - spec.sigma * u
 
 
 def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
+    if key not in data:
+        raise ValidationError(f"candidate is missing field {key!r}")
     value = np.asarray(data[key], dtype=float)
     if value.shape != shape:
         raise DimensionError(f"field {key!r} has shape {value.shape}, expected {shape}")
@@ -132,10 +134,11 @@ def _max_over(values: np.ndarray, idx: np.ndarray) -> float:
 def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> StationarityCertificate:
     """Evaluate all stationarity residuals at a candidate and classify it.
 
-    Each field must have the grid's length (x and z the parameter's) or
-    DimensionError names it.  The candidate must be feasible: parameter in
-    the admissible set and (y, u) lower-level optimal at x to ten times the
-    solver tolerance.
+    point holds x and u, multipliers holds z, mu, w, rho and xi; other keys
+    are ignored.  A missing field raises ValidationError and a field whose
+    length is not the grid's (x and z the parameter's) DimensionError, both
+    naming it.  The candidate must be feasible: parameter in the admissible
+    set and u lower-level optimal at x to ten times the solver tolerance.
     Classification is W when the core residuals clear tol, C when the
     product sign condition also clears, S when the componentwise biactive
     sign conditions clear as well.
@@ -143,31 +146,22 @@ def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> Statio
     grid, op = spec.grid, spec.operator
     nodes = (grid.n_nodes,)
     x, z = _field(point, "x", (spec.n,)), _field(multipliers, "z", (spec.n,))
-    y, u = (_field(point, key, nodes) for key in ("y", "u"))
-    mu, w, rho, xi, p, lam = (
-        _field(multipliers, key, nodes) for key in ("mu", "w", "rho", "xi", "p", "lam")
-    )
+    u = _field(point, "u", nodes)
+    mu, w, rho, xi = (_field(multipliers, key, nodes) for key in ("mu", "w", "rho", "xi"))
 
-    _check_feasible(spec, x, y, u)
+    qp = lower_qp(spec, x)
+    y, p, lam = _check_feasible(spec, qp, x, u)
     sets = active_sets(spec, u, lam)
 
     res: dict[str, float] = {}
     res["CSt_x"] = float(np.linalg.norm(
         spec.upper.grad_x(x) + z + eval_j_grad(grid, spec.lower, y, mu)
     ))
-    res["CSt_y"] = norm(
-        grid,
-        spec.upper.grad_y(y)
-        + op.apply(rho)
-        + eval_j_hess_bilinear(grid, spec.lower, y, mu, x),
-    )
+    res["CSt_y"] = norm(grid, spec.upper.grad_y(y) + op.apply(rho) + qp.d * mu)
     res["CSt_u"] = norm(grid, spec.upper.grad_u(u) + spec.sigma * w - rho + xi)
     res["CSt_p"] = norm(grid, op.apply(mu) - w)
     res["CSt_z"] = spec.x_set.normal_cone_residual(x, z, tol=1e-8)
 
-    adj = eval_j_grad_adjoint(grid, spec.lower, y, x)
-    res["CSt_ll_y"] = norm(grid, adj + op.apply(p))
-    res["CSt_ll_u"] = norm(grid, spec.sigma * u - p + lam)
     # multiplier sign off the bounds: lam >= 0 above the lower bound,
     # lam <= 0 below the upper bound
     res["CSt_ll_sign_a"] = _max_over(np.maximum(-lam, 0.0), sets.i_a_plus)
@@ -183,16 +177,6 @@ def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> Statio
     )
     res["CSt_strong_b"] = _max_over(
         np.maximum(np.maximum(-xi, -w), 0.0), sets.biactive_b
-    )
-
-    # diagnostic only: on each biactive set either the product vanishes or
-    # both factors are strictly on the indicated side
-    prod = np.abs(xi * w)
-    res["M_diag_a"] = _max_over(
-        np.minimum(prod, np.maximum(np.maximum(-xi, -w), 0.0)), sets.biactive_a
-    )
-    res["M_diag_b"] = _max_over(
-        np.minimum(prod, np.maximum(np.maximum(xi, w), 0.0)), sets.biactive_b
     )
 
     is_w = all(res[k] <= tol for k in _W_IDS)

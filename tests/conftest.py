@@ -31,26 +31,31 @@ settings.register_profile(
 settings.load_profile("invoc")
 
 
-def make_generated_spec(
+def make_unplanted_spec(
     n_nodes: int,
-    x_star,
     x_set: AdmissibleSetX | None = None,
     sigma: float = 1e-2,
     width: float = 50.0,
     gamma: float = 0.0,
 ) -> ProblemSpec:
-    """Instance whose upper objective is minimized exactly at x_star."""
+    """make_generated_spec's instance before planting: upper targets zero."""
     grid = build_grid(n_nodes)
     w = grid.nodes
     targets = np.vstack([np.sin(np.pi * w), np.sin(2.0 * np.pi * w)])
     if x_set is None:
         x_set = AdmissibleSetX(kind="simplex", n=2)
     zeros = np.zeros(n_nodes)
-    return plant(ProblemSpec(
+    return ProblemSpec(
         grid=grid, sigma=sigma, lower=LowerObjective(kind="target_type", targets=targets),
         upper=UpperObjective(c_y=1.0, y_o=zeros, c_u=1.0, u_o=zeros, gamma=gamma),
         x_set=x_set, bounds=ControlBounds(ua=np.full(n_nodes, -width), ub=np.full(n_nodes, width)),
-    ), x_star)
+    )
+
+
+def make_generated_spec(n_nodes: int, x_star, **kwargs) -> ProblemSpec:
+    """Instance whose upper objective is minimized exactly at x_star;
+    kwargs go to make_unplanted_spec."""
+    return plant(make_unplanted_spec(n_nodes, **kwargs), x_star)
 
 
 @pytest.fixture(scope="session")

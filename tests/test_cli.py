@@ -30,6 +30,8 @@ import invoc.path
 from invoc import cli, load_problem, save_problem, solve_lower, value_sample
 from invoc.errors import ConvergenceError
 
+from conftest import make_generated_spec
+
 
 def _read_json(path):
     with open(path) as fh:
@@ -231,7 +233,34 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
     cert = _read_json(cert_dir / "certificate.json")
     assert cert["classification"] in ("none", "W", "C", "S")
     assert cert["tol"] == 1e-5
-    assert len(cert["residuals"]) == 16
+    assert len(cert["residuals"]) == 12
+
+
+def _tols(tol):
+    return {"feas_tol": tol, "stat_tol": tol, "comp_tol": tol}
+
+
+# at tol 1e-2 both results differ from those at the default tolerances
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+def test_path_tol_reaches_the_solver(problem_file, tmp_path, tol):
+    rc = cli.main(["path", "--problem", problem_file, "--out", str(tmp_path), "--tol", str(tol)])
+    assert rc == 0
+    trace = invoc.run_path(load_problem(problem_file), **_tols(tol))
+    point, multipliers = invoc.extract_candidate(trace)
+    assert _read_json(tmp_path / "candidate_point.json") == cli._jsonable(point)
+    assert _read_json(tmp_path / "candidate_multipliers.json") == cli._jsonable(multipliers)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+def test_relax_tol_reaches_the_solver(tmp_path, tol):
+    problem = tmp_path / "gamma.json"
+    save_problem(make_generated_spec(16, (0.25, 0.75), gamma=1e-2), problem)
+    out = tmp_path / "out"
+    rc = cli.main(["relax", "--problem", str(problem), "--out", str(out),
+                   "--eps0", "1e-2", "--tol", str(tol)])
+    assert rc == 0
+    sol = invoc.solve_relaxed(load_problem(problem), 1e-2, **_tols(tol))
+    assert _read_json(out / "relaxed_solution.json") == cli._jsonable(cli._relaxed_payload(sol))
 
 
 def test_result_files_bit_identical_across_runs(problem_file, tmp_path):
@@ -312,13 +341,12 @@ def test_certify_missing_field_exits_2(problem_file, tmp_path):
     assert "missing field" in _read_json(tmp_path / "error.json")["message"]
 
 
-@pytest.mark.parametrize("field", [None, "x", "y", "u", "z", "mu", "w", "rho", "xi", "p", "lam"])
+@pytest.mark.parametrize("field", [None, "x", "u", "z", "mu", "w", "rho", "xi"])
 def test_certify_truncated_field_exits_2(problem_file, unit_spec, tmp_path, field):
     sol = solve_lower(unit_spec, np.array([0.3, 0.7]))
     zeros = np.zeros(16)
-    point = {"x": sol.x, "y": sol.y, "u": sol.u}
-    multipliers = {"z": np.zeros(2), "mu": zeros, "w": zeros, "rho": zeros,
-                   "xi": zeros, "p": sol.p, "lam": sol.lam}
+    point = {"x": sol.x, "u": sol.u}
+    multipliers = {"z": np.zeros(2), "mu": zeros, "w": zeros, "rho": zeros, "xi": zeros}
     if field is not None:
         data = point if field in point else multipliers
         data[field] = data[field][:-1]

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name that it never uses, and only
-the package's LAPACK loader imports scipy, and only its top-level package.
+"""Source hygiene: no module imports a name that it never uses, only the
+package's LAPACK loader imports scipy, and only its top-level package, and
+every module-level function or class of the package is used in it or public.
 
 The package's __init__.py is exempt from the unused-import scan: its imports
 are the public re-exports.  An import on a line marked `# noqa: F401` is kept
@@ -11,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import invoc
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -67,3 +70,30 @@ def test_package_calls_scipy_only_through_lapack(path):
 def test_scipy_scan_flags_every_other_import():
     source = "import scipy.fft\nfrom scipy.linalg import cholesky_banded\nfrom scipy.linalg.lapack import dpttrs\n"
     assert _scipy_imports(source) == ["scipy.fft", "scipy.linalg", "scipy.linalg.lapack"]
+
+
+def _unreferenced(sources: list[str], public) -> list[str]:
+    """Module-level functions and classes that no source names and that are
+    not public; a reference is any name or attribute with that identifier."""
+    defined, named = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [name for name in defined if name not in named and name not in public]
+
+
+def test_every_package_definition_is_used_or_public():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "invoc").glob("*.py"))]
+    assert _unreferenced(sources, invoc.__all__) == []
+
+
+def test_definition_scan_flags_unused_names():
+    a = "def used():\n    pass\ndef dead():\n    pass\nclass Public:\n    pass\n"
+    b = "from a import used\nused()\nimport a\na.Dead\n"
+    assert _unreferenced([a, b, "class Dead:\n    pass\n"], ["Public"]) == ["dead"]

@@ -179,8 +179,8 @@ def test_planted_local_minimum_switch_trips_the_sandwich_check(unit_spec, monkey
 
 def test_extract_candidate_shapes(unit_trace):
     point, mult = extract_candidate(unit_trace)
-    assert set(point) == {"x", "y", "u"}
-    assert set(mult) == {"z", "mu", "w", "rho", "xi", "p", "lam"}
+    assert set(point) == {"x", "u"}
+    assert set(mult) == {"z", "mu", "w", "rho", "xi"}
     assert_allclose(point["x"], unit_trace.limit["x"])
     assert_allclose(point["u"], unit_trace.limit["u"])
 
