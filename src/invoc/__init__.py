@@ -32,7 +32,7 @@ from .model import (
     problem_to_dict,
     save_problem,
 )
-from .oracle import OracleResult, compare, grid_search
+from .oracle import OracleResult, grid_search
 from .path import PathStep, PathTrace, extract_candidate, run_path, trace_rows
 from .presets import make_box_variant, make_default_problem
 from .relax import RelaxedSolution, relaxed_kkt_residuals, solve_relaxed
@@ -79,7 +79,6 @@ __all__ = [
     "active_sets",
     "build_grid",
     "classify",
-    "compare",
     "extract_candidate",
     "grad_phi",
     "grid_search",

@@ -21,36 +21,23 @@ import numpy as np
 from .discretization import EllipticOperator, Grid, build_grid
 from .errors import DimensionError, InfeasibleError, ValidationError
 
-_GENERATORS = {
-    "sin_pi": lambda t: np.sin(np.pi * t),
-    "sin_2pi": lambda t: np.sin(2.0 * np.pi * t),
-}
-
 
 def grid_function(
     grid: Grid, value, allow_infinite: bool = False, name: str = "grid function"
 ) -> np.ndarray:
     """Evaluate a JSON grid-function description to a node vector.
 
-    Accepts a number (constant), a generator name ("sin_pi", "sin_2pi",
-    "const:<v>"), the strings "inf"/"-inf" for infinite constant bounds, or
-    an explicit array whose entries may be numbers or "inf"/"-inf" strings.
+    Accepts a number (constant), the strings "inf"/"-inf" for infinite
+    constant bounds, or an explicit array whose entries may be numbers or
+    "inf"/"-inf" strings.
     """
     n = grid.n_nodes
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out = np.full(n, float(value))
     elif isinstance(value, str):
-        if value in _GENERATORS:
-            out = _GENERATORS[value](grid.nodes)
-        elif value.startswith("const:"):
-            try:
-                out = np.full(n, float(value[len("const:"):]))
-            except ValueError:
-                raise ValidationError(f"{name}: bad constant generator {value!r}")
-        elif value in ("inf", "-inf"):
-            out = np.full(n, float(value))
-        else:
-            raise ValidationError(f"{name}: unknown generator {value!r}")
+        if value not in ("inf", "-inf"):
+            raise ValidationError(f"{name}: unknown string {value!r}")
+        out = np.full(n, float(value))
     elif isinstance(value, (list, tuple)):
         entries = []
         for entry in value:

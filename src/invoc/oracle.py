@@ -138,19 +138,3 @@ def grid_search(
         samples=np.column_stack([X, vals]) if keep_samples else None,
     )
 
-
-def compare(spec: ProblemSpec, candidate_value: float, resolution: int) -> dict:
-    """Gap between a candidate upper value and the lattice best.
-
-    A negative gap means the candidate beat every lattice sample, which is
-    possible since the lattice only subsamples the feasible set.
-    """
-    result = grid_search(spec, resolution)
-    return {
-        "gap_to_oracle": float(candidate_value) - result.best_value,
-        "candidate_value": float(candidate_value),
-        "best_value": result.best_value,
-        "best_x": result.best_x,
-        "resolution": resolution,
-        "sample_count": result.sample_count,
-    }

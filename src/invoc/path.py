@@ -84,8 +84,8 @@ def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution) -> PathStep:
 def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
     """sol recorded at the level eps that it also solves, with no iterations.
 
-    Its residuals hold unchanged: only comp = |alpha (eps - gap)| depends on
-    eps, and it is 0 at alpha = 0.
+    Its residuals hold unchanged: they check (x, alpha, u), and of them only
+    comp = |alpha (eps - gap)| depends on eps, and it is 0 at alpha = 0.
     """
     return replace(
         sol, eps=eps, x=sol.x.copy(), y=sol.y.copy(), u=sol.u.copy(),

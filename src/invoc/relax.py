@@ -17,6 +17,10 @@ solves exactly.  The solver nests three steps:
   gamma x + alpha (j(y) - grad phi(x)) is the envelope formula.  Trial
   points are compared by the dual value F + alpha (gap - eps), which does
   not carry the multiplier search's error in the gap to first order.
+
+A solution's residuals check (x, alpha, u) alone: the u-subproblem's own
+fixed-point test, whose fresh solves give y, p and lam, the x-equation
+against the normal cone of X_ad, complementarity, and lam's sign.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import norm
 from .errors import ConvergenceError, DomainError
 from .lower import TrackingQP, _fixed_point_residual, _solve_qp, _tangent, lower_qp
 from .model import ProblemSpec, eval_j
@@ -49,6 +52,8 @@ class RelaxedSolution:
     run_path took over from its predecessor without solving it.  sample is
     the value sample x was accepted with, which the residuals are taken
     about; it equals a cold sample at x bitwise but for lower.iterations.
+    y, p and lam are the u-subproblem's state, adjoint and bound multiplier
+    at (x, alpha, u); the residuals read only x, u, alpha and eps.
     """
 
     eps: float
@@ -102,6 +107,18 @@ def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray,
     return gap, h * float(spec.sigma * (du @ u_t) - lam @ u_t + dy @ (low.d * y_t))
 
 
+def _member(spec: ProblemSpec, low: TrackingQP, alpha: float) -> TrackingQP:
+    """The u-subproblem of F + alpha f at the parameter of the lower QP low."""
+    up = spec.upper
+    return TrackingQP(d=up.c_y + alpha * low.d, c=up.c_y * up.y_o + alpha * low.c,
+                      s=up.c_u + alpha * spec.sigma, b=up.c_u * up.u_o)
+
+
+def _multiplier(spec: ProblemSpec, alpha: float, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The bound multiplier lam = p - grad_u F - alpha sigma u of the u-subproblem."""
+    return p - spec.upper.grad_u(u) - alpha * spec.sigma * u
+
+
 def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
     """Newton's next alpha for gap(alpha) = eps, linear from alpha = 0 and on
     log gap against log alpha elsewhere, where log alpha moves by at most
@@ -146,12 +163,7 @@ class _Solver:
             y, u = vs.lower.y, vs.lower.u
             return _Point(x=vs.x, vs=vs, alpha=0.0, y=y, u=u, p=0.0 * u, gap=0.0,
                           slope=0.0, upper=up.value(spec.grid, vs.x, y, u))
-        qp = TrackingQP(
-            d=up.c_y + alpha * low.d,
-            c=up.c_y * up.y_o + alpha * low.c,
-            s=up.c_u + alpha * spec.sigma,
-            b=up.c_u * up.u_o,
-        )
+        qp = _member(spec, low, alpha)
         sol = _solve_qp(spec, qp, spec.solver_tol, warm)
         y_t, u_t, solves = _tangent(spec, qp, sol, low)
         self.solves += sol.solves + solves
@@ -195,10 +207,9 @@ class _Solver:
 
     def assemble(self, pt: _Point, steps: int, converged: bool) -> RelaxedSolution:
         spec = self.spec
-        lam = pt.p - spec.upper.grad_u(pt.u) - pt.alpha * spec.sigma * pt.u
         sol = RelaxedSolution(
             eps=self.eps, x=pt.x, y=pt.y, u=pt.u, alpha=pt.alpha,
-            z=-self.gradient(pt), p=pt.p, lam=lam,
+            z=-self.gradient(pt), p=pt.p, lam=_multiplier(spec, pt.alpha, pt.u, pt.p),
             upper_value=pt.upper, gap=pt.gap,
             inner_iterations=self.solves, outer_iterations=steps,
             converged=converged, sample=pt.vs,
@@ -319,37 +330,27 @@ def solve_relaxed(
 def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:
     """Independent residuals of the relaxed KKT system at a solution.
 
-    The parameter-space multiplier z is reconstructed as the negative
-    remainder of the x-equation and checked against the polyhedral normal
-    cone, and the gap is expanded about a fresh value sample, so the
-    reported record does not trust any solver internals.
+    Reads only sol's x, u, alpha and eps; its y, p, lam and z are not
+    trusted.  The gap is expanded about a fresh value sample at x, and the
+    u-subproblem at (x, alpha) gives y, p and lam from the fresh solves of
+    its own fixed-point check.  Returns that check's residual
+    (fixed_point), the parameter-space multiplier z = -grad V against the
+    normal cone of X_ad (x), |alpha (eps - gap)| (comp) and lam's sign
+    against the control bounds (lam).
     """
     return _residuals(spec, sol, value_sample(spec, sol.x))
 
 
 def _residuals(spec: ProblemSpec, sol: RelaxedSolution, vs: ValueSample) -> dict:
-    grid, op = spec.grid, spec.operator
-    x, y, u = sol.x, sol.y, sol.u
-    alpha = sol.alpha
-    jy = eval_j(grid, spec.lower, y)
+    x, u, alpha = sol.x, sol.u, sol.alpha
     low = lower_qp(spec, vs.x)
+    fixed_point, y, p = _fixed_point_residual(spec, _member(spec, low, alpha), u)
     gap, _ = _gap(spec, vs, low, u)
-
-    z = -(spec.upper.grad_x(x) + alpha * (jy - vs.grad_phi))
-    r_x = spec.x_set.normal_cone_residual(x, z, tol=1e-6)
-    r_y = norm(grid, spec.upper.grad_y(y) + alpha * (low.d * y - low.c) + op.apply(sol.p))
-    r_u = norm(
-        grid,
-        spec.upper.grad_u(u) + alpha * spec.sigma * u - sol.p + sol.lam,
-    )
-    r_state = norm(grid, op.apply(y) - u)
-    r_comp = abs(alpha * (sol.eps - gap))
-    r_lam = spec.bounds.normal_cone_residual(u, sol.lam, spec.active_tol)
+    z = -(spec.upper.grad_x(x) + alpha * (eval_j(spec.grid, spec.lower, y) - vs.grad_phi))
+    lam = _multiplier(spec, alpha, u, p)
     return {
-        "x": float(r_x),
-        "y": float(r_y),
-        "u": float(r_u),
-        "state": float(r_state),
-        "comp": float(r_comp),
-        "lam": float(r_lam),
+        "x": float(spec.x_set.normal_cone_residual(x, z, tol=1e-6)),
+        "fixed_point": float(fixed_point),
+        "comp": float(abs(alpha * (sol.eps - gap))),
+        "lam": float(spec.bounds.normal_cone_residual(u, lam, spec.active_tol)),
     }

@@ -1,5 +1,7 @@
 """Lower-level solver against a dense bound-constrained least-squares oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -20,7 +22,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DimensionError, DomainError
 
-from conftest import make_generated_spec
+from conftest import make_generated_spec, make_unplanted_spec
 from test_stationarity import _w_not_c_fixture
 from util_dense import (
     _least_squares_form,
@@ -213,12 +215,31 @@ def test_stacked_rows_match_single_rows(name, request):
         assert_allclose(P[i], p_i, rtol=1e-15, atol=1e-15 * np.abs(p_i).max())
 
 
-def test_cycling_active_sets_still_converge(monkeypatch):
-    # on this tight box the plain active-set steps from the cold start
-    # u = P(0) alternate between two set pairs; projected Newton must take
-    # over and finish
-    spec, point, _, _ = _w_not_c_fixture()
-    x = point["x"]
+def _tight_box(n_nodes, below):
+    """make_unplanted_spec(n_nodes, sigma=1e-4) at x = (0.3, 0.7), its control
+    bounds narrowed to u0 + [-below, 1 - below] max|u0| about the solution u0
+    under the default bounds, and u0."""
+    spec, x = make_unplanted_spec(n_nodes, sigma=1e-4), np.array([0.3, 0.7])
+    u0 = solve_lower(spec, x).u
+    width = np.abs(u0).max()
+    bounds = ControlBounds(ua=u0 - below * width, ub=u0 + (1.0 - below) * width)
+    return replace(spec, bounds=bounds), x, u0
+
+
+@pytest.mark.parametrize("case", ["w_not_c"] + [
+    f"n{n_nodes}_{below}" for n_nodes in (16, 32, 64) for below in (0.75, 0.25)])
+def test_cycling_active_sets_still_converge(case, monkeypatch):
+    # on these tight boxes the plain active-set steps from the cold start
+    # u = P(0) come back to a set pair; projected Newton must take over and
+    # finish.  A tight box about u0 keeps u0 as the solution, and the final
+    # active-set step from Newton's (empty) sets returns it bitwise
+    if case == "w_not_c":
+        spec, point, _, _ = _w_not_c_fixture()
+        x, tol, u0 = point["x"], 1e-13, None
+    else:
+        n_nodes, below = case[1:].split("_")
+        spec, x, u0 = _tight_box(int(n_nodes), float(below))
+        tol = spec.solver_tol
     newton_calls = []
     real = invoc.lower._projected_newton
 
@@ -227,11 +248,13 @@ def test_cycling_active_sets_still_converge(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(invoc.lower, "_projected_newton", counting)
-    sol = solve_lower(spec, x, tol=1e-13)
+    sol = solve_lower(spec, x, tol=tol)
     assert newton_calls  # the fallback actually ran
     _, u_ref = solve_lower_dense(spec, x)
     assert h_norm(spec.grid, sol.u - u_ref) <= 1e-10
-    assert sol.kkt_residual <= 1e-12
+    assert sol.kkt_residual <= max(tol, 1e-12)
+    if u0 is not None:
+        np.testing.assert_array_equal(sol.u, u0)
 
 
 def _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o):

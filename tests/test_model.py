@@ -34,10 +34,12 @@ from invoc.model import (
 # ---------------------------------------------------------------- grid_function
 
 def test_grid_function_generators():
+    # numbers and arrays are the input formats; the former generator names
+    # are unknown strings
     grid = build_grid(8)
-    assert_allclose(grid_function(grid, "sin_pi"), np.sin(np.pi * grid.nodes))
-    assert_allclose(grid_function(grid, "sin_2pi"), np.sin(2 * np.pi * grid.nodes))
-    assert_allclose(grid_function(grid, "const:2.5"), np.full(8, 2.5))
+    for name in ("sin_pi", "sin_2pi", "const:2.5"):
+        with pytest.raises(ValidationError, match="unknown string"):
+            grid_function(grid, name)
     assert_allclose(grid_function(grid, 3), np.full(8, 3.0))
     explicit = grid_function(grid, list(range(8)))
     assert_allclose(explicit, np.arange(8.0))
