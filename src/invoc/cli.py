@@ -1,10 +1,12 @@
 """Command-line front end.
 
 One command per process: load a problem file, run the requested solve or
-probe, and persist results as JSON/CSV.  Every run writes a manifest
-recording the command, the problem digest, overrides, and the produced
-files; the manifest is the only output containing a timestamp, so result
-files are bit-identical across identical runs.
+probe, and persist results as JSON/CSV through model.write_file, which
+replaces each file atomically and gives it the mode open() would.  Every
+run writes a manifest recording the command, the problem digest,
+overrides, and the produced files; the manifest is the only output
+containing a timestamp, so result files are bit-identical across identical
+runs.
 
 Exit codes: 0 success, 2 validation or file errors, 3 numerical failures
 (non-convergence, insufficient path).  Failures leave a machine-readable
@@ -18,10 +20,7 @@ import csv
 import datetime
 import hashlib
 import io
-import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
 from .lower import solve_lower
-from .model import load_problem, save_problem
+from .model import load_problem, read_json, save_problem, write_file, write_json
 from .oracle import grid_search
 from .path import extract_candidate, run_path, trace_rows
 from .presets import make_box_variant, make_default_problem
@@ -54,21 +53,8 @@ def _jsonable(obj):
     return obj
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(out: Path, name: str, payload) -> str:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_atomic(out / name, text + "\n")
+    write_json(out / name, _jsonable(payload))
     return name
 
 
@@ -77,7 +63,7 @@ def _write_csv(out: Path, name: str, header: list[str], rows: list[list]) -> str
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_atomic(out / name, buf.getvalue())
+    write_file(out / name, buf.getvalue())
     return name
 
 
@@ -92,17 +78,9 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ValidationError(f"cannot parse vector {text!r}: {err}") from None
 
 
-def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"file not found: {path}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"invalid JSON in {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"expected a JSON object in {path}")
-    return data
+def _tol(args) -> dict:
+    """--tol as the keyword tol when given; otherwise the library's default holds."""
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _tol_overrides(args) -> dict:
@@ -119,7 +97,7 @@ def _cmd_lower(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
     if args.x is None:
         raise ValidationError("lower requires --x")
-    sol = solve_lower(spec, _parse_vector(args.x), tol=args.tol)
+    sol = solve_lower(spec, _parse_vector(args.x), **_tol(args))
     return [
         _write_json(out, "lower_solution.json", {
             "x": sol.x, "y": sol.y, "u": sol.u, "p": sol.p, "lam": sol.lam,
@@ -226,17 +204,15 @@ def _cmd_path(args, out: Path) -> list[str]:
 
 def _cmd_certify(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
-    point = _load_json(args.point)
-    multipliers = _load_json(args.multipliers)
-    tol = args.tol if args.tol is not None else 1e-5
-    cert = classify(spec, point, multipliers, tol=tol)
+    point = read_json(args.point)
+    multipliers = read_json(args.multipliers)
+    cert = classify(spec, point, multipliers, **_tol(args))
     return [_write_json(out, "certificate.json", cert.as_dict())]
 
 
 def _cmd_oracle(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
-    tol = args.tol if args.tol is not None else 1e-12
-    result = grid_search(spec, args.resolution, tol=tol, keep_samples=args.landscape)
+    result = grid_search(spec, args.resolution, keep_samples=args.landscape, **_tol(args))
     outputs = [
         _write_json(out, "oracle.json", {
             "best_x": result.best_x,
@@ -261,8 +237,7 @@ def _cmd_make_default(args, out: Path) -> list[str]:
     else:
         spec = make_default_problem()
         name = "default_problem.json"
-    target = out / name
-    save_problem(spec, target)
+    save_problem(spec, out / name)
     return [name]
 
 
@@ -357,16 +332,13 @@ def _write_manifest(out: Path, args, outputs: list[str]) -> None:
     manifest = {
         "command": args.command,
         "problem_digest": digest,
-        "overrides": _jsonable(overrides),
+        "overrides": overrides,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": getattr(args, "seed", None),
         "outputs": outputs,
     }
-    _write_atomic(
-        out / "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    _write_json(out, "manifest.json", manifest)
 
 
 def _write_error(out: Path, err: Exception, code: int) -> None:
@@ -377,12 +349,9 @@ def _write_error(out: Path, err: Exception, code: int) -> None:
     }
     residuals = getattr(err, "residuals", None)
     if residuals:
-        payload["residuals"] = _jsonable(residuals)
+        payload["residuals"] = residuals
     try:
-        _write_atomic(
-            out / "error.json",
-            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        )
+        _write_json(out, "error.json", payload)
     except OSError:
         pass
 

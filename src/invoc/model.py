@@ -4,7 +4,8 @@ Bundles the lower-level objective j (a vector of n convex functionals of the
 state), the upper-level tracking objective F, the admissible parameter set
 X_ad (simplex or box, both polyhedral with explicit vertex lists), and the
 pointwise control bounds.  Instances are loaded from and saved to a JSON
-configuration; see problem_from_dict for the schema.
+configuration; see problem_from_dict for the schema.  read_json and
+write_file are the package's one JSON reader and one file writer.
 """
 
 from __future__ import annotations
@@ -413,8 +414,39 @@ _TOP_KEYS = {
 }
 
 
+def _block(data: dict, key: str) -> dict:
+    """data[key], which must be an object; an absent key gives an empty one."""
+    block = data.get(key, {})
+    if not isinstance(block, dict):
+        raise ValidationError(f"{key} must be an object, got {block!r}")
+    return block
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
+    return np.array([_number(v, name) for v in value], dtype=float)
+
+
 def problem_from_dict(data: dict) -> ProblemSpec:
-    """Build a validated ProblemSpec from the JSON configuration schema."""
+    """Build a validated ProblemSpec from the JSON configuration schema.
+
+    Every malformed field raises ValidationError: a block that is not an
+    object, a scalar that is not a number, a node count or measurement node
+    that is not an integer, a flag that is not true or false.
+    """
     if not isinstance(data, dict):
         raise ValidationError("problem description must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -424,14 +456,11 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         if key not in data:
             raise ValidationError(f"missing problem key {key!r}")
 
-    grid_block = data["grid"]
-    if not isinstance(grid_block, dict) or "N" not in grid_block:
-        raise ValidationError("grid block must be an object with key 'N'")
-    grid = build_grid(int(grid_block["N"]))
+    grid = build_grid(_integer(_block(data, "grid").get("N"), "grid.N"))
 
-    sigma = float(data["sigma"])
+    sigma = _number(data["sigma"], "sigma")
 
-    lo_block = data["lower_objective"]
+    lo_block = _block(data, "lower_objective")
     kind = lo_block.get("kind")
     if kind == "target_type":
         raw = lo_block.get("targets")
@@ -446,20 +475,21 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         if not isinstance(pts, list) or not pts:
             raise ValidationError("pointwise needs a nonempty 'points' list")
         target = grid_function(grid, lo_block.get("target"), name="target")
-        lower = LowerObjective(kind="pointwise", points=tuple(pts), target=target)
+        points = tuple(_integer(i, "lower_objective.points") for i in pts)
+        lower = LowerObjective(kind="pointwise", points=points, target=target)
     else:
         raise ValidationError(f"unknown lower objective kind {kind!r}")
 
-    up = data["upper_objective"]
+    up = _block(data, "upper_objective")
     upper = UpperObjective(
-        c_y=float(up.get("c_y", 0.0)),
+        c_y=_number(up.get("c_y", 0.0), "upper_objective.c_y"),
         y_o=grid_function(grid, up.get("y_o", 0.0), name="y_o"),
-        c_u=float(up.get("c_u", 0.0)),
+        c_u=_number(up.get("c_u", 0.0), "upper_objective.c_u"),
         u_o=grid_function(grid, up.get("u_o", 0.0), name="u_o"),
-        gamma=float(up.get("gamma", 0.0)),
+        gamma=_number(up.get("gamma", 0.0), "upper_objective.gamma"),
     )
 
-    xad = data["x_ad"]
+    xad = _block(data, "x_ad")
     xkind = xad.get("kind")
     if xkind == "simplex":
         x_set = AdmissibleSetX(kind="simplex", n=lower.n)
@@ -469,23 +499,23 @@ def problem_from_dict(data: dict) -> ProblemSpec:
             raise ValidationError("box x_ad needs bounds with 'lo' and 'hi'")
         x_set = AdmissibleSetX(
             kind="box", n=lower.n,
-            lo=np.asarray(bb["lo"], dtype=float),
-            hi=np.asarray(bb["hi"], dtype=float),
+            lo=_numbers(bb["lo"], "x_ad.bounds.lo"),
+            hi=_numbers(bb["hi"], "x_ad.bounds.hi"),
         )
     else:
         raise ValidationError(f"unknown x_ad kind {xkind!r}")
 
-    ub_block = data["u_bounds"]
-    allow_inf = bool(ub_block.get("allow_infinite", False))
+    ub_block = _block(data, "u_bounds")
+    allow_inf = ub_block.get("allow_infinite", False)
+    if not isinstance(allow_inf, bool):
+        raise ValidationError(f"u_bounds.allow_infinite must be true or false, got {allow_inf!r}")
     bounds = ControlBounds(
         ua=grid_function(grid, ub_block.get("ua"), allow_infinite=allow_inf, name="ua"),
         ub=grid_function(grid, ub_block.get("ub"), allow_infinite=allow_inf, name="ub"),
     )
 
-    tols = data.get("tolerances", {})
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValidationError("metadata must be an object")
+    tols = _block(data, "tolerances")
+    metadata = _block(data, "metadata")
 
     return ProblemSpec(
         grid=grid,
@@ -494,8 +524,8 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         upper=upper,
         x_set=x_set,
         bounds=bounds,
-        solver_tol=float(tols.get("solver_tol", 1e-10)),
-        active_tol=float(tols.get("active_tol", 1e-6)),
+        solver_tol=_number(tols.get("solver_tol", 1e-10), "tolerances.solver_tol"),
+        active_tol=_number(tols.get("active_tol", 1e-6), "tolerances.active_tol"),
         metadata=dict(metadata),
     )
 
@@ -553,18 +583,48 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
     return data
 
 
+def read_json(path: str | os.PathLike) -> dict:
+    """The JSON object in a file: OSError if the file cannot be read,
+    ValidationError if it does not hold a JSON object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return data
+
+
+def write_file(path: str | os.PathLike, text: str) -> None:
+    """Replace the file at path with text by way of a fresh file beside it, so
+    a failed write leaves the old file and no partial one.  The fresh file is
+    synced before it replaces the old one, so a crash cannot leave path empty.
+    The file gets the mode open(path, "w") gives: 0o666 less the umask."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json(path: str | os.PathLike, data) -> None:
+    """Write data as sorted, indented JSON with write_file."""
+    write_file(path, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def load_problem(path: str | os.PathLike) -> ProblemSpec:
     """Load and validate a problem configuration file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"problem file {path} is not valid JSON: {exc}")
-    return problem_from_dict(data)
+    return problem_from_dict(read_json(path))
 
 
 def save_problem(spec: ProblemSpec, path: str | os.PathLike) -> None:
     """Write a problem configuration file that load_problem reads back."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(spec), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(path, problem_to_dict(spec))

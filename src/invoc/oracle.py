@@ -19,6 +19,7 @@ kind, goes to the active-set kernel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,10 @@ class OracleResult:
 
 def _simplex_lattice(n: int, m: int) -> np.ndarray:
     """Barycentric lattice {k/m : sum k = m} in ascending lexicographic order."""
-    if n == 1:
-        return np.array([[1.0]])
-    pts = []
-    if n == 2:
-        for i in range(m + 1):
-            pts.append((i, m - i))
-    else:
-        for i in range(m + 1):
-            for j in range(m - i + 1):
-                pts.append((i, j, m - i - j))
+    pts = [
+        k + (m - sum(k),)
+        for k in itertools.product(range(m + 1), repeat=n - 1) if sum(k) <= m
+    ]
     return np.asarray(pts, dtype=float) / m
 
 
@@ -121,6 +116,8 @@ def grid_search(
         )
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
+    if not (tol > 0.0):
+        raise ValidationError(f"tolerance must be positive, got {tol}")
 
     if spec.x_set.kind == "simplex":
         X = _simplex_lattice(n, resolution)

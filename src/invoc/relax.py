@@ -262,6 +262,8 @@ def solve_relaxed(
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
+    if not all(t > 0.0 for t in (feas_tol, stat_tol, comp_tol)):
+        raise DomainError(f"tolerances must be positive, got {feas_tol}, {stat_tol}, {comp_tol}")
     x_set = spec.x_set
     if warm is not None:
         x = x_set.project(np.asarray(warm.x, dtype=float))

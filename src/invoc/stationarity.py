@@ -121,7 +121,10 @@ def _check_feasible(spec: ProblemSpec, qp: TrackingQP, x, u):
 def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
     if key not in data:
         raise ValidationError(f"candidate is missing field {key!r}")
-    value = np.asarray(data[key], dtype=float)
+    try:
+        value = np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field {key!r} is not an array of numbers") from None
     if value.shape != shape:
         raise DimensionError(f"field {key!r} has shape {value.shape}, expected {shape}")
     return value
@@ -135,14 +138,17 @@ def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> Statio
     """Evaluate all stationarity residuals at a candidate and classify it.
 
     point holds x and u, multipliers holds z, mu, w, rho and xi; other keys
-    are ignored.  A missing field raises ValidationError and a field whose
-    length is not the grid's (x and z the parameter's) DimensionError, both
-    naming it.  The candidate must be feasible: parameter in the admissible
-    set and u lower-level optimal at x to ten times the solver tolerance.
+    are ignored.  A missing or non-numeric field raises ValidationError and a
+    field whose length is not the grid's (x and z the parameter's)
+    DimensionError, both naming it.  The candidate must be feasible:
+    parameter in the admissible set and u lower-level optimal at x to ten
+    times the solver tolerance.
     Classification is W when the core residuals clear tol, C when the
     product sign condition also clears, S when the componentwise biactive
     sign conditions clear as well.
     """
+    if not (tol > 0.0):
+        raise ValidationError(f"tolerance must be positive, got {tol}")
     grid, op = spec.grid, spec.operator
     nodes = (grid.n_nodes,)
     x, z = _field(point, "x", (spec.n,)), _field(multipliers, "z", (spec.n,))

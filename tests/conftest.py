@@ -58,6 +58,25 @@ def make_generated_spec(n_nodes: int, x_star, **kwargs) -> ProblemSpec:
     return plant(make_unplanted_spec(n_nodes, **kwargs), x_star)
 
 
+def make_tilted_spec(n_nodes: int) -> ProblemSpec:
+    """Unplanted instance: the tracking targets are unreachable and gamma
+    couples x, so the path's limit has alpha -> infinity and F > 0."""
+    grid = build_grid(n_nodes)
+    w = grid.nodes
+    targets = np.vstack([np.sin(np.pi * w), np.sin(2.0 * np.pi * w)])
+    return ProblemSpec(
+        grid=grid,
+        sigma=1e-2,
+        lower=LowerObjective(kind="target_type", targets=targets),
+        upper=UpperObjective(
+            c_y=1.0, y_o=0.3 * np.sin(np.pi * w),
+            c_u=1.0, u_o=np.zeros(n_nodes), gamma=5e-3,
+        ),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(n_nodes, -50.0), ub=np.full(n_nodes, 50.0)),
+    )
+
+
 @pytest.fixture(scope="session")
 def unit_spec() -> ProblemSpec:
     return make_generated_spec(16, (0.3, 0.7))
@@ -76,22 +95,7 @@ def box_unit_spec() -> ProblemSpec:
 
 @pytest.fixture(scope="session")
 def tilted_spec() -> ProblemSpec:
-    # no planted optimum: tracking targets are unreachable, gamma couples x
-    n_nodes = 16
-    grid = build_grid(n_nodes)
-    w = grid.nodes
-    targets = np.vstack([np.sin(np.pi * w), np.sin(2.0 * np.pi * w)])
-    return ProblemSpec(
-        grid=grid,
-        sigma=1e-2,
-        lower=LowerObjective(kind="target_type", targets=targets),
-        upper=UpperObjective(
-            c_y=1.0, y_o=0.3 * np.sin(np.pi * w),
-            c_u=1.0, u_o=np.zeros(n_nodes), gamma=5e-3,
-        ),
-        x_set=AdmissibleSetX(kind="simplex", n=2),
-        bounds=ControlBounds(ua=np.full(n_nodes, -50.0), ub=np.full(n_nodes, 50.0)),
-    )
+    return make_tilted_spec(16)
 
 
 @pytest.fixture(scope="session")

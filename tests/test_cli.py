@@ -295,6 +295,90 @@ def test_missing_problem_file_exits_2(tmp_path):
     assert err["error"]
 
 
+def _candidate_files(tmp_path, **fields):
+    """--point and --multipliers of the zero candidate at x = (0.5, 0.5) on
+    16 nodes, with the given fields replaced."""
+    data = {"x": [0.5, 0.5], "u": [0.0] * 16, "z": [0.0] * 2,
+            **{key: [0.0] * 16 for key in ("mu", "w", "rho", "xi")}, **fields}
+    args = []
+    for name, keys in (("point", ("x", "u")), ("multipliers", ("z", "mu", "w", "rho", "xi"))):
+        (tmp_path / f"{name}.json").write_text(json.dumps({key: data[key] for key in keys}))
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    return args
+
+
+def test_malformed_problem_field_exits_2(unit_spec, tmp_path):
+    data = invoc.problem_to_dict(unit_spec)
+    data["grid"]["N"] = "abc"
+    problem = tmp_path / "bad.json"
+    problem.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = cli.main(["lower", "--problem", str(problem), "--out", str(out), "--x", "0.5,0.5"])
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["error"] == "ValidationError" and err["exit_code"] == 2
+    assert "grid.N must be an integer" in err["message"]
+
+
+def test_missing_point_file_exits_2(problem_file, tmp_path):
+    missing = str(tmp_path / "nope.json")
+    rc = cli.main([
+        "certify", "--problem", problem_file, "--out", str(tmp_path),
+        "--point", missing, "--multipliers", missing,
+    ])
+    assert rc == 2
+    err = _read_json(tmp_path / "error.json")
+    assert err["error"] == "FileNotFoundError" and err["exit_code"] == 2
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def test_every_output_gets_the_mode_open_gives(problem_file, tmp_path, umask_027):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    mode = reference.stat().st_mode & 0o777
+    assert mode == 0o640
+    runs = [
+        ["make-default"],
+        ["lower", "--problem", problem_file, "--x", "0.5,0.5"],
+        ["value", "--problem", problem_file, "--x", "0.5,0.5"],
+        ["path", "--problem", problem_file, "--eps0", "1e-2", "--steps", "2"],
+        ["oracle", "--problem", problem_file, "--resolution", "4", "--landscape"],
+        ["lower", "--problem", str(tmp_path / "nope.json"), "--x", "0.5,0.5"],
+    ]
+    for i, run in enumerate(runs):
+        cli.main([*run, "--out", str(tmp_path / f"run{i}")])
+    files = sorted(tmp_path.glob("run*/*"))
+    assert {f.name for f in files} >= {
+        "default_problem.json", "manifest.json", "lower_solution.json",
+        "value_slice.csv", "path_trace.csv", "limit.json", "candidate_point.json",
+        "oracle.json", "landscape.csv", "error.json",
+    }
+    modes = {str(f.relative_to(tmp_path)): f.stat().st_mode & 0o777 for f in files}
+    assert modes == dict.fromkeys(modes, mode)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("command", ["lower", "relax", "path", "certify", "oracle"])
+def test_non_positive_tol_exits_2(problem_file, tmp_path, command, tol):
+    extra = {
+        "lower": ["--x", "0.5,0.5"],
+        "certify": _candidate_files(tmp_path),
+        "oracle": ["--resolution", "4"],
+    }.get(command, [])
+    out = tmp_path / "out"
+    rc = cli.main([command, "--problem", problem_file, "--out", str(out), "--tol", tol, *extra])
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["exit_code"] == 2 and "must be positive" in err["message"]
+
+
 def test_unparsable_vector_exits_2(problem_file, tmp_path):
     rc = cli.main([
         "lower", "--problem", problem_file, "--out", str(tmp_path),
@@ -364,6 +448,17 @@ def test_certify_truncated_field_exits_2(problem_file, unit_spec, tmp_path, fiel
     err = _read_json(out / "error.json")
     assert err["error"] == "DimensionError"
     assert repr(field) in err["message"]
+
+
+@pytest.mark.parametrize("field, value", [("x", "ab"), ("mu", {"a": 1}), ("z", ["a", "b"])])
+def test_certify_non_numeric_field_exits_2(problem_file, tmp_path, field, value):
+    out = tmp_path / "out"
+    files = _candidate_files(tmp_path, **{field: value})
+    rc = cli.main(["certify", "--problem", problem_file, "--out", str(out), *files])
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["error"] == "ValidationError"
+    assert f"field {field!r} is not an array of numbers" in err["message"]
 
 
 # every option each subcommand accepts; each one is read by its command

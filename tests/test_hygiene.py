@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name that it never uses, only the
-package's LAPACK loader imports scipy, and only its top-level package, and
-every module-level function or class of the package is used in it or public.
+package's LAPACK loader imports scipy, and only its top-level package, only
+model's writer writes files or encodes JSON, and every module-level function
+or class of the package is used in it or public.
 
 The package's __init__.py is exempt from the unused-import scan: its imports
 are the public re-exports.  An import on a line marked `# noqa: F401` is kept
@@ -97,3 +98,79 @@ def test_definition_scan_flags_unused_names():
     a = "def used():\n    pass\ndef dead():\n    pass\nclass Public:\n    pass\n"
     b = "from a import used\nused()\nimport a\na.Dead\n"
     assert _unreferenced([a, b, "class Dead:\n    pass\n"], ["Public"]) == ["dead"]
+
+
+_WRITER = {"write_file", "write_json"}  # model.py's one writer
+_WRITE_MODE = set("wax+")
+
+
+def _file_writes(source: str) -> list[str]:
+    """Every place that writes a file or encodes JSON, as "function: call":
+    open() in a writing mode, Path.write_text/write_bytes, os.open, os.fdopen,
+    os.replace, os.rename, json.dump, json.dumps, and any use of tempfile."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        what = None
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                dotted = f"{f.value.id}.{f.attr}"
+                if dotted in {"os.open", "os.fdopen", "os.replace", "os.rename",
+                              "json.dump", "json.dumps"}:
+                    what = dotted
+            if isinstance(f, ast.Attribute) and f.attr in {"write_text", "write_bytes"}:
+                what = f".{f.attr}"
+            is_open = isinstance(f, ast.Name) and f.id == "open"
+            is_path_open = isinstance(f, ast.Attribute) and f.attr == "open" and what is None
+            if is_open or is_path_open:
+                modes = [k.value for k in node.keywords if k.arg == "mode"]
+                modes += node.args[1 if is_open else 0:][:1]
+                if any(not isinstance(m, ast.Constant) or _WRITE_MODE & set(str(m.value))
+                       for m in modes):
+                    what = "open"
+        elif isinstance(node, ast.Name) and node.id == "tempfile":
+            what = "tempfile"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = node.module if isinstance(node, ast.ImportFrom) else None
+            for alias in node.names:
+                if alias.name == "tempfile" or module == "tempfile":
+                    what = "tempfile"
+                elif module in ("os", "json") and alias.name in {"open", "fdopen", "replace",
+                                                                  "rename", "dump", "dumps"}:
+                    what = f"{module}.{alias.name}"
+        if what is not None:
+            found.append(f"{where}: {what}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "invoc").glob("*.py")), ids=lambda p: p.name)
+def test_package_writes_files_only_through_the_writer(path):
+    # one atomic writer, so every file gets the same durability and mode rule
+    writes = _file_writes(path.read_text())
+    if path.name == "model.py":
+        writes = [w for w in writes if w.split(":")[0] not in _WRITER]
+    assert writes == []
+
+
+def test_write_scan_flags_every_writing_call():
+    source = (
+        "import tempfile\nfrom os import replace\n"
+        "def f(p, q):\n"
+        "    open(p, 'w'); open(p, mode='ab'); open(p); open(p, 'rb'); p.open('x'); p.open()\n"
+        "    open(p, q); p.write_text('a'); p.write_bytes(b'a'); os.open(p, 0)\n"
+        "    os.fdopen(3); os.replace(p, q); os.rename(p, q); json.dump(1, p); json.dumps(1)\n"
+        "    json.loads('1')\n"
+    )
+    assert _file_writes(source) == [
+        "<module>: tempfile", "<module>: os.replace",
+        "f: open", "f: open", "f: open", "f: open", "f: .write_text", "f: .write_bytes",
+        "f: os.open", "f: os.fdopen", "f: os.replace", "f: os.rename",
+        "f: json.dump", "f: json.dumps",
+    ]

@@ -17,6 +17,7 @@ from invoc import (
     load_problem,
     save_problem,
 )
+from invoc import model
 from invoc.discretization import inner
 from invoc.errors import (
     DimensionError,
@@ -403,6 +404,38 @@ def test_problem_from_dict_needs_allow_infinite_for_infinite_bounds(unit_spec):
     assert np.isneginf(problem_from_dict(data).bounds.ua).all()
 
 
+# (block or None for the top level, key, value, message)
+_MALFORMED = [
+    ("grid", "N", "abc", "grid.N must be an integer"),
+    ("grid", "N", 3.7, "grid.N must be an integer"),
+    (None, "sigma", "abc", "sigma must be a number"),
+    (None, "sigma", None, "sigma must be a number"),
+    ("upper_objective", "c_y", "x", "upper_objective.c_y must be a number"),
+    ("tolerances", "solver_tol", "a", "tolerances.solver_tol must be a number"),
+    (None, "x_ad", [], "x_ad must be an object"),
+    (None, "lower_objective", [], "lower_objective must be an object"),
+    (None, "tolerances", 1e-10, "tolerances must be an object"),
+    ("lower_objective", "points", ["a"], "lower_objective.points must be an integer"),
+    ("lower_objective", "points", [1.5], "lower_objective.points must be an integer"),
+    ("u_bounds", "allow_infinite", "false", "u_bounds.allow_infinite must be true or false"),
+]
+
+
+@pytest.mark.parametrize("block, key, value, message", _MALFORMED)
+def test_problem_from_dict_names_a_malformed_field(pointwise_spec, block, key, value, message):
+    data = problem_to_dict(pointwise_spec)
+    (data if block is None else data[block])[key] = value
+    with pytest.raises(ValidationError, match=message):
+        problem_from_dict(data)
+
+
+def test_problem_from_dict_rejects_non_numeric_box_bounds(box_unit_spec):
+    data = problem_to_dict(box_unit_spec)
+    data["x_ad"]["bounds"]["hi"] = [1.0, "a"]
+    with pytest.raises(ValidationError, match="x_ad.bounds.hi must be a number"):
+        problem_from_dict(data)
+
+
 def test_load_problem_missing_and_malformed(tmp_path):
     with pytest.raises(OSError):
         load_problem(tmp_path / "absent.json")
@@ -410,3 +443,62 @@ def test_load_problem_missing_and_malformed(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_problem(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "does not hold a JSON object"),
+    ("\udcff", "is not valid JSON"),  # written with surrogateescape: byte 0xff
+])
+def test_read_json_takes_only_a_json_object(tmp_path, text, message):
+    path = tmp_path / "data.json"
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(ValidationError, match=message):
+        model.read_json(path)
+
+
+@pytest.mark.parametrize("target, attribute", [
+    (model.json.JSONEncoder, "iterencode"),  # before any byte is written
+    (model.os, "replace"),  # after the fresh file is complete
+])
+def test_failed_save_keeps_the_previous_file(
+    tmp_path, unit_spec, pointwise_spec, monkeypatch, target, attribute
+):
+    path = tmp_path / "prob.json"
+    save_problem(unit_spec, path)
+    before = path.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise OSError("refused")
+
+    monkeypatch.setattr(target, attribute, refuse)
+    with pytest.raises(OSError, match="refused"):
+        save_problem(pointwise_spec, path)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_write_that_fails_partway_leaves_no_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    model.write_file(path, "old\n")
+    real_fdopen = model.os.fdopen
+    written = []
+
+    def half_then_full_disk(fd, *args, **kwargs):
+        fh = real_fdopen(fd, *args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            real_write(text[:len(text) // 2])
+            fh.flush()
+            written.append(model.os.fstat(fd).st_size)
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(model.os, "fdopen", half_then_full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        model.write_file(path, "x" * 10_000)
+    assert written == [5_000]
+    assert path.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [path]

@@ -21,6 +21,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 
+from conftest import make_tilted_spec
 from util_dense import (
     dense_matrix,
     lower_value_dense,
@@ -339,3 +340,14 @@ def test_default_path_on_pointwise_instance(pointwise_spec):
     for rec in trace.records:
         assert rec.relaxed.converged
         assert rec.relaxed.residuals["x"] <= 1e-6
+
+
+def test_unplanted_limit_converges_at_second_order_in_h():
+    # the discrete bilevel solution approximates the continuous one: on
+    # nested grids each difference of x_N and of F_N is a quarter of the last
+    limits = [run_path(make_tilted_spec(n)).limit for n in (15, 31, 63, 127)]
+    dx = [np.linalg.norm(b["x"] - a["x"]) for a, b in zip(limits, limits[1:])]
+    dF = [abs(b["upper_value"] - a["upper_value"]) for a, b in zip(limits, limits[1:])]
+    for diffs in (dx, dF):
+        for ratio in (diffs[0] / diffs[1], diffs[1] / diffs[2]):
+            assert 4.0 / 1.3 <= ratio <= 4.0 * 1.3
