@@ -16,7 +16,10 @@ solves exactly.  The solver nests three steps:
 - projected gradient in x on V(x) = F at the solved u, whose gradient
   gamma x + alpha (j(y) - grad phi(x)) is the envelope formula.  Trial
   points are compared by the dual value F + alpha (gap - eps), which does
-  not carry the multiplier search's error in the gap to first order.
+  not carry the multiplier search's error in the gap to first order.  By
+  weak duality the dual value at any alpha bounds V from below, so a
+  trial's search stops once it exceeds the Armijo threshold, and a warm
+  start with alpha > 0 keeps its predecessor's step length.
 
 A solution's residuals check (x, alpha, u) alone: the u-subproblem's own
 fixed-point test, whose fresh solves give y, p and lam, the x-equation
@@ -52,6 +55,8 @@ class RelaxedSolution:
     run_path took over from its predecessor without solving it.  sample is
     the value sample x was accepted with, which the residuals are taken
     about; it equals a cold sample at x bitwise but for lower.iterations.
+    step is the x-loop's next Barzilai-Borwein step length, where a warm
+    start with alpha > 0 begins.
     y, p and lam are the u-subproblem's state, adjoint and bound multiplier
     at (x, alpha, u); the residuals read only x, u, alpha and eps.
     """
@@ -71,6 +76,7 @@ class RelaxedSolution:
     converged: bool
     residuals: dict = field(default_factory=dict)
     sample: ValueSample | None = None
+    step: float = 1.0
 
 
 @dataclass(eq=False)
@@ -172,7 +178,8 @@ class _Solver:
                       upper=spec.upper.value(spec.grid, vs.x, sol.y, sol.u),
                       gap=gap, slope=slope)
 
-    def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray) -> _Point:
+    def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray,
+                 bound: float = math.inf) -> _Point:
         """The Newton search for alpha at vs.x starting at alpha, warm-started from u.
 
         alpha = 0 is tried once, when the tangent line at a point with
@@ -180,14 +187,17 @@ class _Solver:
         gap(0) <= eps, or at a point that passes the feasibility and
         complementarity tests once the Newton step moves alpha by less than
         _ALPHA_RTOL; the tests alone would leave an error in alpha that the
-        envelope gradient carries.  Else returns the last point.
+        envelope gradient carries.  Else returns the last point.  It also
+        stops at a point whose dual value exceeds bound: by weak duality the
+        dual value at any alpha is at most the one at the root, so the full
+        search would end above bound too.
         """
         low = lower_qp(self.spec, vs.x)
         lo, hi = 0.0, math.inf  # gap(lo) > eps >= gap(hi)
         zero_tried = alpha == 0.0
         pt = self._solve(vs, low, alpha, u)
         for _ in range(_MAX_SEARCH):
-            if pt.alpha == 0.0 and pt.gap <= self.eps:
+            if (pt.alpha == 0.0 and pt.gap <= self.eps) or self.dual(pt) > bound:
                 break
             if pt.gap > self.eps:
                 lo = pt.alpha
@@ -205,14 +215,15 @@ class _Solver:
             pt = self._solve(vs, low, alpha, pt.u)
         return pt
 
-    def assemble(self, pt: _Point, steps: int, converged: bool) -> RelaxedSolution:
+    def assemble(self, pt: _Point, steps: int, converged: bool,
+                 step: float = 1.0) -> RelaxedSolution:
         spec = self.spec
         sol = RelaxedSolution(
             eps=self.eps, x=pt.x, y=pt.y, u=pt.u, alpha=pt.alpha,
             z=-self.gradient(pt), p=pt.p, lam=_multiplier(spec, pt.alpha, pt.u, pt.p),
             upper_value=pt.upper, gap=pt.gap,
             inner_iterations=self.solves, outer_iterations=steps,
-            converged=converged, sample=pt.vs,
+            converged=converged, sample=pt.vs, step=step,
         )
         sol.residuals = _residuals(spec, sol, sol.sample)
         return sol
@@ -252,6 +263,8 @@ def solve_relaxed(
     Each trial x gets one value sample and a Newton search for alpha whose
     u-subproblems the QP kernel solves exactly; steps are accepted by an
     Armijo test on the dual value, and their length follows Barzilai-Borwein.
+    A trial's search stops early once its dual value fails the test.  The
+    first trial takes warm.step when warm.alpha > 0, else step length 1.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u
     and, at the same x bitwise if it passes the kernel's fixed-point check
@@ -269,11 +282,12 @@ def solve_relaxed(
         x = x_set.project(np.asarray(warm.x, dtype=float))
         u = spec.bounds.project(np.asarray(warm.u, dtype=float))
         alpha = max(0.0, float(warm.alpha))
+        step = warm.step if alpha > 0.0 else 1.0
     else:
         simplex = x_set.kind == "simplex"
         x = np.full(spec.n, 1.0 / spec.n) if simplex else 0.5 * (x_set.lo + x_set.hi)
         u = spec.bounds.project(spec.upper.u_o)
-        alpha = 0.0
+        alpha, step = 0.0, 1.0
 
     solver = _Solver(spec, eps, feas_tol, comp_tol)
     best = (math.inf, None, 0)  # (measure, accepted point, x-steps) of the best point
@@ -284,7 +298,7 @@ def solve_relaxed(
             vs = value_sample(spec, x)
         pt = solver.evaluate(vs, alpha, u)
         grad = solver.gradient(pt)
-        best, step = (math.inf, pt, 0), 1.0
+        best = (math.inf, pt, 0)
         for steps in range(_MAX_STEPS + 1):
             residual = _stationarity(x_set, pt.x, grad)
             measure = max(
@@ -294,7 +308,7 @@ def solve_relaxed(
             )
             best = min(best, (measure, pt, steps), key=lambda b: b[0])
             if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
-                return solver.assemble(pt, steps, converged=True)
+                return solver.assemble(pt, steps, converged=True, step=step)
             if steps == _MAX_STEPS:
                 break
             value = solver.dual(pt)
@@ -303,10 +317,10 @@ def solve_relaxed(
                 move = x_t - pt.x
                 if not move.any():
                     break
+                bound = value + _ARMIJO * float(grad @ move) + _ROUNDOFF * (1.0 + abs(value))
                 trial = solver.evaluate(value_sample(spec, x_t, warm_start=pt.vs.lower.u),
-                                        pt.alpha, pt.u)
-                if solver.dual(trial) <= (value + _ARMIJO * float(grad @ move)
-                                          + _ROUNDOFF * (1.0 + abs(value))):
+                                        pt.alpha, pt.u, bound)
+                if solver.dual(trial) <= bound:
                     break
                 step *= 0.5
             if not move.any():

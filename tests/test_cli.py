@@ -185,6 +185,19 @@ def test_value_random_samples_deterministic(problem_file, tmp_path):
     assert len(_read_csv(out[0] / "value_slice.csv")) == 5
 
 
+@pytest.mark.parametrize("extra", [["--x", "0.5,0.5"], ["--resolution", "5"]])
+def test_value_samples_with_slice_options_exits_2(problem_file, tmp_path, extra):
+    # random samples read neither the slice endpoints nor the slice length
+    rc = cli.main([
+        "value", "--problem", problem_file, "--out", str(tmp_path),
+        "--samples", "4", *extra,
+    ])
+    assert rc == 2
+    err = _read_json(tmp_path / "error.json")
+    assert err["error"] == "ValidationError" and "--samples takes neither" in err["message"]
+    assert not (tmp_path / "value_slice.csv").exists()
+
+
 def test_relax_command_output(problem_file, tmp_path):
     rc = cli.main([
         "relax", "--problem", problem_file, "--out", str(tmp_path),

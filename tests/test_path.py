@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import invoc.relax
 import invoc.value
 from invoc import (
     ProblemSpec,
@@ -16,12 +17,14 @@ from invoc import (
     relaxed_kkt_residuals,
     run_path,
     solve_lower,
+    solve_relaxed,
     trace_rows,
 )
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
+from invoc.path import _carry_over
 
-from conftest import make_tilted_spec
+from conftest import make_generated_spec, make_tilted_spec
 from util_dense import (
     dense_matrix,
     lower_value_dense,
@@ -351,3 +354,45 @@ def test_unplanted_limit_converges_at_second_order_in_h():
     for diffs in (dx, dF):
         for ratio in (diffs[0] / diffs[1], diffs[1] / diffs[2]):
             assert 4.0 / 1.3 <= ratio <= 4.0 * 1.3
+
+
+def test_gamma_path_within_its_work_budget():
+    # with gamma > 0 the x-loop takes many steps and rejects many trials;
+    # stopping a trial's multiplier search once the Armijo test must fail,
+    # and carrying the step length across levels, keep the path near 1,000
+    # band solves
+    trace = run_path(make_generated_spec(32, (0.25, 0.75), gamma=1e-3))
+    assert trace.failure is None and len(trace.records) == 21
+    assert sum(r.relaxed.inner_iterations for r in trace.records) <= 1600
+
+
+def test_step_length_survives_carry_over(unit_trace):
+    sol = replace(unit_trace.records[-1].relaxed, step=0.375)
+    assert _carry_over(sol, 0.5 * sol.eps).step == 0.375
+
+
+def test_warm_step_length_only_with_a_positive_multiplier(unit_spec, tilted_spec, monkeypatch):
+    # at alpha = 0 the last secant measured a V whose constraint was
+    # inactive, so the first trial takes step length 1 whatever warm.step
+    # is; with alpha > 0 it takes warm.step
+    trials = []
+    sample = invoc.relax.value_sample
+
+    def recorded(spec, x, warm_start=None):
+        if warm_start is not None:  # a trial x of the x-loop
+            trials.append(np.asarray(x).tobytes())
+        return sample(spec, x, warm_start=warm_start)
+
+    monkeypatch.setattr(invoc.relax, "value_sample", recorded)
+    for spec, eps, kept in ((unit_spec, 1e-2, False), (tilted_spec, 1e-2, True)):
+        warm = solve_relaxed(spec, eps)
+        assert (warm.alpha > 0.0) == kept
+        runs = []
+        for step in (1.0, 1e-3):
+            trials.clear()
+            sol = solve_relaxed(spec, 0.1 * eps, warm=replace(warm, step=step))
+            runs.append((list(trials), sol.x.tobytes(), sol.inner_iterations))
+        assert runs[0][0] and runs[1][0]
+        assert (runs[0][0][0] != runs[1][0][0]) == kept
+        if not kept:
+            assert runs[0] == runs[1]

@@ -387,3 +387,35 @@ def test_gap_slope_matches_finite_difference(name, request):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
     # the bounded instance holds nodes on its bound; the others hold none
     assert (binding > 0) == (name == "bounded_spec")
+
+
+@pytest.mark.parametrize("name", ["bounded_spec", "tilted_spec", "gamma"])
+def test_early_exit_changes_no_decision(name, request):
+    # a search stopped once its dual value exceeds the Armijo threshold
+    # rejects exactly the trials the full search rejects: by weak duality
+    # the dual value at any alpha is at most the one at the root
+    if name == "gamma":
+        spec = make_generated_spec(32, (0.25, 0.75), gamma=1e-3)
+    else:
+        spec = request.getfixturevalue(name)
+    eps = 1e-4
+    sol = solve_relaxed(spec, eps)
+    assert sol.alpha > 0.0
+    rng = np.random.default_rng(0)
+    stopped = 0
+    for _ in range(10):
+        scale = 10.0 ** rng.uniform(-4.0, -1.0)
+        vs = value_sample(spec, spec.x_set.project(sol.x + scale * rng.normal(size=spec.n)))
+        full_solver = _Solver(spec, eps, feas_tol=1e-8, comp_tol=1e-8)
+        full = full_solver.dual(full_solver.evaluate(vs, sol.alpha, sol.u))
+        for sign in (-1.0, 1.0):
+            # above the roundoff in which a dual value near the root may
+            # exceed the root's
+            bound = full + sign * 10.0 ** rng.uniform(-12.0, -1.0) * (1.0 + abs(full))
+            solver = _Solver(spec, eps, feas_tol=1e-8, comp_tol=1e-8)
+            early = solver.dual(solver.evaluate(vs, sol.alpha, sol.u, bound))
+            assert (early > bound) == (full > bound)
+            assert early <= full + 1e-15 * (1.0 + abs(full))
+            assert solver.solves <= full_solver.solves
+            stopped += solver.solves < full_solver.solves
+    assert stopped > 0
