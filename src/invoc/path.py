@@ -12,6 +12,12 @@ recombines the relaxed multipliers into the limiting tuple
 whose limits certify stationarity of the bilevel candidate.  The feasible
 sets shrink as eps falls, so a level that ends at alpha = 0 with gap at most
 the next eps also solves the next level, which records it without a solve.
+Where the constraint binds, the path is smooth in sqrt(eps): x_k - x_lim
+and 1/alpha_k are both about proportional to sqrt(eps_k).  So a level whose
+two predecessors both end at alpha > 0 starts from their extrapolation, a
+predictor that solve_relaxed corrects (Allgower and Georg, Numerical
+Continuation Methods, 1990); if the corrector fails from there, the level
+is solved again from its predecessor.
 Convergence of the whole sequence is not guaranteed, only subsequential
 convergence, so the trace reports Cauchy diagnostics instead of asserting a
 limit.  Consecutive upper values must obey weak duality,
@@ -21,6 +27,7 @@ violation is reported as a likely switch between local minima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +51,7 @@ class PathStep:
     rho: np.ndarray
     xi: np.ndarray
     du_lower: float  # ||u_k - psi_u(x_k)||, controls the feasibility bound
+    start: str  # the level's start: cold, warm, predicted or fallback
 
 
 @dataclass(eq=False)
@@ -67,7 +75,7 @@ class PathTrace:
         return self.failure is None and len(self.records) == self.steps + 1
 
 
-def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution) -> PathStep:
+def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution, start: str) -> PathStep:
     low = sol.sample.lower
     a = sol.alpha
     mu = a * (sol.y - low.y)
@@ -77,7 +85,7 @@ def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution) -> PathStep:
     du = norm(spec.grid, sol.u - low.u)
     return PathStep(
         k=k, eps=sol.eps, relaxed=sol,
-        mu=mu, w=w, rho=rho, xi=xi, du_lower=du,
+        mu=mu, w=w, rho=rho, xi=xi, du_lower=du, start=start,
     )
 
 
@@ -94,6 +102,23 @@ def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
     )
 
 
+def _predict(spec: ProblemSpec, a: RelaxedSolution, b: RelaxedSolution,
+             eps: float) -> RelaxedSolution:
+    """The start at level eps extrapolated from the solved levels a and b.
+
+    x is linear in sqrt(eps) through x_a and x_b, projected onto X_ad, and
+    log alpha linear in log eps through alpha_a and alpha_b.  u, the step
+    length and the other fields are b's.  The start carries the value
+    sample at its x, which solve_relaxed takes over.
+    """
+    ra, rb = math.sqrt(a.eps), math.sqrt(b.eps)
+    x = spec.x_set.project(b.x + (math.sqrt(eps) - rb) / (rb - ra) * (b.x - a.x))
+    power = math.log(eps / b.eps) / math.log(b.eps / a.eps)
+    alpha = b.alpha * (b.alpha / a.alpha) ** power
+    return replace(b, x=x, alpha=alpha,
+                   sample=value_sample(spec, x, warm_start=b.sample.lower.u))
+
+
 def run_path(
     spec: ProblemSpec,
     eps0: float = 1.0,
@@ -108,9 +133,14 @@ def run_path(
     Each solve is warm-started from the previous level's x, alpha, u and value
     sample, and solved to the given tolerances.  A level that the previous
     one already solves (alpha = 0, gap <= eps_k, x stationary to stat_tol)
-    is recorded as a copy of it, with zero iterations.  A solver failure
-    aborts the path but returns the partial trace with a failure marker, so
-    callers can inspect how far the continuation got.
+    is recorded as a copy of it, with zero iterations.  A level whose two
+    predecessors both end at alpha > 0 starts instead from their
+    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps);
+    if that solve fails, the level is solved again from its predecessor,
+    and its counts include the failed attempt's.  Each record names its
+    start: cold, warm, predicted or fallback.  A failure of the solve from
+    the predecessor aborts the path but returns the partial trace with a
+    failure marker, so callers can inspect how far the continuation got.
     """
     if not (eps0 > 0.0):
         raise ValidationError(f"eps0 must be positive, got {eps0}")
@@ -120,27 +150,44 @@ def run_path(
         raise ValidationError(f"step count must be at least 2, got {steps}")
 
     trace = PathTrace(eps0=eps0, ratio=ratio, steps=steps)
+    tols = {"feas_tol": feas_tol, "stat_tol": stat_tol, "comp_tol": comp_tol}
+    # the last two levels: their solutions are all the predictor reads
+    prev: RelaxedSolution | None = None
     warm: RelaxedSolution | None = None
     for k in range(steps + 1):
         eps_k = eps0 * ratio**k
-        if warm is not None and _solves_level(spec, warm, eps_k, stat_tol):
-            sol = _carry_over(warm, eps_k)
-        else:
-            try:
-                sol = solve_relaxed(
-                    spec, eps_k, warm=warm,
-                    feas_tol=feas_tol, stat_tol=stat_tol, comp_tol=comp_tol,
-                )
-            except ConvergenceError as err:
-                trace.failure = {
-                    "k": k,
-                    "eps": eps_k,
-                    "message": str(err),
-                    "residuals": dict(err.residuals or {}),
-                }
-                break
-        trace.records.append(_recombine(spec, k, sol))
-        warm = sol
+        start = "cold" if warm is None else "warm"
+        try:
+            if warm is not None and _solves_level(spec, warm, eps_k, stat_tol):
+                sol = _carry_over(warm, eps_k)
+            elif prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
+                start = "predicted"
+                try:
+                    sol = solve_relaxed(spec, eps_k, warm=_predict(spec, prev, warm, eps_k),
+                                        **tols)
+                except ConvergenceError as err:
+                    start = "fallback"
+                    sol = solve_relaxed(spec, eps_k, warm=warm, **tols)
+                    # the rejected attempt's work; a failure of the predicted
+                    # start's lower solve carries the kernel's iterate instead
+                    if isinstance(err.best, RelaxedSolution):
+                        sol = replace(
+                            sol,
+                            inner_iterations=sol.inner_iterations + err.best.inner_iterations,
+                            outer_iterations=sol.outer_iterations + err.best.outer_iterations,
+                        )
+            else:
+                sol = solve_relaxed(spec, eps_k, warm=warm, **tols)
+        except ConvergenceError as err:
+            trace.failure = {
+                "k": k,
+                "eps": eps_k,
+                "message": str(err),
+                "residuals": dict(err.residuals or {}),
+            }
+            break
+        trace.records.append(_recombine(spec, k, sol, start))
+        prev, warm = warm, sol
 
     _finalize(spec, trace)
     return trace
@@ -205,7 +252,7 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
         )
 
     if trace.failure is None:
-        low = (last.relaxed.sample or value_sample(spec, last.relaxed.x)).lower
+        low = last.relaxed.sample.lower
         trace.limit = {
             "x": last.relaxed.x,
             "y": low.y,
@@ -261,6 +308,7 @@ def trace_rows(trace: PathTrace) -> list[dict]:
             "du_lower": r.du_lower,
             "inner_iterations": r.relaxed.inner_iterations,
             "outer_iterations": r.relaxed.outer_iterations,
+            "start": r.start,
         }
         for name, val in sorted(r.relaxed.residuals.items()):
             row[f"res_{name}"] = val

@@ -51,6 +51,13 @@ def problem_file(unit_spec, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tilted_problem_file(tilted_spec, tmp_path_factory):
+    path = tmp_path_factory.mktemp("prob") / "tilted.json"
+    save_problem(tilted_spec, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def bounded_problem_file(bounded_spec, tmp_path_factory):
     path = tmp_path_factory.mktemp("prob") / "bounded.json"
     save_problem(bounded_spec, path)
@@ -226,6 +233,7 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
     for name in ("inner_iterations", "outer_iterations"):
         column = [int(row[header.index(name)]) for row in rows[1:]]
         assert column == [getattr(r.relaxed, name) for r in trace.records]
+    assert [row[header.index("start")] for row in rows[1:]] == ["cold"] + 6 * ["warm"]
     limit = _read_json(run / "limit.json")
     assert limit["completed"] == 7
     assert limit["failure"] is None
@@ -251,6 +259,20 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
 
 def _tols(tol):
     return {"feas_tol": tol, "stat_tol": tol, "comp_tol": tol}
+
+
+def test_path_trace_records_each_level_start(tilted_problem_file, tmp_path):
+    # the unplanted path binds from level 4 on, so from level 6 on each
+    # level starts from the extrapolation of the two before it
+    rc = cli.main([
+        "path", "--problem", tilted_problem_file, "--out", str(tmp_path), "--steps", "8",
+    ])
+    assert rc == 0
+    rows = _read_csv(tmp_path / "path_trace.csv")
+    column = [row[rows[0].index("start")] for row in rows[1:]]
+    trace = invoc.run_path(load_problem(tilted_problem_file), steps=8)
+    assert column == [r.start for r in trace.records]
+    assert column[0] == "cold" and column[-3:] == 3 * ["predicted"]
 
 
 # at tol 1e-2 both results differ from those at the default tolerances

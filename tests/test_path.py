@@ -23,6 +23,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 from invoc.path import _carry_over
+from invoc.relax import _solves_level
 
 from conftest import make_generated_spec, make_tilted_spec
 from util_dense import (
@@ -221,6 +222,7 @@ def test_trace_rows_export(unit_trace):
         assert row["k"] == k
         for key in ("eps", "upper_value", "gap", "alpha", "du_lower"):
             assert key in row
+        assert row["start"] == unit_trace.records[k].start
         assert any(key.startswith("res_") for key in row)
 
 
@@ -358,12 +360,14 @@ def test_unplanted_limit_converges_at_second_order_in_h():
 
 def test_gamma_path_within_its_work_budget():
     # with gamma > 0 the x-loop takes many steps and rejects many trials;
-    # stopping a trial's multiplier search once the Armijo test must fail,
-    # and carrying the step length across levels, keep the path near 1,000
-    # band solves
-    trace = run_path(make_generated_spec(32, (0.25, 0.75), gamma=1e-3))
-    assert trace.failure is None and len(trace.records) == 21
-    assert sum(r.relaxed.inner_iterations for r in trace.records) <= 1600
+    # the early stop of a rejected trial's multiplier search, the carried
+    # step length and the predicted starts keep the path near 200-250 band
+    # solves (981 and 551 with a plain warm start at every level)
+    for gamma, budget in ((1e-3, 350), (1e-2, 310)):
+        trace = run_path(make_generated_spec(32, (0.25, 0.75), gamma=gamma))
+        assert trace.failure is None and len(trace.records) == 21
+        assert "predicted" in [r.start for r in trace.records]
+        assert sum(r.relaxed.inner_iterations for r in trace.records) <= budget, gamma
 
 
 def test_step_length_survives_carry_over(unit_trace):
@@ -396,3 +400,119 @@ def test_warm_step_length_only_with_a_positive_multiplier(unit_spec, tilted_spec
         assert (runs[0][0][0] != runs[1][0][0]) == kept
         if not kept:
             assert runs[0] == runs[1]
+
+
+DEEP = {"steps": 40, "feas_tol": 1e-12, "stat_tol": 1e-7, "comp_tol": 1e-12}
+
+
+def _reference_path(spec, steps=20, **tols):
+    """run_path's levels at eps0 1 and ratio 1/2, each started from its
+    predecessor: the path without its predictor."""
+    tols = {"feas_tol": 1e-8, "stat_tol": 1e-7, "comp_tol": 1e-8, **tols}
+    sols, warm = [], None
+    for k in range(steps + 1):
+        eps = 0.5**k
+        if warm is not None and _solves_level(spec, warm, eps, tols["stat_tol"]):
+            warm = _carry_over(warm, eps)
+        else:
+            warm = solve_relaxed(spec, eps, warm=warm, **tols)
+        sols.append(warm)
+    return sols
+
+
+@pytest.mark.parametrize("name", ["default", "generated64"])
+def test_planted_deep_path_equals_the_plain_warm_start_path(name):
+    # every solved level of a planted path ends at alpha = 0, so no level
+    # is predicted and the path is the plain warm-start loop bitwise
+    spec = make_default_problem() if name == "default" else make_generated_spec(64, (0.3, 0.7))
+    trace = run_path(spec, **DEEP)
+    reference = _reference_path(spec, **DEEP)
+    assert trace.failure is None and len(trace.records) == len(reference) == 41
+    assert {r.start for r in trace.records[1:]} == {"warm"} and trace.records[0].start == "cold"
+    for rec, ref in zip(trace.records, reference):
+        sol = rec.relaxed
+        for name in ("x", "y", "u", "z", "p", "lam"):
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), (rec.k, name)
+        assert (sol.alpha, sol.gap, sol.upper_value, sol.step) == (
+            ref.alpha, ref.gap, ref.upper_value, ref.step)
+        assert (sol.inner_iterations, sol.outer_iterations) == (
+            ref.inner_iterations, ref.outer_iterations)
+        assert sol.residuals == ref.residuals
+
+
+@pytest.mark.parametrize("tols", [{}, DEEP], ids=["default", "deep"])
+def test_predicted_starts_reach_the_same_limit_with_less_work(tols):
+    # the unplanted limit has alpha -> infinity, and the x_k and alpha_k
+    # that the predictor extrapolates lie on a smooth path in sqrt(eps)
+    spec = make_tilted_spec(63)
+    trace = run_path(spec, **tols)
+    reference = _reference_path(spec, **tols)
+    assert trace.failure is None and len(trace.records) == len(reference)
+    starts = [r.start for r in trace.records]
+    assert "predicted" in starts and "fallback" not in starts
+    last = reference[-1]
+    low = last.sample.lower
+    assert np.max(np.abs(trace.limit["x"] - last.x)) <= 1e-6
+    assert trace.limit["upper_value"] == pytest.approx(
+        spec.upper.value(spec.grid, last.x, low.y, low.u), rel=1e-9)
+    assert trace.records[-1].relaxed.upper_value == pytest.approx(last.upper_value, rel=1e-9)
+    solves = sum(r.relaxed.inner_iterations for r in trace.records)
+    assert solves <= 0.75 * sum(sol.inner_iterations for sol in reference)
+
+
+def _forced_failures(monkeypatch, eps_failing, plain_too):
+    """Make the relaxed solves at eps_failing raise from a predicted start,
+    after the real attempt, and from a plain start too if plain_too."""
+    from invoc import path as path_mod
+
+    predicted, attempts = [], []
+    real_predict, real_solve = path_mod._predict, path_mod.solve_relaxed
+
+    def predict(*args):
+        predicted.append(real_predict(*args))
+        return predicted[-1]
+
+    def flaky(spec, eps, warm=None, **kwargs):
+        sol = real_solve(spec, eps, warm=warm, **kwargs)
+        is_predicted = any(warm is start for start in predicted)
+        if eps == eps_failing and (is_predicted or plain_too):
+            attempts.append(sol)
+            raise ConvergenceError(f"forced failure from a {'predicted' if is_predicted else 'plain'}"
+                                   " start", best=replace(sol, converged=False),
+                                   residuals={"x": 1.0})
+        return sol
+
+    monkeypatch.setattr(path_mod, "_predict", predict)
+    monkeypatch.setattr(path_mod, "solve_relaxed", flaky)
+    return attempts
+
+
+def test_failed_predicted_start_falls_back_to_the_previous_level(tilted_spec, monkeypatch):
+    clean = run_path(tilted_spec)
+    k = [r.start for r in clean.records].index("predicted") + 1
+    attempts = _forced_failures(monkeypatch, clean.records[k].eps, plain_too=False)
+    trace = run_path(tilted_spec)
+    assert trace.failure is None and len(trace.records) == 21
+    assert len(attempts) == 1
+    rec, before = trace.records[k], trace.records[k - 1].relaxed
+    assert rec.start == "fallback"
+    again = solve_relaxed(tilted_spec, rec.eps, warm=before)
+    assert rec.relaxed.x.tobytes() == again.x.tobytes()
+    assert rec.relaxed.alpha == again.alpha
+    # the level's counts include the rejected attempt's work
+    assert rec.relaxed.inner_iterations == again.inner_iterations + attempts[0].inner_iterations
+    assert rec.relaxed.outer_iterations == again.outer_iterations + attempts[0].outer_iterations
+    # the next level is predicted again, from the fallback's solution
+    assert trace.records[k + 1].start == "predicted"
+
+
+def test_path_fails_only_when_the_fallback_fails_too(tilted_spec, monkeypatch):
+    clean = run_path(tilted_spec)
+    k = [r.start for r in clean.records].index("predicted") + 1
+    attempts = _forced_failures(monkeypatch, clean.records[k].eps, plain_too=True)
+    trace = run_path(tilted_spec)
+    assert len(attempts) == 2
+    assert trace.failure["k"] == k and len(trace.records) == k
+    assert "from a plain start" in trace.failure["message"]
+    assert trace.failure["residuals"] == {"x": 1.0}
+    assert trace.limit == {}
