@@ -77,8 +77,9 @@ class EllipticOperator:
     product, so apply and solve serve for the adjoint equations too.  The
     tridiagonal LDL^T factorization (LAPACK dpttrf: n pivots and n - 1
     multipliers) is computed once at construction; solves accept a vector
-    or a matrix of stacked columns.  The closed-form sine eigenpairs are
-    built on first use.
+    or a matrix of stacked columns.  The closed-form sine eigenpairs and
+    the band matrix of the tracking QPs' optimality systems are built on
+    first use.
     """
 
     def __init__(self, grid: Grid):
@@ -98,6 +99,21 @@ class EllipticOperator:
         out[:-1] -= y[1:]
         out[1:] -= y[:-1]
         return out / h2
+
+    @cached_property
+    def pair_band(self) -> np.ndarray:
+        """A on both halves of unknowns interleaved as (y_0, p_0, y_1, ...), in
+        LAPACK band storage with kl = ku = 2 and dgbtrf's two fill-in rows.
+
+        The tracking QPs' optimality systems (lower._optimality_system) are
+        this matrix with their coupling terms added; callers copy it.
+        """
+        inv_h2 = 1.0 / (self.grid.h * self.grid.h)
+        ab = np.zeros((7, 2 * self.grid.n_nodes))
+        ab[2, 2:] = -inv_h2
+        ab[4, :] = 2.0 * inv_h2
+        ab[6, :-2] = -inv_h2
+        return ab
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:

@@ -114,17 +114,11 @@ def _optimality_system(spec: ProblemSpec, qp: TrackingQP):
     2k+1 is the adjoint equation A p + d y = c.  Returned with s/r, the
     factor _band_solve puts on the A y part of the free rows.
     """
-    grid = spec.grid
-    n = grid.n_nodes
     r = _scale(spec, qp)
-    inv_h2 = 1.0 / (grid.h * grid.h)
-    ab = np.zeros((7, 2 * n))
-    ab[2, 2:] = -inv_h2
-    ab[4, :] = 2.0 * inv_h2
-    ab[6, :-2] = -inv_h2
+    ab = spec.operator.pair_band.copy()
     ab[3, 1::2] = -1.0 / r
     ab[5, 0::2] = qp.d
-    rhs = np.zeros(2 * n)
+    rhs = np.empty(2 * spec.grid.n_nodes)
     rhs[0::2] = qp.b / r
     rhs[1::2] = qp.c
     return ab, rhs, qp.s / r
@@ -135,7 +129,7 @@ def _band_solve(system, fixed: np.ndarray, values: np.ndarray, factors=None):
     the gradient equation on the free ones, and the band matrix's dgbtrf
     factors (lu, piv, fixed), taken from factors when those fix these nodes."""
     ab, rhs, ratio = system
-    if factors is None or not np.array_equal(factors[2], fixed):
+    if factors is None or factors[2].tobytes() != fixed.tobytes():
         mat = ab.copy()
         mat[3, 1::2][fixed] = 0.0
         if ratio != 1.0:

@@ -268,15 +268,18 @@ class AdmissibleSetX:
         if not np.isfinite(x).all():
             raise ValidationError(f"cannot project the non-finite point {x}")
         if self.kind == "box":
-            return np.clip(x, self.lo, self.hi)
+            return np.minimum(self.hi, np.maximum(self.lo, x))
         # sorting-based simplex projection of x - max(x), which has the same
-        # projection; the largest entry, now 0, always passes the test
+        # projection; the largest entry, now 0, always passes the test.  The
+        # sorted entries' prefix sums run on Python floats, which round as
+        # np.cumsum does
         x = x - x.max()
-        s = np.sort(x)[::-1]
-        c = np.cumsum(s) - 1.0
-        k = np.arange(1, x.size + 1)
-        rho = k[s - c / k > 0.0][-1]
-        return np.maximum(x - c[rho - 1] / rho, 0.0)
+        total = shift = 0.0
+        for k, s in enumerate(sorted(x.tolist(), reverse=True), 1):
+            total += s
+            if s - (total - 1.0) / k > 0.0:
+                shift = (total - 1.0) / k
+        return np.maximum(x - shift, 0.0)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -330,7 +333,8 @@ class ControlBounds:
             )
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(u, dtype=float), self.ua, self.ub)
+        # np.clip's value, zeros' signs included, without its Python wrapper
+        return np.minimum(self.ub, np.maximum(self.ua, u))
 
     def feasible(self, u: np.ndarray, tol: float) -> bool:
         u = np.asarray(u, dtype=float)

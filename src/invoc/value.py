@@ -29,24 +29,22 @@ class ValueSample:
     lower: LowerSolution
 
 
-def lower_objective_value(spec: ProblemSpec, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> float:
-    """Lower-level objective f(x, y, u) = x . j(y) + (sigma/2) ||u||^2."""
-    return float(
-        np.dot(np.asarray(x, dtype=float), eval_j(spec.grid, spec.lower, y))
-        + 0.5 * spec.sigma * inner(spec.grid, u, u)
-    )
+def lower_objective_value(spec: ProblemSpec, x: np.ndarray, y: np.ndarray, u: np.ndarray,
+                          jy: np.ndarray | None = None) -> float:
+    """Lower-level objective f(x, y, u) = x . j(y) + (sigma/2) ||u||^2, with
+    jy = j(y) if the caller has it."""
+    if jy is None:
+        jy = eval_j(spec.grid, spec.lower, y)
+    return float(np.dot(np.asarray(x, dtype=float), jy) + 0.5 * spec.sigma * inner(spec.grid, u, u))
 
 
 def value_sample(spec: ProblemSpec, x, warm_start: np.ndarray | None = None) -> ValueSample:
     """Evaluate phi and its gradient at x with one exact lower solve at the
     spec's solver_tol, uncached."""
     sol = solve_lower(spec, x, warm_start=warm_start)
-    return ValueSample(
-        x=sol.x,
-        phi=lower_objective_value(spec, sol.x, sol.y, sol.u),
-        grad_phi=eval_j(spec.grid, spec.lower, sol.y),
-        lower=sol,
-    )
+    jy = eval_j(spec.grid, spec.lower, sol.y)
+    return ValueSample(x=sol.x, phi=lower_objective_value(spec, sol.x, sol.y, sol.u, jy),
+                       grad_phi=jy, lower=sol)
 
 
 def phi(spec: ProblemSpec, x) -> float:
