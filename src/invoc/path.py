@@ -107,14 +107,18 @@ def _predict(spec: ProblemSpec, a: RelaxedSolution, b: RelaxedSolution,
     """The start at level eps extrapolated from the solved levels a and b.
 
     x is linear in sqrt(eps) through x_a and x_b, projected onto X_ad, and
-    log alpha linear in log eps through alpha_a and alpha_b.  u, the step
-    length and the other fields are b's.  The start carries the value
-    sample at its x, which solve_relaxed takes over.
+    log alpha linear in log eps through alpha_a and alpha_b, but growing no
+    faster than 1/eps from alpha_b.  While F stays bounded, the weak-duality
+    bound alpha_k (eps_k - eps_{k+1}) <= F_{k+1} - F_k that _finalize checks
+    allows no faster growth; a steeper fit comes from an alpha_a that has
+    only just turned positive.  u, the step length and the other fields are
+    b's.  The start carries the value sample at its x, which solve_relaxed
+    takes over.
     """
     ra, rb = math.sqrt(a.eps), math.sqrt(b.eps)
     x = spec.x_set.project(b.x + (math.sqrt(eps) - rb) / (rb - ra) * (b.x - a.x))
     power = math.log(eps / b.eps) / math.log(b.eps / a.eps)
-    alpha = b.alpha * (b.alpha / a.alpha) ** power
+    alpha = b.alpha * min((b.alpha / a.alpha) ** power, b.eps / eps)
     return replace(b, x=x, alpha=alpha,
                    sample=value_sample(spec, x, warm_start=b.sample.lower.u))
 
@@ -135,7 +139,8 @@ def run_path(
     one already solves (alpha = 0, gap <= eps_k, x stationary to stat_tol)
     is recorded as a copy of it, with zero iterations.  A level whose two
     predecessors both end at alpha > 0 starts instead from their
-    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps);
+    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps,
+    alpha's growth capped at 1/eps);
     if that solve fails, the level is solved again from its predecessor,
     and its counts include the failed attempt's.  Each record names its
     start: cold, warm, predicted or fallback.  A failure of the solve from

@@ -11,8 +11,10 @@ solves exactly.  The solver nests three steps:
   keeps the sample its x was accepted with, which the path and the next
   level's start reuse;
 - alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
-  when gap(0) <= eps, otherwise Newton on log gap against log alpha, kept
-  inside a bracket, with the exact slope from the kernel's tangent solve;
+  when gap(0) <= eps, otherwise Newton on gap^(-1/2) against alpha, kept
+  inside a bracket, with the exact slope from the kernel's tangent solve.
+  gap^(-1/2) is linear in alpha where one mode carries the gap, and so
+  along the alpha^(-2) tail of an unplanted limit;
 - projected gradient in x on V(x) = F at the solved u, whose gradient
   gamma x + alpha (j(y) - grad phi(x)) is the envelope formula.  Trial
   points are compared by the dual value F + alpha (gap - eps), which does
@@ -41,7 +43,7 @@ from .value import ValueSample, value_sample
 _MAX_STEPS = 200   # x-steps per relaxed solve
 _MAX_SEARCH = 60   # kernel solves per multiplier search
 _ALPHA_RTOL = 1e-9  # relative move of alpha at which the multiplier search stops
-_LOG_STEP = math.log(10.0)  # largest move of log alpha in one Newton step
+_MAX_FACTOR = 10.0  # largest factor by which one Newton step moves alpha
 _ARMIJO = 1e-4
 _ROUNDOFF = 1e-13  # relative roundoff allowance of the decrease test
 
@@ -126,17 +128,22 @@ def _multiplier(spec: ProblemSpec, alpha: float, u: np.ndarray, p: np.ndarray) -
 
 
 def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
-    """Newton's next alpha for gap(alpha) = eps, linear from alpha = 0 and on
-    log gap against log alpha elsewhere, where log alpha moves by at most
-    _LOG_STEP (by that much where the slope gives no root).  A step that
-    leaves the bracket (lo, hi) gives way to the bracket's (geometric) mean."""
-    if pt.alpha == 0.0:
-        guess = (eps - pt.gap) / pt.slope if pt.slope < 0.0 else 1.0
+    """Newton's next alpha for gap(alpha)^(-1/2) = eps^(-1/2), on which one
+    mode's gap g0 / (1 + kappa alpha)^2 is linear (Moré and Sorensen 1983).
+
+    A step from alpha > 0 moves alpha by at most the factor _MAX_FACTOR, and
+    by that much where the tangent has no root (gap = 0 or slope >= 0); from
+    alpha = 0 that step is to 1.  A step that leaves the bracket (lo, hi)
+    gives way to the bracket's (geometric) mean.
+    """
+    if pt.slope < 0.0 and pt.gap > 0.0:
+        guess = pt.alpha - 2.0 * pt.gap * (math.sqrt(pt.gap / eps) - 1.0) / pt.slope
     else:
-        move = math.copysign(_LOG_STEP, pt.gap - eps)
-        if pt.slope < 0.0 and pt.gap > 0.0:
-            move = (math.log(eps) - math.log(pt.gap)) * pt.gap / (pt.alpha * pt.slope)
-        guess = pt.alpha * math.exp(min(max(move, -_LOG_STEP), _LOG_STEP))
+        guess = math.inf if pt.gap > eps else 0.0
+    if pt.alpha > 0.0:
+        guess = min(max(guess, pt.alpha / _MAX_FACTOR), _MAX_FACTOR * pt.alpha)
+    elif guess == math.inf:
+        guess = 1.0
     if lo < guess < hi or guess == pt.alpha:
         return guess
     return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
@@ -180,7 +187,8 @@ class _Solver:
 
     def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray,
                  bound: float = math.inf) -> _Point:
-        """The Newton search for alpha at vs.x starting at alpha, warm-started from u.
+        """The Newton search (_newton) for alpha at vs.x starting at alpha,
+        warm-started from u.
 
         alpha = 0 is tried once, when the tangent line at a point with
         gap <= eps predicts gap(0) <= eps.  Stops at alpha = 0 when
@@ -270,8 +278,9 @@ def solve_relaxed(
     and, at the same x bitwise if it passes the kernel's fixed-point check
     on spec, its value sample.  The solution keeps the sample its x was
     accepted with.  ConvergenceError carries as best the best accepted point,
-    with converged False, or None if a kernel failure comes before the first;
-    a kernel failure keeps the kernel's residuals.
+    with converged False and the counts of the whole failed solve, or None
+    if a kernel failure comes before the first; a kernel failure keeps the
+    kernel's residuals.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
@@ -290,7 +299,8 @@ def solve_relaxed(
         alpha, step = 0.0, 1.0
 
     solver = _Solver(spec, eps, feas_tol, comp_tol)
-    best = (math.inf, None, 0)  # (measure, accepted point, x-steps) of the best point
+    best = (math.inf, None)  # (measure, accepted point) of the best point
+    steps = 0  # accepted x-steps
     try:
         vs = warm.sample if warm is not None else None
         if vs is None or x.tobytes() != vs.x.tobytes() or not (
@@ -298,7 +308,7 @@ def solve_relaxed(
             vs = value_sample(spec, x)
         pt = solver.evaluate(vs, alpha, u)
         grad = solver.gradient(pt)
-        best = (math.inf, pt, 0)
+        best = (math.inf, pt)
         for steps in range(_MAX_STEPS + 1):
             residual = _stationarity(x_set, pt.x, grad)
             measure = max(
@@ -306,7 +316,7 @@ def solve_relaxed(
                 pt.alpha * abs(eps - pt.gap) / max(comp_tol, 1e-300),
                 residual / max(stat_tol, 1e-300),
             )
-            best = min(best, (measure, pt, steps), key=lambda b: b[0])
+            best = min(best, (measure, pt), key=lambda b: b[0])
             if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
                 return solver.assemble(pt, steps, converged=True, step=step)
             if steps == _MAX_STEPS:
@@ -330,11 +340,11 @@ def solve_relaxed(
             step = float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
             pt, grad = trial, grad_t
     except ConvergenceError as err:
-        failed = None if best[1] is None else solver.assemble(best[1], best[2], converged=False)
+        failed = None if best[1] is None else solver.assemble(best[1], steps, converged=False)
         raise ConvergenceError(f"relaxed solve at eps {eps:g}: {err}", best=failed,
                                residuals=err.residuals) from err
 
-    failed = solver.assemble(best[1], best[2], converged=False)
+    failed = solver.assemble(best[1], steps, converged=False)
     raise ConvergenceError(
         f"relaxed solve at eps {eps:g} stalled after {steps} x-steps "
         f"(gap {failed.gap:.3e}, alpha {failed.alpha:.3e})",

@@ -58,6 +58,17 @@ def make_generated_spec(n_nodes: int, x_star, **kwargs) -> ProblemSpec:
     return plant(make_unplanted_spec(n_nodes, **kwargs), x_star)
 
 
+def make_bounded_spec(n_nodes: int) -> ProblemSpec:
+    """The instance planted at (0.3, 0.7) with its upper control bound clipped
+    to 0.6 max(u*), so that it binds; at N = 64 this is the benchmark's
+    path_bound instance."""
+    spec = make_generated_spec(n_nodes, (0.3, 0.7))
+    cap = 0.6 * float(np.max(spec.upper.u_o))
+    assert cap > 0.0
+    return replace(spec, bounds=ControlBounds(ua=np.full(n_nodes, -50.0),
+                                              ub=np.full(n_nodes, cap)))
+
+
 def make_tilted_spec(n_nodes: int) -> ProblemSpec:
     """Unplanted instance: the tracking targets are unreachable and gamma
     couples x, so the path's limit has alpha -> infinity and F > 0."""
@@ -99,13 +110,8 @@ def tilted_spec() -> ProblemSpec:
 
 
 @pytest.fixture(scope="session")
-def bounded_spec(unit_spec) -> ProblemSpec:
-    # clip the upper bound below the planted control so it binds
-    cap = 0.6 * float(np.max(unit_spec.upper.u_o))
-    assert cap > 0.0
-    n_nodes = unit_spec.grid.n_nodes
-    return replace(unit_spec, bounds=ControlBounds(ua=np.full(n_nodes, -50.0),
-                                                   ub=np.full(n_nodes, cap)))
+def bounded_spec() -> ProblemSpec:
+    return make_bounded_spec(16)
 
 
 @pytest.fixture(scope="session")

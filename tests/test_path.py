@@ -22,10 +22,10 @@ from invoc import (
 )
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
-from invoc.path import _carry_over
+from invoc.path import _carry_over, _predict
 from invoc.relax import _solves_level
 
-from conftest import make_generated_spec, make_tilted_spec
+from conftest import make_bounded_spec, make_generated_spec, make_tilted_spec
 from util_dense import (
     dense_matrix,
     lower_value_dense,
@@ -361,13 +361,33 @@ def test_unplanted_limit_converges_at_second_order_in_h():
 def test_gamma_path_within_its_work_budget():
     # with gamma > 0 the x-loop takes many steps and rejects many trials;
     # the early stop of a rejected trial's multiplier search, the carried
-    # step length and the predicted starts keep the path near 200-250 band
-    # solves (981 and 551 with a plain warm start at every level)
-    for gamma, budget in ((1e-3, 350), (1e-2, 310)):
+    # step length, the predicted starts and Newton on gap^(-1/2) keep the
+    # path near 170-200 band solves (981 and 551 with a plain warm start at
+    # every level and Newton on log gap)
+    for gamma, budget in ((1e-3, 300), (1e-2, 255)):
         trace = run_path(make_generated_spec(32, (0.25, 0.75), gamma=gamma))
         assert trace.failure is None and len(trace.records) == 21
         assert "predicted" in [r.start for r in trace.records]
         assert sum(r.relaxed.inner_iterations for r in trace.records) <= budget, gamma
+
+
+def test_bound_path_within_its_work_budget():
+    # the binding bound holds alpha > 0 from level 1 on; the multiplier
+    # searches take 121 band solves here, 155 with Newton on log gap
+    trace = run_path(make_bounded_spec(64))
+    assert trace.failure is None and len(trace.records) == 21
+    assert sum(r.relaxed.inner_iterations for r in trace.records) <= 130
+
+
+def test_predictor_caps_alpha_growth_at_the_inverse_eps_rate(tilted_spec):
+    # alpha_a far below alpha_b would extrapolate a huge alpha; the start
+    # takes alpha_b eps_b / eps instead, and a slower fit stands
+    b = solve_relaxed(tilted_spec, 1e-2)
+    assert b.alpha > 0.0
+    for ratio, want in ((1e-6, 2.0), (1.0 / 1.2, 1.2)):
+        a = replace(b, eps=2e-2, alpha=ratio * b.alpha)
+        start = _predict(tilted_spec, a, b, 5e-3)
+        assert start.alpha == pytest.approx(want * b.alpha, rel=1e-12)
 
 
 def test_step_length_survives_carry_over(unit_trace):

@@ -2,6 +2,7 @@
 oracle on a tiny instance, and independent KKT residual checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DomainError
 from invoc.lower import _band_solve, _solve_qp, _tangent, lower_qp
-from invoc.relax import _member, _Solver
+from invoc.relax import _member, _newton, _Point, _Solver
 from invoc.value import lower_objective_value, value_sample
 
 from conftest import make_generated_spec
@@ -313,6 +314,17 @@ def test_convergence_error_carries_best(tilted_spec):
     assert set(err.value.residuals) == {"x", "fixed_point", "comp", "lam"}
 
 
+def test_stalled_solve_reports_every_x_step_it_made(tilted_spec, monkeypatch):
+    # the best point's counts are the whole failed solve's, as run_path adds
+    # them to a fallback level's
+    monkeypatch.setattr(invoc.relax, "_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="stalled after 3 x-steps") as err:
+        solve_relaxed(tilted_spec, eps=1e-2, stat_tol=1e-30)
+    best = err.value.best
+    assert best.outer_iterations == 3
+    assert best.inner_iterations > 0
+
+
 def test_kernel_failure_before_the_first_point_carries_no_best(unit_spec, monkeypatch):
     monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 0)
     with pytest.raises(ConvergenceError, match="relaxed solve at eps 0.01: QP solve") as err:
@@ -419,3 +431,35 @@ def test_early_exit_changes_no_decision(name, request):
             assert solver.solves <= full_solver.solves
             stopped += solver.solves < full_solver.solves
     assert stopped > 0
+
+
+@pytest.mark.parametrize("g0, kappa, eps", [(1.0, 3.0, 1e-4), (2.5e-2, 0.07, 1e-9), (4.0, 1e3, 0.5)])
+def test_newton_solves_a_one_mode_gap_in_one_step(g0, kappa, eps):
+    # gap = g0 / (1 + kappa alpha)^2 has gap^(-1/2) linear in alpha, so one
+    # Newton step on it lands on the root, from alpha = 0 and from any
+    # alpha within the step's factor-10 reach; every step stays in (lo, hi)
+    root = (math.sqrt(g0 / eps) - 1.0) / kappa
+
+    def point(alpha):
+        gap = g0 / (1.0 + kappa * alpha) ** 2
+        return _Point(x=None, vs=None, alpha=alpha, y=None, u=None, p=None, upper=0.0,
+                      gap=gap, slope=-2.0 * kappa * gap / (1.0 + kappa * alpha))
+
+    for alpha in [0.0] + [root * f for f in (0.11, 0.5, 0.99, 1.0, 1.01, 3.0, 9.0)]:
+        pt = point(alpha)
+        lo, hi = (alpha, math.inf) if pt.gap > eps else (0.0, alpha)
+        guess = _newton(pt, eps, lo, hi)
+        assert guess == pytest.approx(root, rel=1e-12)
+        assert lo < guess < hi or guess == alpha
+    for alpha, factor in ((1e-3 * root, 10.0), (1e3 * root, 0.1)):
+        pt = point(alpha)
+        lo, hi = (alpha, math.inf) if pt.gap > eps else (0.0, alpha)
+        assert _newton(pt, eps, lo, hi) == pytest.approx(factor * alpha, rel=1e-15)
+        # a tighter bracket takes the step's place with its geometric mean
+        lo, hi = (alpha, 2.0 * alpha) if pt.gap > eps else (0.5 * alpha, alpha)
+        assert _newton(pt, eps, lo, hi) == pytest.approx(math.sqrt(lo * hi), rel=1e-15)
+    # no root along the tangent: a factor of 10 toward the root, or 1 from 0
+    flat = dataclasses.replace(point(root), slope=0.0)
+    assert _newton(dataclasses.replace(flat, gap=2.0 * eps), eps, root, math.inf) == 10.0 * root
+    assert _newton(dataclasses.replace(flat, gap=0.0), eps, 0.0, root) == root / 10.0
+    assert _newton(dataclasses.replace(flat, alpha=0.0, gap=2.0 * eps), eps, 0.0, math.inf) == 1.0
