@@ -77,9 +77,8 @@ class EllipticOperator:
     product, so apply and solve serve for the adjoint equations too.  The
     tridiagonal LDL^T factorization (LAPACK dpttrf: n pivots and n - 1
     multipliers) is computed once at construction; solves accept a vector
-    or a matrix of stacked columns.  The closed-form sine eigenpairs and
-    the band matrix of the tracking QPs' optimality systems are built on
-    first use.
+    or a matrix of stacked columns.  The closed-form sine eigenpairs are
+    built on first use.
     """
 
     def __init__(self, grid: Grid):
@@ -90,6 +89,11 @@ class EllipticOperator:
         if info != 0:
             raise ConvergenceError(f"Laplacian factorization failed (dpttrf info {info})")
         self._factor = (d, e)
+        # A on both halves of the unknowns (y_0, p_0, y_1, ...) of the tracking
+        # QPs' optimality systems, in LAPACK band storage with kl = ku = 2
+        self.pair_band = np.zeros((7, 2 * n))
+        self.pair_band[2, 2:] = self.pair_band[6, :-2] = -1.0 / h2
+        self.pair_band[4] = 2.0 / h2
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the stencil (-y_{i-1} + 2 y_i - y_{i+1})/h^2 with zero boundary."""
@@ -99,21 +103,6 @@ class EllipticOperator:
         out[:-1] -= y[1:]
         out[1:] -= y[:-1]
         return out / h2
-
-    @cached_property
-    def pair_band(self) -> np.ndarray:
-        """A on both halves of unknowns interleaved as (y_0, p_0, y_1, ...), in
-        LAPACK band storage with kl = ku = 2 and dgbtrf's two fill-in rows.
-
-        The tracking QPs' optimality systems (lower._optimality_system) are
-        this matrix with their coupling terms added; callers copy it.
-        """
-        inv_h2 = 1.0 / (self.grid.h * self.grid.h)
-        ab = np.zeros((7, 2 * self.grid.n_nodes))
-        ab[2, 2:] = -inv_h2
-        ab[4, :] = 2.0 * inv_h2
-        ab[6, :-2] = -inv_h2
-        return ab
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:

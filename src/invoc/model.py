@@ -271,8 +271,7 @@ class AdmissibleSetX:
             return np.minimum(self.hi, np.maximum(self.lo, x))
         # sorting-based simplex projection of x - max(x), which has the same
         # projection; the largest entry, now 0, always passes the test.  The
-        # sorted entries' prefix sums run on Python floats, which round as
-        # np.cumsum does
+        # prefix sums on Python floats round as np.cumsum's do
         x = x - x.max()
         total = shift = 0.0
         for k, s in enumerate(sorted(x.tolist(), reverse=True), 1):

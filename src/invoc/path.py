@@ -76,17 +76,10 @@ class PathTrace:
 
 
 def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution, start: str) -> PathStep:
-    low = sol.sample.lower
-    a = sol.alpha
-    mu = a * (sol.y - low.y)
-    w = a * (sol.u - low.u)
-    rho = sol.p - a * low.p
-    xi = sol.lam - a * low.lam
-    du = norm(spec.grid, sol.u - low.u)
-    return PathStep(
-        k=k, eps=sol.eps, relaxed=sol,
-        mu=mu, w=w, rho=rho, xi=xi, du_lower=du, start=start,
-    )
+    low, a = sol.sample.lower, sol.alpha
+    return PathStep(k=k, eps=sol.eps, relaxed=sol, mu=a * (sol.y - low.y), w=a * (sol.u - low.u),
+                    rho=sol.p - a * low.p, xi=sol.lam - a * low.lam,
+                    du_lower=norm(spec.grid, sol.u - low.u), start=start)
 
 
 def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
@@ -107,13 +100,12 @@ def _predict(spec: ProblemSpec, a: RelaxedSolution, b: RelaxedSolution,
     """The start at level eps extrapolated from the solved levels a and b.
 
     x is linear in sqrt(eps) through x_a and x_b, projected onto X_ad, and
-    log alpha linear in log eps through alpha_a and alpha_b, but growing no
-    faster than 1/eps from alpha_b.  While F stays bounded, the weak-duality
-    bound alpha_k (eps_k - eps_{k+1}) <= F_{k+1} - F_k that _finalize checks
-    allows no faster growth; a steeper fit comes from an alpha_a that has
-    only just turned positive.  u, the step length and the other fields are
-    b's.  The start carries the value sample at its x, which solve_relaxed
-    takes over.
+    log alpha linear in log eps through alpha_a and alpha_b, capped at
+    alpha_b eps_b / eps: with F bounded, the weak duality that _finalize
+    checks lets alpha grow at most like 1/eps, and a steeper fit comes from
+    an alpha_a that has only just turned positive.  u, the step length and
+    the other fields are b's.  The start carries the value sample at its x,
+    which solve_relaxed takes over.
     """
     ra, rb = math.sqrt(a.eps), math.sqrt(b.eps)
     x = spec.x_set.project(b.x + (math.sqrt(eps) - rb) / (rb - ra) * (b.x - a.x))
@@ -139,8 +131,7 @@ def run_path(
     one already solves (alpha = 0, gap <= eps_k, x stationary to stat_tol)
     is recorded as a copy of it, with zero iterations.  A level whose two
     predecessors both end at alpha > 0 starts instead from their
-    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps,
-    alpha's growth capped at 1/eps);
+    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps);
     if that solve fails, the level is solved again from its predecessor,
     and its counts include the failed attempt's.  Each record names its
     start: cold, warm, predicted or fallback.  A failure of the solve from

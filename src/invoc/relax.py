@@ -11,10 +11,9 @@ solves exactly.  The solver nests three steps:
   keeps the sample its x was accepted with, which the path and the next
   level's start reuse;
 - alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
-  when gap(0) <= eps, otherwise Newton on gap^(-1/2) against alpha, kept
-  inside a bracket, with the exact slope from the kernel's tangent solve.
-  gap^(-1/2) is linear in alpha where one mode carries the gap, and so
-  along the alpha^(-2) tail of an unplanted limit;
+  when gap(0) <= eps, otherwise Newton on gap^(-1/2), linear in alpha for
+  one mode and along an unplanted limit's alpha^(-2) tail, kept inside a
+  bracket, with the exact slope from the kernel's tangent solve;
 - projected gradient in x on V(x) = F at the solved u, whose gradient
   gamma x + alpha (j(y) - grad phi(x)) is the envelope formula.  Trial
   points are compared by the dual value F + alpha (gap - eps), which does
@@ -128,18 +127,14 @@ def _multiplier(spec: ProblemSpec, alpha: float, u: np.ndarray, p: np.ndarray) -
 
 
 def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
-    """Newton's next alpha for gap(alpha)^(-1/2) = eps^(-1/2), on which one
-    mode's gap g0 / (1 + kappa alpha)^2 is linear (Moré and Sorensen 1983).
-
-    A step from alpha > 0 moves alpha by at most the factor _MAX_FACTOR, and
-    by that much where the tangent has no root (gap = 0 or slope >= 0); from
-    alpha = 0 that step is to 1.  A step that leaves the bracket (lo, hi)
-    gives way to the bracket's (geometric) mean.
-    """
+    """Newton's next alpha for gap^(-1/2) = eps^(-1/2), linear in alpha for one
+    mode's gap g0 / (1 + kappa alpha)^2 (Moré and Sorensen 1983).  It moves
+    alpha > 0 by at most the factor _MAX_FACTOR, and by that much where the
+    tangent has no root; from alpha = 0 that step is to 1.  A step that
+    leaves the bracket (lo, hi) gives way to its (geometric) mean."""
+    guess = math.inf if pt.gap > eps else 0.0
     if pt.slope < 0.0 and pt.gap > 0.0:
         guess = pt.alpha - 2.0 * pt.gap * (math.sqrt(pt.gap / eps) - 1.0) / pt.slope
-    else:
-        guess = math.inf if pt.gap > eps else 0.0
     if pt.alpha > 0.0:
         guess = min(max(guess, pt.alpha / _MAX_FACTOR), _MAX_FACTOR * pt.alpha)
     elif guess == math.inf:
@@ -187,8 +182,7 @@ class _Solver:
 
     def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray,
                  bound: float = math.inf) -> _Point:
-        """The Newton search (_newton) for alpha at vs.x starting at alpha,
-        warm-started from u.
+        """The search for alpha by _newton at vs.x from alpha, warm-started from u.
 
         alpha = 0 is tried once, when the tangent line at a point with
         gap <= eps predicts gap(0) <= eps.  Stops at alpha = 0 when
@@ -278,9 +272,8 @@ def solve_relaxed(
     and, at the same x bitwise if it passes the kernel's fixed-point check
     on spec, its value sample.  The solution keeps the sample its x was
     accepted with.  ConvergenceError carries as best the best accepted point,
-    with converged False and the counts of the whole failed solve, or None
-    if a kernel failure comes before the first; a kernel failure keeps the
-    kernel's residuals.
+    with converged False and the whole solve's counts, or None if a kernel
+    failure comes before the first; a kernel failure keeps its residuals.
     """
     if not (eps > 0.0):
         raise DomainError(f"relaxation parameter must be positive, got {eps}")
