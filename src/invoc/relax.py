@@ -22,7 +22,8 @@ solves exactly.  The solver nests three steps:
   trial's search stops once it exceeds the Armijo threshold, and a warm
   start with alpha > 0 keeps its predecessor's step length.
 
-A solution's residuals check (x, alpha, u) alone: the u-subproblem's own
+One builder, _level, makes a level of (eps, x, alpha, u) and its value
+sample, with the residuals that check it: the u-subproblem's own
 fixed-point test, whose fresh solves give y, p and lam, the x-equation
 against the normal cone of X_ad, complementarity, and lam's sign.
 """
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .lower import TrackingQP, _fixed_point_residual, _solve_qp, _tangent, lower_qp
+from .lower import (_ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _solve_qp, _tangent,
+                    lower_qp)
 from .model import ProblemSpec, eval_j
 from .value import ValueSample, value_sample
 
@@ -43,8 +45,6 @@ _MAX_STEPS = 200   # x-steps per relaxed solve
 _MAX_SEARCH = 60   # kernel solves per multiplier search
 _ALPHA_RTOL = 1e-9  # relative move of alpha at which the multiplier search stops
 _MAX_FACTOR = 10.0  # largest factor by which one Newton step moves alpha
-_ARMIJO = 1e-4
-_ROUNDOFF = 1e-13  # relative roundoff allowance of the decrease test
 
 
 @dataclass(eq=False)
@@ -82,14 +82,12 @@ class RelaxedSolution:
 
 @dataclass(eq=False)
 class _Point:
-    """One trial x with its value sample, its solved u-subproblem and d gap/d alpha."""
+    """One trial x (vs.x) with its value sample, its solved u-subproblem and d gap/d alpha."""
 
-    x: np.ndarray
     vs: ValueSample
     alpha: float
     y: np.ndarray
     u: np.ndarray
-    p: np.ndarray
     upper: float
     gap: float
     slope: float
@@ -121,9 +119,27 @@ def _member(spec: ProblemSpec, low: TrackingQP, alpha: float) -> TrackingQP:
                       s=up.c_u + alpha * spec.sigma, b=up.c_u * up.u_o)
 
 
-def _multiplier(spec: ProblemSpec, alpha: float, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The bound multiplier lam = p - grad_u F - alpha sigma u of the u-subproblem."""
-    return p - spec.upper.grad_u(u) - alpha * spec.sigma * u
+def _grad_v(spec: ProblemSpec, vs: ValueSample, alpha: float, y: np.ndarray) -> np.ndarray:
+    """grad V = grad_x F + alpha (j(y) - grad phi) at vs.x, the envelope formula."""
+    return spec.upper.grad_x(vs.x) + alpha * (eval_j(spec.grid, spec.lower, y) - vs.grad_phi)
+
+
+def _level(spec: ProblemSpec, eps: float, x: np.ndarray, alpha: float, u: np.ndarray,
+           vs: ValueSample, **counts) -> RelaxedSolution:
+    """The level eps at (x, alpha, u) with the value sample vs at x and its residuals,
+    the one builder of a RelaxedSolution.  y and p come from the fresh solves of the
+    u-subproblem's fixed-point check; counts fill the fields from inner_iterations on."""
+    low = lower_qp(spec, vs.x)
+    fixed_point, y, p = _fixed_point_residual(spec, _member(spec, low, alpha), u)
+    lam = p - spec.upper.grad_u(u) - alpha * spec.sigma * u
+    z = -_grad_v(spec, vs, alpha, y)
+    gap, _ = _gap(spec, vs, low, u)
+    residuals = {"x": float(spec.x_set.normal_cone_residual(x, z, tol=1e-6)),
+                 "fixed_point": float(fixed_point), "comp": float(abs(alpha * (eps - gap))),
+                 "lam": float(spec.bounds.normal_cone_residual(u, lam, spec.active_tol))}
+    return RelaxedSolution(eps=eps, x=x, y=y, u=u, alpha=alpha, z=z, p=p, lam=lam,
+                           upper_value=spec.upper.value(spec.grid, x, y, u), gap=gap,
+                           residuals=residuals, sample=vs, **counts)
 
 
 def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
@@ -155,11 +171,6 @@ class _Solver:
     def feasible(self, alpha: float, gap: float) -> bool:
         return gap - self.eps <= self.feas_tol and alpha * abs(self.eps - gap) <= self.comp_tol
 
-    def gradient(self, pt: _Point) -> np.ndarray:
-        spec = self.spec
-        jy = eval_j(spec.grid, spec.lower, pt.y)
-        return spec.upper.grad_x(pt.x) + pt.alpha * (jy - pt.vs.grad_phi)
-
     def dual(self, pt: _Point) -> float:
         return pt.upper + pt.alpha * (pt.gap - self.eps)
 
@@ -169,14 +180,14 @@ class _Solver:
             # F ignores u, so this member is singular and every control is
             # optimal: take the lower solution, whose gap is 0
             y, u = vs.lower.y, vs.lower.u
-            return _Point(x=vs.x, vs=vs, alpha=0.0, y=y, u=u, p=0.0 * u, gap=0.0,
-                          slope=0.0, upper=up.value(spec.grid, vs.x, y, u))
+            return _Point(vs=vs, alpha=0.0, y=y, u=u, gap=0.0, slope=0.0,
+                          upper=up.value(spec.grid, vs.x, y, u))
         qp = _member(spec, low, alpha)
         sol = _solve_qp(spec, qp, spec.solver_tol, warm)
         y_t, u_t, solves = _tangent(spec, qp, sol, low)
         self.solves += sol.solves + solves
         gap, slope = _gap(spec, vs, low, sol.u, (y_t, u_t))
-        return _Point(x=vs.x, vs=vs, alpha=alpha, y=sol.y, u=sol.u, p=sol.p,
+        return _Point(vs=vs, alpha=alpha, y=sol.y, u=sol.u,
                       upper=spec.upper.value(spec.grid, vs.x, sol.y, sol.u),
                       gap=gap, slope=slope)
 
@@ -217,18 +228,9 @@ class _Solver:
             pt = self._solve(vs, low, alpha, pt.u)
         return pt
 
-    def assemble(self, pt: _Point, steps: int, converged: bool,
-                 step: float = 1.0) -> RelaxedSolution:
-        spec = self.spec
-        sol = RelaxedSolution(
-            eps=self.eps, x=pt.x, y=pt.y, u=pt.u, alpha=pt.alpha,
-            z=-self.gradient(pt), p=pt.p, lam=_multiplier(spec, pt.alpha, pt.u, pt.p),
-            upper_value=pt.upper, gap=pt.gap,
-            inner_iterations=self.solves, outer_iterations=steps,
-            converged=converged, sample=pt.vs, step=step,
-        )
-        sol.residuals = _residuals(spec, sol, sol.sample)
-        return sol
+    def assemble(self, pt: _Point, steps: int, converged: bool, step: float = 1.0):
+        return _level(self.spec, self.eps, pt.vs.x, pt.alpha, pt.u, pt.vs, step=step,
+                      inner_iterations=self.solves, outer_iterations=steps, converged=converged)
 
 
 def _stationarity(x_set, x: np.ndarray, grad: np.ndarray) -> float:
@@ -300,15 +302,12 @@ def solve_relaxed(
                 _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
             vs = value_sample(spec, x)
         pt = solver.evaluate(vs, alpha, u)
-        grad = solver.gradient(pt)
+        grad = _grad_v(spec, pt.vs, pt.alpha, pt.y)
         best = (math.inf, pt)
         for steps in range(_MAX_STEPS + 1):
-            residual = _stationarity(x_set, pt.x, grad)
-            measure = max(
-                max(0.0, pt.gap - eps) / max(feas_tol, 1e-300),
-                pt.alpha * abs(eps - pt.gap) / max(comp_tol, 1e-300),
-                residual / max(stat_tol, 1e-300),
-            )
+            residual = _stationarity(x_set, pt.vs.x, grad)
+            measure = max(max(0.0, pt.gap - eps) / feas_tol,
+                          pt.alpha * abs(eps - pt.gap) / comp_tol, residual / stat_tol)
             best = min(best, (measure, pt), key=lambda b: b[0])
             if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
                 return solver.assemble(pt, steps, converged=True, step=step)
@@ -316,8 +315,8 @@ def solve_relaxed(
                 break
             value = solver.dual(pt)
             while True:
-                x_t = x_set.project(pt.x - step * grad)
-                move = x_t - pt.x
+                x_t = x_set.project(pt.vs.x - step * grad)
+                move = x_t - pt.vs.x
                 if not move.any():
                     break
                 bound = value + _ARMIJO * float(grad @ move) + _ROUNDOFF * (1.0 + abs(value))
@@ -328,7 +327,7 @@ def solve_relaxed(
                 step *= 0.5
             if not move.any():
                 break  # no step moves x: stalled at this tolerance
-            grad_t = solver.gradient(trial)
+            grad_t = _grad_v(spec, trial.vs, trial.alpha, trial.y)
             curvature = float(move @ (grad_t - grad))
             step = float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
             pt, grad = trial, grad_t
@@ -357,19 +356,5 @@ def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:
     normal cone of X_ad (x), |alpha (eps - gap)| (comp) and lam's sign
     against the control bounds (lam).
     """
-    return _residuals(spec, sol, value_sample(spec, sol.x))
-
-
-def _residuals(spec: ProblemSpec, sol: RelaxedSolution, vs: ValueSample) -> dict:
-    x, u, alpha = sol.x, sol.u, sol.alpha
-    low = lower_qp(spec, vs.x)
-    fixed_point, y, p = _fixed_point_residual(spec, _member(spec, low, alpha), u)
-    gap, _ = _gap(spec, vs, low, u)
-    z = -(spec.upper.grad_x(x) + alpha * (eval_j(spec.grid, spec.lower, y) - vs.grad_phi))
-    lam = _multiplier(spec, alpha, u, p)
-    return {
-        "x": float(spec.x_set.normal_cone_residual(x, z, tol=1e-6)),
-        "fixed_point": float(fixed_point),
-        "comp": float(abs(alpha * (sol.eps - gap))),
-        "lam": float(spec.bounds.normal_cone_residual(u, lam, spec.active_tol)),
-    }
+    return _level(spec, sol.eps, sol.x, sol.alpha, sol.u, value_sample(spec, sol.x),
+                  inner_iterations=0, outer_iterations=0, converged=False).residuals

@@ -441,7 +441,7 @@ def test_newton_solves_a_one_mode_gap_in_one_step(g0, kappa, eps):
 
     def point(alpha):
         gap = g0 / (1.0 + kappa * alpha) ** 2
-        return _Point(x=None, vs=None, alpha=alpha, y=None, u=None, p=None, upper=0.0,
+        return _Point(vs=None, alpha=alpha, y=None, u=None, upper=0.0,
                       gap=gap, slope=-2.0 * kappa * gap / (1.0 + kappa * alpha))
 
     for alpha in [0.0] + [root * f for f in (0.11, 0.5, 0.99, 1.0, 1.01, 3.0, 9.0)]:
