@@ -110,6 +110,8 @@ def _value_rows(spec, args):
     if args.samples is not None:
         if args.samples < 1:
             raise ValidationError("--samples must be at least 1")
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         if args.x is not None or args.resolution is not None:
             raise ValidationError("--samples takes neither --x nor --resolution")
         rng = np.random.default_rng(args.seed)

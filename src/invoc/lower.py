@@ -326,8 +326,8 @@ def solve_lower(
     x = _validate_parameter(spec, x)
     if tol is None:
         tol = spec.solver_tol
-    if not (tol > 0.0):
-        raise DomainError("solver tolerance must be positive")
+    if not (0.0 < tol < np.inf):
+        raise DomainError(f"solver tolerance must be positive and finite, got {tol}")
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape[0] != spec.grid.n_nodes:

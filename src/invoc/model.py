@@ -586,13 +586,19 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
     return data
 
 
+def _refuse_constant(name: str):
+    """json.load's parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path: str | os.PathLike) -> dict:
     """The JSON object in a file: OSError if the file cannot be read,
-    ValidationError if it does not hold a JSON object."""
+    ValidationError if it does not hold a JSON object.  NaN, Infinity and
+    -Infinity, which json.load accepts but write_json refuses, are refused."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            data = json.load(fh, parse_constant=_refuse_constant)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
             raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path} does not hold a JSON object")

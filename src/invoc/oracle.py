@@ -116,8 +116,8 @@ def grid_search(
         )
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    if not (tol > 0.0):
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not (0.0 < tol < np.inf):
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
 
     if spec.x_set.kind == "simplex":
         X = _simplex_lattice(n, resolution)

@@ -138,8 +138,8 @@ def run_path(
     the predecessor aborts the path but returns the partial trace with a
     failure marker, so callers can inspect how far the continuation got.
     """
-    if not (eps0 > 0.0):
-        raise ValidationError(f"eps0 must be positive, got {eps0}")
+    if not (0.0 < eps0 < math.inf):
+        raise ValidationError(f"eps0 must be positive and finite, got {eps0}")
     if not (0.0 < ratio < 1.0):
         raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
     if steps < 2:

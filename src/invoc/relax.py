@@ -126,7 +126,7 @@ def _grad_v(spec: ProblemSpec, vs: ValueSample, alpha: float, y: np.ndarray) -> 
 
 def _level(spec: ProblemSpec, eps: float, x: np.ndarray, alpha: float, u: np.ndarray,
            vs: ValueSample, **counts) -> RelaxedSolution:
-    """The level eps at (x, alpha, u) with the value sample vs at x and its residuals,
+    """The level eps at (x, alpha, u) about the value sample vs at x, with its residuals:
     the one builder of a RelaxedSolution.  y and p come from the fresh solves of the
     u-subproblem's fixed-point check; counts fill the fields from inner_iterations on."""
     low = lower_qp(spec, vs.x)
@@ -277,10 +277,11 @@ def solve_relaxed(
     with converged False and the whole solve's counts, or None if a kernel
     failure comes before the first; a kernel failure keeps its residuals.
     """
-    if not (eps > 0.0):
-        raise DomainError(f"relaxation parameter must be positive, got {eps}")
-    if not all(t > 0.0 for t in (feas_tol, stat_tol, comp_tol)):
-        raise DomainError(f"tolerances must be positive, got {feas_tol}, {stat_tol}, {comp_tol}")
+    if not (0.0 < eps < math.inf):
+        raise DomainError(f"relaxation parameter must be positive and finite, got {eps}")
+    if not all(0.0 < t < math.inf for t in (feas_tol, stat_tol, comp_tol)):
+        raise DomainError("tolerances must be positive and finite, "
+                          f"got {feas_tol}, {stat_tol}, {comp_tol}")
     x_set = spec.x_set
     if warm is not None:
         x = x_set.project(np.asarray(warm.x, dtype=float))
@@ -337,12 +338,9 @@ def solve_relaxed(
                                residuals=err.residuals) from err
 
     failed = solver.assemble(best[1], steps, converged=False)
-    raise ConvergenceError(
-        f"relaxed solve at eps {eps:g} stalled after {steps} x-steps "
-        f"(gap {failed.gap:.3e}, alpha {failed.alpha:.3e})",
-        best=failed,
-        residuals=failed.residuals,
-    )
+    raise ConvergenceError(f"relaxed solve at eps {eps:g} stalled after {steps} x-steps "
+                           f"(gap {failed.gap:.3e}, alpha {failed.alpha:.3e})",
+                           best=failed, residuals=failed.residuals)
 
 
 def relaxed_kkt_residuals(spec: ProblemSpec, sol: RelaxedSolution) -> dict:

@@ -147,8 +147,8 @@ def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> Statio
     product sign condition also clears, S when the componentwise biactive
     sign conditions clear as well.
     """
-    if not (tol > 0.0):
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not (0.0 < tol < np.inf):
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     grid, op = spec.grid, spec.operator
     nodes = (grid.n_nodes,)
     x, z = _field(point, "x", (spec.n,)), _field(multipliers, "z", (spec.n,))

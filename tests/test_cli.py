@@ -399,7 +399,7 @@ def test_every_output_gets_the_mode_open_gives(problem_file, tmp_path, umask_027
     assert modes == dict.fromkeys(modes, mode)
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["lower", "relax", "path", "certify", "oracle"])
 def test_non_positive_tol_exits_2(problem_file, tmp_path, command, tol):
     extra = {
@@ -432,6 +432,20 @@ def test_non_finite_parameter_exits_2(problem_file, tmp_path, text):
     assert rc == 2
     err = _read_json(tmp_path / "error.json")
     assert err["error"] == "DomainError" and err["exit_code"] == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["relax", "--eps0", "inf"], "relaxation parameter must be positive and finite"),
+    (["path", "--eps0", "inf"], "eps0 must be positive and finite"),
+    (["value", "--samples", "3", "--seed", "-1"], "--seed must be nonnegative"),
+], ids=["relax-eps0", "path-eps0", "value-seed"])
+def test_infinite_or_negative_option_exits_2(problem_file, tmp_path, args, message):
+    # each used to exit 1 with a traceback, leaving no error.json
+    out = tmp_path / "out"
+    rc = cli.main([*args, "--problem", problem_file, "--out", str(out)])
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["exit_code"] == 2 and message in err["message"]
 
 
 def test_lower_without_x_exits_2(problem_file, tmp_path):
@@ -494,6 +508,19 @@ def test_certify_non_numeric_field_exits_2(problem_file, tmp_path, field, value)
     err = _read_json(out / "error.json")
     assert err["error"] == "ValidationError"
     assert f"field {field!r} is not an array of numbers" in err["message"]
+
+
+def test_certify_infinite_literal_exits_2(problem_file, tmp_path):
+    # json.dumps writes inf as Infinity, which the reader refuses
+    out = tmp_path / "out"
+    files = _candidate_files(tmp_path, z=[float("inf"), 0.0])
+    assert "Infinity" in (tmp_path / "multipliers.json").read_text()
+    rc = cli.main(["certify", "--problem", problem_file, "--out", str(out), *files])
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["error"] == "ValidationError"
+    assert "multipliers.json is not valid JSON: Infinity is not a JSON number" in err["message"]
+    assert not (out / "certificate.json").exists()
 
 
 # every option each subcommand accepts; each one is read by its command

@@ -1,6 +1,9 @@
 """Objective and set primitives: finite-difference oracles, projections,
 validation, and serialization round trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -443,6 +446,19 @@ def test_load_problem_missing_and_malformed(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_problem(bad)
+
+
+@pytest.mark.parametrize("block, key", [(None, "sigma"), ("tolerances", "solver_tol")])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_problem_refuses_non_standard_literals(tmp_path, pointwise_spec, block, key, literal):
+    # json.load reads these literals, which write_json never writes; an
+    # infinite solver_tol would pass every fixed-point check vacuously
+    data = problem_to_dict(pointwise_spec)
+    (data if block is None else data[block])[key] = "@"
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(data).replace('"@"', literal))
+    with pytest.raises(ValidationError, match=re.escape(f"{path} is not valid JSON: {literal} ")):
+        load_problem(path)
 
 
 @pytest.mark.parametrize("text, message", [

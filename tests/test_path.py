@@ -335,6 +335,28 @@ def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
         assert again.sample is sol.sample
 
 
+def _level_bits(sol):
+    """The fields of a level that relax._level derives, as bytes."""
+    values = [sol.y, sol.p, sol.lam, sol.z, sol.gap, sol.upper_value]
+    return ([np.asarray(v).tobytes() for v in values]
+            + [(k, np.float64(v).tobytes()) for k, v in sorted(sol.residuals.items())])
+
+
+@pytest.mark.parametrize("name", ["tilted63_deep", "bounded16"])
+def test_each_solved_level_is_its_own_rebuild(name):
+    # relax._level is the one builder of a level: rebuilt from the level's
+    # own (eps, x, alpha, u, sample), every solved level comes back bitwise
+    deep = name == "tilted63_deep"
+    spec = make_tilted_spec(63) if deep else make_bounded_spec(16)
+    trace = run_path(spec, **(DEEP if deep else {}))
+    solved = [r.relaxed for r in trace.records if r.relaxed.inner_iterations > 0]
+    assert trace.failure is None and solved
+    for sol in solved:
+        again = invoc.relax._level(spec, sol.eps, sol.x, sol.alpha, sol.u, sol.sample,
+                                   inner_iterations=0, outer_iterations=0, converged=True)
+        assert _level_bits(again) == _level_bits(sol), sol.eps
+
+
 def test_default_path_on_pointwise_instance(pointwise_spec):
     # alpha is about 3e-3 at eps 0.5 here: a multiplier that only passes
     # |alpha (eps - gap)| <= comp_tol can be a few percent off, which moves

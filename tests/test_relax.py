@@ -303,6 +303,8 @@ def test_eps_validation(unit_spec):
         solve_relaxed(unit_spec, eps=0.0)
     with pytest.raises(DomainError):
         solve_relaxed(unit_spec, eps=-1e-3)
+    with pytest.raises(DomainError):
+        solve_relaxed(unit_spec, eps=math.inf)
 
 
 def test_convergence_error_carries_best(tilted_spec):
