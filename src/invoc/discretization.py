@@ -119,9 +119,11 @@ class EllipticOperator:
         Q = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
         return l, Q
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve A y = rhs (vector or matrix of columns) by LAPACK dpttrs, one
-        column at a time: a block's columns equal their own solves bitwise."""
+        column at a time: a block's columns equal their own solves bitwise.
+        out, a float vector or F-ordered matrix of rhs's shape (rhs itself
+        included), receives the solution in place and is returned."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.grid.n_nodes:
             raise DimensionError(
@@ -130,4 +132,8 @@ class EllipticOperator:
             )
         if not np.isfinite(rhs).all():
             raise DomainError("right-hand side must not contain infs or NaNs")
-        return dpttrs(*self._factor, rhs)[0]
+        if out is None:
+            return dpttrs(*self._factor, rhs)[0]
+        if out is not rhs:
+            np.copyto(out, rhs)
+        return dpttrs(*self._factor, out, overwrite_b=1)[0]

@@ -89,10 +89,11 @@ class TrackingQP(NamedTuple):
     b: np.ndarray | float
 
 
-def lower_qp(spec: ProblemSpec, x: np.ndarray) -> TrackingQP:
+def lower_qp(spec: ProblemSpec, x: np.ndarray, out: np.ndarray | None = None) -> TrackingQP:
     """The lower QP at x, or one stacked row per row of x: the coefficients
-    of x . j(y) = 1/2 <y, d y> - <c, y> + const, and s = sigma."""
-    d, c = lower_coefficients(spec.grid, spec.lower, x)
+    of x . j(y) = 1/2 <y, d y> - <c, y> + const, and s = sigma; c is
+    written to out if given."""
+    d, c = lower_coefficients(spec.grid, spec.lower, x, out)
     return TrackingQP(d=d, c=c, s=spec.sigma, b=0.0)
 
 
@@ -147,15 +148,18 @@ def _band_solve(system, fixed: np.ndarray, values: np.ndarray, factors=None):
     return z[0::2], z[1::2], factors
 
 
-def _target(spec: ProblemSpec, qp: TrackingQP, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """v = u + lam/r with u = A y and lam = p + b - s u, without dividing by s.
+def _target(spec: ProblemSpec, qp: TrackingQP, y: np.ndarray, p: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """v = u + lam/r with u = A y and lam = p + b - s u, without dividing by s,
+    written to out if given.
 
     The optimal control is u = P_U(v); for r = s this is (p + b)/s.
     """
     r = _scale(spec, qp)
-    v = (p + qp.b) / r
+    v = np.add(p, qp.b, out=out)
+    v /= r
     if qp.s != r:
-        v = v + (1.0 - qp.s / r) * spec.operator.apply(y)
+        v += (1.0 - qp.s / r) * spec.operator.apply(y)
     return v
 
 
@@ -218,18 +222,22 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
     return u, solves
 
 
-def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray):
+def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, work=None):
     """||u - P_U(u + lam/r)|| from fresh state and adjoint solves, with y and p.
 
     This is the projected-gradient residual at step 1/r, at least the
     residual at any shorter step; for the lower QP it is ||u - P_U(p/sigma)||.
     u may stack one control row per stacked row of qp, solved together as
-    columns; then y, p and the residual have one row per row of u.
+    columns; then y, p and the residual have one row per row of u.  work,
+    three C-ordered arrays of u's shape, receives y, p and u's distance to
+    its projected target, and the solves run in place on their transposes.
     """
     op = spec.operator
-    y = op.solve(u.T).T
-    p = op.solve((qp.c - qp.d * y).T).T
-    diff = u - spec.bounds.project(_target(spec, qp, y, p))
+    y, p, diff = (None, None, None) if work is None else work
+    y = op.solve(u.T, out=None if y is None else y.T).T
+    rhs = np.subtract(qp.c, np.multiply(qp.d, y, out=p), out=p).T
+    p = op.solve(rhs, out=rhs).T
+    diff = np.subtract(u, spec.bounds.project(_target(spec, qp, y, p, out=diff), out=diff), out=diff)
     return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff)), y, p
 
 

@@ -146,22 +146,24 @@ def eval_j_grad(grid: Grid, obj: LowerObjective, y: np.ndarray, v: np.ndarray) -
     return 2.0 * (y[idx] - obj.target[idx]) * v[idx]
 
 
-def lower_coefficients(grid: Grid, obj: LowerObjective, x: np.ndarray) -> tuple[np.ndarray | float, np.ndarray]:
+def lower_coefficients(grid: Grid, obj: LowerObjective, x: np.ndarray,
+                       out: np.ndarray | None = None) -> tuple[np.ndarray | float, np.ndarray]:
     """(d, c) with x . j(y) = 1/2 <y, d y> - <c, y> + const under the weighted product.
 
-    x is one parameter or a stack of parameter rows, and so are d and c.
-    d = 2 sum(x), one scalar per row, and c = 2 x . y_d for the target kind;
-    d = 2 x_i / h and c = d y_d at the measurement nodes for the pointwise
-    kind, since a Dirac at node i is e_i / h.
+    x is one parameter or a stack of parameter rows, and so are d and c; c
+    is written to out if given.  d = 2 sum(x), one scalar per row, and
+    c = 2 x . y_d for the target kind; d = 2 x_i / h and c = d y_d at the
+    measurement nodes for the pointwise kind, since a Dirac at node i is e_i / h.
     """
     if obj.kind == "target_type":
-        c = 2.0 * (x @ obj.targets)
+        c = np.matmul(x, obj.targets, out=out)
+        c *= 2.0
         if x.ndim == 1:
             return 2.0 * float(np.sum(x)), c
         return 2.0 * x.sum(axis=1, keepdims=True), c
     d = np.zeros(x.shape[:-1] + (grid.n_nodes,))
     np.add.at(d, (..., np.asarray(obj.points)), 2.0 * x / grid.h)
-    return d, d * obj.target
+    return d, np.multiply(d, obj.target, out=out)
 
 
 def _row_dot(v: np.ndarray) -> float | np.ndarray:
@@ -193,20 +195,21 @@ class UpperObjective:
         object.__setattr__(self, "y_o", np.asarray(self.y_o, dtype=float))
         object.__setattr__(self, "u_o", np.asarray(self.u_o, dtype=float))
 
-    def value(self, grid: Grid, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> float | np.ndarray:
-        """F at (x, y, u) as a float, or an array of F over stacked rows of x, y, u."""
+    def value(self, grid: Grid, x: np.ndarray, y: np.ndarray, u: np.ndarray,
+              work: np.ndarray | None = None) -> float | np.ndarray:
+        """F at (x, y, u) as a float, or an array of F over stacked rows of x, y, u.
+
+        work, an array of y's shape, takes y - y_o and then u - u_o in turn.
+        """
         y = np.asarray(y, dtype=float)
         u = np.asarray(u, dtype=float)
         if y.shape[-1] != grid.n_nodes or u.shape[-1] != grid.n_nodes:
             raise DimensionError("state or control length does not match grid")
-        dy = y - self.y_o
-        du = u - self.u_o
-        out = (
-            0.5 * self.c_y * (grid.h * _row_dot(dy))
-            + 0.5 * self.c_u * (grid.h * _row_dot(du))
+        return (
+            0.5 * self.c_y * (grid.h * _row_dot(np.subtract(y, self.y_o, out=work)))
+            + 0.5 * self.c_u * (grid.h * _row_dot(np.subtract(u, self.u_o, out=work)))
             + 0.5 * self.gamma * _row_dot(np.asarray(x, dtype=float))
         )
-        return out
 
     def grad_x(self, x: np.ndarray) -> np.ndarray:
         return self.gamma * np.asarray(x, dtype=float)
@@ -331,9 +334,9 @@ class ControlBounds:
                 f"violated at node {bad}"
             )
 
-    def project(self, u: np.ndarray) -> np.ndarray:
+    def project(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # np.clip's value, zeros' signs included, without its Python wrapper
-        return np.minimum(self.ub, np.maximum(self.ua, u))
+        return np.minimum(self.ub, np.maximum(self.ua, u, out=out), out=out)
 
     def feasible(self, u: np.ndarray, tol: float) -> bool:
         u = np.asarray(u, dtype=float)
@@ -374,10 +377,10 @@ class ProblemSpec:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValidationError("sigma must be positive")
-        if not (self.solver_tol > 0.0 and self.active_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
+        for label in ("sigma", "solver_tol", "active_tol"):
+            value = getattr(self, label)
+            if not (0.0 < value < math.inf):
+                raise ValidationError(f"{label} must be positive and finite, got {value}")
         n_nodes = self.grid.n_nodes
         if self.lower.kind == "target_type":
             if self.lower.targets.shape[1] != n_nodes:

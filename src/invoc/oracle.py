@@ -7,14 +7,14 @@ lattice (barycentric on the simplex, tensor on a box) and returns the best
 sample.  Lattices at resolutions m and 2m nest, so refinement can only
 improve the best value.  Every lattice point gets an exact lower solve,
 verified at a tightened tolerance, so comparisons are not
-tolerance-dominated.  Lattice rows go in blocks.  For the target kind the
-unconstrained lower solutions of a whole block come in closed form from the
-sine eigenbasis of A, since (sigma A^2 + 2 sum(x) I) y = 2 x . y_d is
-diagonal there, the coefficient 2 sum(x) being constant in space; a row
-whose candidate is feasible and passes the kernel's fixed-point check
-(lower._fixed_point_residual, on the whole block at once) is solved, the QP
-being strictly convex.  Every other row, and every row of the pointwise
-kind, goes to the active-set kernel.
+tolerance-dominated.  Lattice rows go in blocks of up to 1024, held in
+buffers allocated once per search.  Both lower-objective kinds give the
+unconstrained lower solutions of a whole block in closed form: the target
+kind from the sine eigenbasis of A, the pointwise kind from one n x n
+system per row, its d being of rank n.  A row whose closed-form control is
+feasible and passes the kernel's fixed-point check
+(lower._fixed_point_residual, on the whole block at once) is solved, the
+QP being strictly convex; every other row goes to the active-set kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import ValidationError
 from .lower import _fixed_point_residual, _solve_qp, lower_qp
 from .model import ProblemSpec
 
-_BLOCK = 256  # lattice rows per batch, so each temporary is 256 x N floats
+_BLOCK = 1024  # lattice rows per block; each of the five buffers holds 1024 x N floats
 
 
 @dataclass(eq=False)
@@ -56,45 +56,81 @@ def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, lo.size)
 
 
-def _unconstrained_rows(spec: ProblemSpec, X: np.ndarray, tol: float):
-    """Unconstrained lower solutions (Y, U) of the target kind at the rows of X,
-    and a mask of the rows they solve.
+def _target_controls(spec: ProblemSpec):
+    """The target kind's closed form: controls(X, qp, U, work) writes the
+    unconstrained controls of the rows of X to U and returns U.
 
-    With A = Q diag(l) Q^T, the state is y = Q ((Q^T c) / (sigma l^2 + d))
-    for the coefficients c = 2 x . y_d and d = 2 sum(x) of lower_qp, and
-    u = A y.  A row counts as solved when its u lies within the bounds and
-    passes the kernel's own fixed-point check against tol, which also gives Y.
+    With A = Q diag(l) Q^T and the lower QP's c = 2 x . y_d and d = 2 sum(x),
+    (sigma A^2 + d) y = c is diagonal in the sine basis, the coefficient d
+    being constant in space, so u = A y = Q ((l Q^T c) / (sigma l^2 + d)).
     """
-    bounds = spec.bounds
     l, Q = spec.operator.eigenbasis
-    qp = lower_qp(spec, X)
-    Y_hat = (2.0 * X @ (spec.lower.targets @ Q)) / (spec.sigma * l * l + qp.d)
-    U = (l * Y_hat) @ Q
-    residual, Y, _ = _fixed_point_residual(spec, qp, U)
-    feasible = ((U >= bounds.ua) & (U <= bounds.ub)).all(axis=1)
-    return Y, U, feasible & (residual <= tol)
+    weights = 2.0 * l * (spec.lower.targets @ Q)  # row i is 2 l Q^T t_i, Q being symmetric
+    shift = spec.sigma * l * l
+
+    def controls(X, qp, U, work):
+        np.add(shift, qp.d, out=work)
+        np.divide(np.matmul(X, weights, out=U), work, out=work)
+        return np.matmul(work, Q, out=U)
+
+    return controls
+
+
+def _pointwise_controls(spec: ProblemSpec):
+    """The pointwise kind's closed form, with _target_controls' signature.
+
+    d = 2 x / h at the measurement columns P, so the lower QP's
+    (sigma A^2 + P diag(d) P^T) y = P (d * y_d(P)) has a rank-n term.  With
+    G = (sigma A^2)^{-1} P, K = P^T G and H = A^{-1} P / sigma, y = G (d * z)
+    and u = A y = H (d * z) for the z with (I + K diag(d)) z = y_d(P): one
+    n x n system per row, with no division by x.  A repeated node gives
+    equal columns of P, whose weights add up in P diag(d) P^T as in the QP.
+    """
+    points = np.asarray(spec.lower.points)
+    n = points.size
+    columns = np.zeros((spec.grid.n_nodes, n))
+    columns[points, np.arange(n)] = 1.0
+    H = spec.operator.solve(columns) / spec.sigma
+    K = spec.operator.solve(H)[points]
+    eye, y_d = np.eye(n), spec.lower.target[points, None]
+    scale = 2.0 / spec.grid.h
+
+    def controls(X, qp, U, work):
+        d = scale * X
+        z = np.linalg.solve(eye + K * d[:, None, :], y_d)[..., 0]
+        return np.matmul(d * z, H.T, out=U)
+
+    return controls
 
 
 def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     """F(x, psi_y(x), psi_u(x)) for every row of X, in blocks of _BLOCK rows.
 
-    Rows the closed form does not solve get a kernel solve, warm-started
-    from the previous row's solution and verified against tol.
+    A block's rows live in five row-major buffers, allocated once, whose
+    transposes are the F-ordered column blocks the solves run on in place.
+    A row's closed-form control counts as its solution if it lies within
+    the bounds and passes the kernel's fixed-point check against tol, the
+    QP being strictly convex.  Every other row gets a kernel solve,
+    warm-started from the previous row's solution and verified against tol.
     """
+    bounds = spec.bounds
+    controls = (_target_controls if spec.lower.kind == "target_type" else _pointwise_controls)(spec)
+    size = min(_BLOCK, X.shape[0])
+    U, Y, P, W, C = np.empty((5, size, spec.grid.n_nodes))
     vals = np.empty(X.shape[0])
     u = None
-    for start in range(0, X.shape[0], _BLOCK):
-        Xb = X[start:start + _BLOCK]
-        if spec.lower.kind == "target_type":
-            Y, U, solved = _unconstrained_rows(spec, Xb, tol)
-        else:
-            Y, U = np.empty((2, Xb.shape[0], spec.grid.n_nodes))
-            solved = np.zeros(Xb.shape[0], dtype=bool)
+    for start in range(0, X.shape[0], size):
+        Xb = X[start:start + size]
+        b = Xb.shape[0]
+        qp = lower_qp(spec, Xb, out=C[:b])
+        Ub = controls(Xb, qp, U[:b], W[:b])
+        residual, Yb, _ = _fixed_point_residual(spec, qp, Ub, (Y[:b], P[:b], W[:b]))
+        solved = ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1) & (residual <= tol)
         for row in np.flatnonzero(~solved):
-            warm = U[row - 1] if row else u
-            Y[row], U[row] = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)[:2]
-        u = U[-1]
-        vals[start:start + _BLOCK] = spec.upper.value(spec.grid, Xb, Y, U)
+            warm = Ub[row - 1] if row else u
+            Yb[row], Ub[row] = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)[:2]
+        u = Ub[-1].copy()  # the next block overwrites the buffers
+        vals[start:start + b] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=W[:b])
     return vals
 
 
@@ -114,8 +150,11 @@ def grid_search(
         raise ValidationError(
             f"exhaustive search supports at most 3 parameters, got {n}"
         )
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise ValidationError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
+    resolution = int(resolution)
     if not (0.0 < tol < np.inf):
         raise ValidationError(f"tolerance must be positive and finite, got {tol}")
 

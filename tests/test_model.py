@@ -2,7 +2,9 @@
 validation, and serialization round trips."""
 
 import json
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from invoc.model import (
     grid_function,
     lower_coefficients,
 )
+
+from conftest import make_generated_spec
 
 
 # ---------------------------------------------------------------- grid_function
@@ -367,6 +371,15 @@ def test_problem_spec_validation(unit_spec):
             x_set=AdmissibleSetX(kind="simplex", n=2),
             bounds=ControlBounds(ua=np.full(8, -1.0), ub=np.full(8, 1.0)),
         )
+
+
+@pytest.mark.parametrize("name", ["sigma", "solver_tol", "active_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_problem_spec_refuses_a_non_finite_or_non_positive_scalar(name, value):
+    # an infinite sigma or tolerance would pass every fixed-point check vacuously
+    spec = make_generated_spec(16, (0.3, 0.7))
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        replace(spec, **{name: value})
 
 
 def test_problem_round_trip_dict(unit_spec):

@@ -2,6 +2,8 @@
 the batched solves against the dense reference and the per-row kernel, and
 which rows reach the kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,12 +18,14 @@ from invoc import (
     UpperObjective,
     build_grid,
     grid_search,
+    make_box_variant,
     solve_lower,
 )
 from invoc.errors import ConvergenceError, ValidationError
 from invoc.lower import _solve_qp, lower_qp
 
 from conftest import make_generated_spec
+from test_lower import _repeated_point_spec
 from util_dense import solve_lower_dense, upper_value_dense
 
 
@@ -149,6 +153,15 @@ def test_dimension_and_resolution_validation(unit_spec):
         grid_search(wide, 5)
     with pytest.raises(ValidationError, match="resolution"):
         grid_search(unit_spec, 1)
+    # a fractional resolution would put box points outside X_ad, and the
+    # simplex lattice would fail inside itertools
+    for spec in (make_box_variant(), unit_spec):
+        with pytest.raises(ValidationError, match="resolution must be an integer"):
+            grid_search(spec, 2.5)
+    with pytest.raises(ValidationError, match="resolution must be an integer"):
+        grid_search(unit_spec, True)
+    result = grid_search(unit_spec, np.int64(4))
+    assert result.sample_count == 5 and type(result.resolution) is int
 
 
 def test_batch_iteration_cap_raises(unit_spec, bounded_spec, monkeypatch):
@@ -189,14 +202,28 @@ def _three_parameter_tracking_spec() -> ProblemSpec:
     )
 
 
-@pytest.mark.parametrize("name", ["bounded_box", "pointwise", "simplex3"])
+def _bounded_pointwise(spec: ProblemSpec) -> ProblemSpec:
+    """spec on the unit box, its upper control bound clipped to 0.6 max(u)
+    of the lower solution at x = (1, 1), so that it binds on part of the box."""
+    cap = 0.6 * float(solve_lower(spec, np.ones(2)).u.max())
+    return replace(_box(spec), bounds=ControlBounds(ua=spec.bounds.ua,
+                                                    ub=np.full(spec.grid.n_nodes, cap)))
+
+
+@pytest.mark.parametrize("name", ["bounded_box", "pointwise", "bounded_pointwise",
+                                  "repeated_point", "simplex3"])
 def test_batched_values_match_per_row_kernel(name, bounded_spec, pointwise_spec):
     spec = {
         "bounded_box": lambda: _box(bounded_spec),
         "pointwise": lambda: pointwise_spec,
+        "bounded_pointwise": lambda: _bounded_pointwise(pointwise_spec),
+        "repeated_point": lambda: _box(_repeated_point_spec()),
         "simplex3": _three_parameter_tracking_spec,
     }[name]()
-    result = grid_search(spec, 12, keep_samples=True)
+    _assert_values_match_kernel(spec, grid_search(spec, 12, keep_samples=True))
+
+
+def _assert_values_match_kernel(spec: ProblemSpec, result):
     X, vals = result.samples[:, :-1], result.samples[:, -1]
     want = []
     for x in X:
@@ -205,7 +232,36 @@ def test_batched_values_match_per_row_kernel(name, bounded_spec, pointwise_spec)
     assert_allclose(vals, want, rtol=1e-12, atol=0.0)
 
 
-def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, monkeypatch):
+def test_batched_values_match_per_row_kernel_across_blocks(bounded_spec, monkeypatch):
+    # 169 rows in blocks of 21: eight full blocks and a last one of one row
+    spec = _box(bounded_spec)
+    monkeypatch.setattr(invoc.oracle, "_BLOCK", 21)
+    kernel, calls = invoc.oracle._solve_qp, {}
+
+    def recorded(spec, qp, tol, warm):
+        sol = kernel(spec, qp, tol, warm)
+        calls[qp.c.tobytes()] = (warm, sol.u)
+        return sol
+
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", recorded)
+    result = grid_search(spec, 12, keep_samples=True)
+    _assert_values_match_kernel(spec, result)
+    X = result.samples[:, :-1]
+    solves = {}
+    for row, x in enumerate(X):
+        key = lower_qp(spec, x).c.tobytes()
+        if key in calls:
+            solves[row] = calls[key]
+    # the bound binds in several blocks and at the one-row last block
+    assert len({row // 21 for row in solves}) >= 2 and 168 in solves
+    # a block's first row is warm-started from the previous block's last row
+    first = [row for row in solves if row % 21 == 0 and row - 1 in solves]
+    assert first
+    for row in first:
+        assert np.array_equal(solves[row][0], solves[row - 1][1])
+
+
+def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, pointwise_spec, monkeypatch):
     calls = []
     kernel = invoc.oracle._solve_qp
 
@@ -231,6 +287,13 @@ def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, monkeypatch):
     grid_search(grazing, 10)
     planted = lower_qp(grazing, np.array([0.3, 0.7])).c
     assert any(np.array_equal(qp.c, planted) for qp in calls)
+    # the same holds for the pointwise kind, a repeated measurement node included
+    calls.clear()
+    grid_search(_box(pointwise_spec), 20)
+    grid_search(_box(_repeated_point_spec()), 20)
+    assert calls == []
+    result = grid_search(_bounded_pointwise(pointwise_spec), 20)
+    assert 0 < len(calls) < result.sample_count
 
 
 def test_default_tol_holds_at_n1024():
