@@ -26,19 +26,29 @@ import numpy as np
 
 from .errors import ValidationError
 from .lower import _fixed_point_residual, _solve_qp, lower_qp
-from .model import ProblemSpec
+from .model import ProblemSpec, _integer
 
 _BLOCK = 1024  # lattice rows per block; each of the five buffers holds 1024 x N floats
 
 
 @dataclass(eq=False)
 class OracleResult:
+    """The best lattice point of one exhaustive search.
+
+    best_x is that parameter and best_value the reduced objective
+    F(x, psi_y(x), psi_u(x)) there; sample_count is the number of lattice
+    points evaluated, resolution the number of intervals per edge and
+    lattice the admissible set's kind ("simplex" or "box").  samples, when
+    requested, has one row (x_1..x_n, value) per lattice point, in the
+    order generated.
+    """
+
     best_x: np.ndarray
     best_value: float
     sample_count: int
     resolution: int
     lattice: str
-    samples: np.ndarray | None = None  # rows (x_1..x_n, value) when requested
+    samples: np.ndarray | None = None
 
 
 def _simplex_lattice(n: int, m: int) -> np.ndarray:
@@ -150,11 +160,9 @@ def grid_search(
         raise ValidationError(
             f"exhaustive search supports at most 3 parameters, got {n}"
         )
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise ValidationError(f"resolution must be an integer, got {resolution!r}")
+    resolution = _integer(resolution, "resolution")
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    resolution = int(resolution)
     if not (0.0 < tol < np.inf):
         raise ValidationError(f"tolerance must be positive and finite, got {tol}")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
-from .model import ProblemSpec
+from .model import ProblemSpec, _integer
 from .relax import RelaxedSolution, _solves_level, solve_relaxed
 from .value import value_sample
 
@@ -142,6 +142,7 @@ def run_path(
         raise ValidationError(f"eps0 must be positive and finite, got {eps0}")
     if not (0.0 < ratio < 1.0):
         raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
+    steps = _integer(steps, "steps")
     if steps < 2:
         raise ValidationError(f"step count must be at least 2, got {steps}")
 

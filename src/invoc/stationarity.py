@@ -58,6 +58,15 @@ class ActiveSets:
 
 @dataclass(eq=False)
 class StationarityCertificate:
+    """The stationarity residuals of one candidate and its classification.
+
+    residuals maps each condition's name (CSt_x, ..., CSt_strong_b) to its
+    nonnegative residual.  classification is the strongest system whose
+    residuals all clear tol: "S", "C" or "W", or "none".  active holds the
+    index sets of the control bounds that the sign conditions were taken
+    on.
+    """
+
     residuals: dict
     classification: str
     tol: float

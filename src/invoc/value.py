@@ -16,7 +16,7 @@ import numpy as np
 from .discretization import inner
 from .errors import ValidationError
 from .lower import LowerSolution, solve_lower
-from .model import ProblemSpec, eval_j
+from .model import ProblemSpec, _integer, eval_j
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +64,7 @@ def probe_concavity(spec: ProblemSpec, trials: int, seed: int = 0) -> float:
     the largest value of t*phi(x1) + (1-t)*phi(x2) - phi(t*x1 + (1-t)*x2);
     nonpositive results confirm concavity on the sample.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValidationError("need at least one trial")
     rng = np.random.default_rng(seed)
@@ -88,10 +89,11 @@ def probe_taylor(
     Boundedness of the ratio across shrinking radii is the content of the
     differentiability estimate for phi.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValidationError("need at least one trial")
-    if not (radius > 0.0):
-        raise ValidationError("radius must be positive")
+    if not (0.0 < radius < np.inf):
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     x_bar = np.asarray(x_bar, dtype=float)
     base = value_sample(spec, x_bar)
     rng = np.random.default_rng(seed)
@@ -120,6 +122,7 @@ def sample_segment(spec: ProblemSpec, x_from, x_to, count: int) -> list[ValueSam
     Equal endpoints collapse the slice to a single sample regardless of the
     requested count.
     """
+    count = _integer(count, "count")
     if count < 1:
         raise ValidationError("need at least one sample")
     x_from = np.asarray(x_from, dtype=float)

@@ -1,5 +1,6 @@
 """Relaxation path driver: schedules, recombination, failure handling."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,11 @@ def test_schedule_validation(unit_spec):
         run_path(unit_spec, ratio=1.0)
     with pytest.raises(ValidationError):
         run_path(unit_spec, steps=1)
+    for steps in (2.5, math.inf, True, "3"):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            run_path(unit_spec, steps=steps)
+    trace = run_path(unit_spec, eps0=1e-2, steps=np.int64(2))
+    assert trace.converged and type(trace.steps) is int
 
 
 def test_inactive_constraint_is_a_fixed_point(slack_spec):

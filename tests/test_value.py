@@ -60,6 +60,10 @@ def test_concavity_probe_nonpositive(unit_spec, box_unit_spec):
     assert probe_concavity(box_unit_spec, trials=40, seed=2) <= 1e-10
     with pytest.raises(ValidationError):
         probe_concavity(unit_spec, trials=0)
+    for trials in (2.5, True):  # True would run one trial
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            probe_concavity(unit_spec, trials)
+    assert probe_concavity(unit_spec, np.int64(2), seed=1) <= 1e-10
 
 
 def test_concavity_along_explicit_segment(unit_spec):
@@ -81,6 +85,11 @@ def test_taylor_probe_bounded_across_radii(unit_spec):
         probe_taylor(unit_spec, x_bar, radius=0.0, trials=5)
     with pytest.raises(ValidationError):
         probe_taylor(unit_spec, x_bar, radius=1e-2, trials=0)
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        probe_taylor(unit_spec, x_bar, radius=1e-2, trials=2.5)
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="radius must be positive and finite"):
+            probe_taylor(unit_spec, x_bar, radius=radius, trials=5)
 
 
 def test_value_sample_is_exact_whatever_the_warm_start(unit_spec, monkeypatch):
@@ -127,6 +136,10 @@ def test_sample_segment_counts(unit_spec):
     assert len(sample_segment(unit_spec, x1, x1, count=7)) == 1
     with pytest.raises(ValidationError):
         sample_segment(unit_spec, x1, x2, count=0)
+    for count in (2.5, True):
+        with pytest.raises(ValidationError, match="count must be an integer"):
+            sample_segment(unit_spec, x1, x2, count=count)
+    assert len(sample_segment(unit_spec, x1, x2, count=np.int64(2))) == 2
 
 
 def test_phi_concave_even_with_binding_bounds(bounded_spec):
