@@ -15,7 +15,9 @@ Fortran wrappers without running scipy.linalg's init.  Every solution must
 pass a fixed-point residual check ||u - P_U(u + lam/r)|| <= tol, which for
 the lower QP reads ||u - P_U(p/sigma)|| <= tol.  The solution's derivative
 along a change of coefficients (_tangent) is one more solve on its last LU
-factors.
+factors.  The band system's condition grows like N^2, so its u can miss a
+tight tol; one step of iterative refinement (Moler, J. ACM 1967) on the
+reduced equation in u, whose condition does not grow with N, is that solve.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from ._lapack import dgbtrf, dgbtrs
 from .discretization import norm
 from .errors import ConvergenceError, DimensionError, DomainError
-from .model import ProblemSpec, _row_dot, lower_coefficients
+from .model import ProblemSpec, _positive, _row_dot, lower_coefficients
 
 _MAX_SOLVES = 200  # band solves per kernel call, active-set and Newton steps together
 _ROUNDOFF = 1e-13  # relative roundoff allowance of the exactness and decrease tests
@@ -252,12 +254,17 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     P_U(warm), or P_U(0) for a cold start, sits on a bound.  Active-set
     steps stop once u = P_U(u + lam/r) holds to roundoff, which covers
     repeated sets and biactive nodes.  A set pair seen before is a cycle,
-    and projected Newton takes over.  At most _MAX_SOLVES band solves are
-    made, and the result must pass the fixed-point check against tol or
+    and projected Newton takes over, leaving one solve for an active-set
+    step from its sets.  At most _MAX_SOLVES band solves are made.  A
+    residual above min(tol, _ROUNDOFF (1 + max|u|)) gets one refinement
+    step, P_U(u + du) with H_FF du = p + b - s u solved by _tangent, if the
+    last factors fix exactly u's bound nodes; it is kept if it lowers the
+    residual.  The result must pass the fixed-point check against tol or
     ConvergenceError carries the residual, and the final iterate as best.
     A result that passes the exactness test depends only on its final
-    active sets: u is the band solve on them and y, p fresh solves of that
-    u, so a warm-started value sample that ends on them is the cold one.
+    active sets: u is the band solve on them, refined by the same rule, and
+    y, p fresh solves of that u, so a warm-started value sample that ends
+    on them is the cold one.
     """
     bounds = spec.bounds
     system = _optimality_system(spec, qp)
@@ -284,7 +291,7 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
             # cycling: converge by projected Newton, then try one active-set
             # step from its sets, so the result does not depend on the path
             u, steps = _projected_newton(
-                spec, qp, system, bounds.project(u), tol, _MAX_SOLVES - solves
+                spec, qp, system, bounds.project(u), tol, _MAX_SOLVES - solves - 1
             )
             solves += steps
             newton = True
@@ -293,10 +300,19 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     u = bounds.project(u)
     residual, y, p = _fixed_point_residual(spec, qp, u)
     sol = _QPSolution(y, u, p, solves, system, factors, float(residual))
-    if not residual <= tol:
+    if (residual > min(tol, _ROUNDOFF) and residual > min(tol, _ROUNDOFF * (1.0 + np.abs(u).max()))
+            and factors is not None
+            and factors[2].tobytes() == ((u <= bounds.ua) | (u >= bounds.ub)).tobytes()):
+        # the step: H_FF du = p + b - s u, a back-substitution on the last factors
+        du = _tangent(spec, qp, sol, TrackingQP(d=0.0, c=0.0, s=0.0, b=p + qp.b - qp.s * u))[1]
+        u_r = bounds.project(u + du)
+        res_r, y_r, p_r = _fixed_point_residual(spec, qp, u_r)
+        if res_r < residual:
+            sol = sol._replace(y=y_r, u=u_r, p=p_r, residual=float(res_r))
+    if not sol.residual <= tol:
         raise ConvergenceError(
             f"QP solve missed tol {tol:g} after {solves} band solves "
-            f"(fixed-point residual {residual:.3e})",
+            f"(fixed-point residual {sol.residual:.3e})",
             best=sol, residuals={"fixed_point": sol.residual},
         )
     return sol
@@ -332,10 +348,7 @@ def solve_lower(
     sign test is kept, as it bounds lam nodewise in multiplier units.
     """
     x = _validate_parameter(spec, x)
-    if tol is None:
-        tol = spec.solver_tol
-    if not (0.0 < tol < np.inf):
-        raise DomainError(f"solver tolerance must be positive and finite, got {tol}")
+    tol = _positive(spec.solver_tol if tol is None else tol, "tol")
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape[0] != spec.grid.n_nodes:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretization import EllipticOperator, Grid, build_grid
-from .errors import DimensionError, InfeasibleError, ValidationError
+from .errors import DimensionError, DomainError, InfeasibleError, ValidationError
 
 
 def grid_function(
@@ -378,9 +378,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         for label in ("sigma", "solver_tol", "active_tol"):
-            value = getattr(self, label)
-            if not (0.0 < value < math.inf):
-                raise ValidationError(f"{label} must be positive and finite, got {value}")
+            _positive(getattr(self, label), label)
         n_nodes = self.grid.n_nodes
         if self.lower.kind == "target_type":
             if self.lower.targets.shape[1] != n_nodes:
@@ -429,9 +427,18 @@ def _block(data: dict, key: str) -> dict:
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _positive(value, name: str, upper: float = math.inf) -> float:
+    """value as a float in (0, upper); DomainError names the argument if it is not."""
+    value = _number(value, name)
+    if not 0.0 < value < upper:
+        bound = "finite" if upper == math.inf else f"below {upper:g}"
+        raise DomainError(f"{name} must be positive and {bound}, got {value}")
+    return value
 
 
 def _integer(value, name: str) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lower import _fixed_point_residual, _solve_qp, lower_qp
-from .model import ProblemSpec, _integer
+from .model import ProblemSpec, _integer, _positive
 
 _BLOCK = 1024  # lattice rows per block; each of the five buffers holds 1024 x N floats
 
@@ -102,7 +102,7 @@ def _pointwise_controls(spec: ProblemSpec):
     columns[points, np.arange(n)] = 1.0
     H = spec.operator.solve(columns) / spec.sigma
     K = spec.operator.solve(H)[points]
-    eye, y_d = np.eye(n), spec.lower.target[points, None]
+    eye, y_d = np.eye(n), spec.lower.target[None, points, None]
     scale = 2.0 / spec.grid.h
 
     def controls(X, qp, U, work):
@@ -163,8 +163,7 @@ def grid_search(
     resolution = _integer(resolution, "resolution")
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    if not (0.0 < tol < np.inf):
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    tol = _positive(tol, "tol")
 
     if spec.x_set.kind == "simplex":
         X = _simplex_lattice(n, resolution)

@@ -16,8 +16,8 @@ Where the constraint binds, the path is smooth in sqrt(eps): x_k - x_lim
 and 1/alpha_k are both about proportional to sqrt(eps_k).  So a level whose
 two predecessors both end at alpha > 0 starts from their extrapolation, a
 predictor that solve_relaxed corrects (Allgower and Georg, Numerical
-Continuation Methods, 1990); if the corrector fails from there, the level
-is solved again from its predecessor.
+Continuation Methods, 1990).  Each level is solved once, and a level that
+fails ends the path.
 Convergence of the whole sequence is not guaranteed, only subsequential
 convergence, so the trace reports Cauchy diagnostics instead of asserting a
 limit.  Consecutive upper values must obey weak duality,
@@ -34,7 +34,7 @@ import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
-from .model import ProblemSpec, _integer
+from .model import ProblemSpec, _integer, _positive
 from .relax import RelaxedSolution, _solves_level, solve_relaxed
 from .value import value_sample
 
@@ -51,7 +51,7 @@ class PathStep:
     rho: np.ndarray
     xi: np.ndarray
     du_lower: float  # ||u_k - psi_u(x_k)||, controls the feasibility bound
-    start: str  # the level's start: cold, warm, predicted or fallback
+    start: str  # the level's start: cold, warm or predicted
 
 
 @dataclass(eq=False)
@@ -131,17 +131,12 @@ def run_path(
     one already solves (alpha = 0, gap <= eps_k, x stationary to stat_tol)
     is recorded as a copy of it, with zero iterations.  A level whose two
     predecessors both end at alpha > 0 starts instead from their
-    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps);
-    if that solve fails, the level is solved again from its predecessor,
-    and its counts include the failed attempt's.  Each record names its
-    start: cold, warm, predicted or fallback.  A failure of the solve from
-    the predecessor aborts the path but returns the partial trace with a
+    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps).
+    Each record names its start: cold, warm or predicted.  A failed level,
+    from any start, aborts the path but returns the partial trace with a
     failure marker, so callers can inspect how far the continuation got.
     """
-    if not (0.0 < eps0 < math.inf):
-        raise ValidationError(f"eps0 must be positive and finite, got {eps0}")
-    if not (0.0 < ratio < 1.0):
-        raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
+    eps0, ratio = _positive(eps0, "eps0"), _positive(ratio, "ratio", 1.0)
     steps = _integer(steps, "steps")
     if steps < 2:
         raise ValidationError(f"step count must be at least 2, got {steps}")
@@ -159,20 +154,7 @@ def run_path(
                 sol = _carry_over(warm, eps_k)
             elif prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
                 start = "predicted"
-                try:
-                    sol = solve_relaxed(spec, eps_k, warm=_predict(spec, prev, warm, eps_k),
-                                        **tols)
-                except ConvergenceError as err:
-                    start = "fallback"
-                    sol = solve_relaxed(spec, eps_k, warm=warm, **tols)
-                    # the rejected attempt's work; a failure of the predicted
-                    # start's lower solve carries the kernel's iterate instead
-                    if isinstance(err.best, RelaxedSolution):
-                        sol = replace(
-                            sol,
-                            inner_iterations=sol.inner_iterations + err.best.inner_iterations,
-                            outer_iterations=sol.outer_iterations + err.best.outer_iterations,
-                        )
+                sol = solve_relaxed(spec, eps_k, warm=_predict(spec, prev, warm, eps_k), **tols)
             else:
                 sol = solve_relaxed(spec, eps_k, warm=warm, **tols)
         except ConvergenceError as err:

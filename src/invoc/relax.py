@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .lower import (_ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _solve_qp, _tangent,
                     lower_qp)
-from .model import ProblemSpec, eval_j
+from .model import ProblemSpec, _positive, eval_j
 from .value import ValueSample, value_sample
 
 _MAX_STEPS = 200   # x-steps per relaxed solve
@@ -277,11 +277,10 @@ def solve_relaxed(
     with converged False and the whole solve's counts, or None if a kernel
     failure comes before the first; a kernel failure keeps its residuals.
     """
-    if not (0.0 < eps < math.inf):
-        raise DomainError(f"relaxation parameter must be positive and finite, got {eps}")
-    if not all(0.0 < t < math.inf for t in (feas_tol, stat_tol, comp_tol)):
-        raise DomainError("tolerances must be positive and finite, "
-                          f"got {feas_tol}, {stat_tol}, {comp_tol}")
+    eps = _positive(eps, "relaxation parameter")
+    feas_tol = _positive(feas_tol, "feas_tol")
+    stat_tol = _positive(stat_tol, "stat_tol")
+    comp_tol = _positive(comp_tol, "comp_tol")
     x_set = spec.x_set
     if warm is not None:
         x = x_set.project(np.asarray(warm.x, dtype=float))

@@ -20,7 +20,7 @@ import numpy as np
 from .discretization import norm
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .lower import TrackingQP, _fixed_point_residual, lower_qp
-from .model import ProblemSpec, eval_j_grad
+from .model import ProblemSpec, _positive, eval_j_grad
 
 _W_IDS = (
     "CSt_x", "CSt_y", "CSt_u", "CSt_p", "CSt_z",
@@ -156,8 +156,7 @@ def classify(spec: ProblemSpec, point, multipliers, tol: float = 1e-5) -> Statio
     product sign condition also clears, S when the componentwise biactive
     sign conditions clear as well.
     """
-    if not (0.0 < tol < np.inf):
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    tol = _positive(tol, "tol")
     grid, op = spec.grid, spec.operator
     nodes = (grid.n_nodes,)
     x, z = _field(point, "x", (spec.n,)), _field(multipliers, "z", (spec.n,))

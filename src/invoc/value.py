@@ -16,7 +16,7 @@ import numpy as np
 from .discretization import inner
 from .errors import ValidationError
 from .lower import LowerSolution, solve_lower
-from .model import ProblemSpec, _integer, eval_j
+from .model import ProblemSpec, _integer, _positive, eval_j
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +67,7 @@ def probe_concavity(spec: ProblemSpec, trials: int, seed: int = 0) -> float:
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValidationError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     worst = -np.inf
     for _ in range(trials):
         x1 = spec.x_set.sample(rng)
@@ -92,11 +92,10 @@ def probe_taylor(
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValidationError("need at least one trial")
-    if not (0.0 < radius < np.inf):
-        raise ValidationError(f"radius must be positive and finite, got {radius}")
+    radius = _positive(radius, "radius")
     x_bar = np.asarray(x_bar, dtype=float)
     base = value_sample(spec, x_bar)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     worst = 0.0
     for _ in range(trials):
         d = rng.standard_normal(spec.n)

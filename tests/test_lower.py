@@ -20,7 +20,7 @@ from invoc import (
     solve_lower,
 )
 from invoc.discretization import norm
-from invoc.errors import ConvergenceError, DimensionError, DomainError
+from invoc.errors import ConvergenceError, DimensionError, DomainError, ValidationError
 
 from conftest import make_generated_spec, make_unplanted_spec
 from test_stationarity import _w_not_c_fixture
@@ -127,6 +127,8 @@ def test_parameter_validation(unit_spec):
         solve_lower(unit_spec, np.array([0.2, 0.3, 0.5]))
     with pytest.raises(DomainError):
         solve_lower(unit_spec, np.array([0.5, 0.5]), tol=0.0)
+    with pytest.raises(ValidationError, match="tol must be a number"):
+        solve_lower(unit_spec, np.array([0.5, 0.5]), tol="1")
     with pytest.raises(DimensionError):
         solve_lower(unit_spec, np.array([0.5, 0.5]), warm_start=np.zeros(3))
 
@@ -215,31 +217,35 @@ def test_stacked_rows_match_single_rows(name, request):
         assert_allclose(P[i], p_i, rtol=1e-15, atol=1e-15 * np.abs(p_i).max())
 
 
-def _tight_box(n_nodes, below):
+def _tight_box(n_nodes, below, tol=None):
     """make_unplanted_spec(n_nodes, sigma=1e-4) at x = (0.3, 0.7), its control
     bounds narrowed to u0 + [-below, 1 - below] max|u0| about the solution u0
-    under the default bounds, and u0."""
+    at tol under the default bounds, and u0."""
     spec, x = make_unplanted_spec(n_nodes, sigma=1e-4), np.array([0.3, 0.7])
-    u0 = solve_lower(spec, x).u
+    u0 = solve_lower(spec, x, tol=tol).u
     width = np.abs(u0).max()
     bounds = ControlBounds(ua=u0 - below * width, ub=u0 + (1.0 - below) * width)
     return replace(spec, bounds=bounds), x, u0
 
 
 @pytest.mark.parametrize("case", ["w_not_c"] + [
-    f"n{n_nodes}_{below}" for n_nodes in (16, 32, 64) for below in (0.75, 0.25)])
+    f"n{n_nodes}_{below}{tol}" for tol in ("", "_1e-12")
+    for n_nodes in (16, 32, 64) for below in (0.75, 0.25)])
 def test_cycling_active_sets_still_converge(case, monkeypatch):
     # on these tight boxes the plain active-set steps from the cold start
     # u = P(0) come back to a set pair; projected Newton must take over and
     # finish.  A tight box about u0 keeps u0 as the solution, and the final
-    # active-set step from Newton's (empty) sets returns it bitwise
+    # active-set step from Newton's (empty) sets, refined by the same rule as
+    # u0, returns it bitwise.  At tol 1e-12 Newton cannot reach its stop test and
+    # spends every band solve, and the refinement step clears the check
     if case == "w_not_c":
         spec, point, _, _ = _w_not_c_fixture()
         x, tol, u0 = point["x"], 1e-13, None
     else:
-        n_nodes, below = case[1:].split("_")
-        spec, x, u0 = _tight_box(int(n_nodes), float(below))
-        tol = spec.solver_tol
+        n_nodes, below, *tol = case[1:].split("_")
+        tol = float(tol[0]) if tol else None
+        spec, x, u0 = _tight_box(int(n_nodes), float(below), tol)
+        tol = tol or spec.solver_tol
     newton_calls = []
     real = invoc.lower._projected_newton
 
@@ -255,6 +261,29 @@ def test_cycling_active_sets_still_converge(case, monkeypatch):
     assert sol.kkt_residual <= max(tol, 1e-12)
     if u0 is not None:
         np.testing.assert_array_equal(sol.u, u0)
+
+
+@pytest.mark.parametrize("n_nodes, sigma", [(4096, 1e-2), (32, 1e-4)])
+def test_refinement_step_reaches_tol_on_the_kernels_factors(n_nodes, sigma, monkeypatch):
+    # the band system in (y, p) has condition about N^2, and its u misses tol
+    # 1e-12 here (1.992e-11 and 3.147e-12); one refinement step on the
+    # reduced equation in u, a back-substitution on the same factors, clears
+    # it.  This is the solve that builds make_generated_spec(N, (0.3, 0.7))
+    factorizations = []
+    real = invoc.lower.dgbtrf
+
+    def counting(*args, **kwargs):
+        factorizations.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invoc.lower, "dgbtrf", counting)
+    spec, x = make_unplanted_spec(n_nodes, sigma=sigma), np.array([0.3, 0.7])
+    sol = solve_lower(spec, x, tol=1e-12)
+    assert sol.kkt_residual <= 1e-12
+    assert sol.iterations == 1 and len(factorizations) == 1
+    if n_nodes <= 64:
+        _, u_ref = solve_lower_dense(spec, x)
+        assert h_norm(spec.grid, sol.u - u_ref) <= 1e-10
 
 
 def _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o):

@@ -374,11 +374,13 @@ def test_problem_spec_validation(unit_spec):
 
 
 @pytest.mark.parametrize("name", ["sigma", "solver_tol", "active_tol"])
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, "1", None])
 def test_problem_spec_refuses_a_non_finite_or_non_positive_scalar(name, value):
-    # an infinite sigma or tolerance would pass every fixed-point check vacuously
+    # an infinite sigma or tolerance would pass every fixed-point check
+    # vacuously; a non-number is refused by name, not by a bare TypeError
     spec = make_generated_spec(16, (0.3, 0.7))
-    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+    reason = "a number" if value is None or isinstance(value, str) else "positive and finite"
+    with pytest.raises(ValidationError, match=f"{name} must be {reason}"):
         replace(spec, **{name: value})
 
 

@@ -2,6 +2,7 @@
 the batched solves against the dense reference and the per-row kernel, and
 which rows reach the kernel."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,11 @@ def test_dimension_and_resolution_validation(unit_spec):
     for spec in (make_box_variant(), unit_spec):
         with pytest.raises(ValidationError, match="resolution must be an integer"):
             grid_search(spec, 2.5)
+    for bad in ("1", None):
+        with pytest.raises(ValidationError, match="tol must be a number"):
+            grid_search(unit_spec, 4, tol=bad)
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        grid_search(unit_spec, 4, tol=math.inf)
     with pytest.raises(ValidationError, match="resolution must be an integer"):
         grid_search(unit_spec, True)
     result = grid_search(unit_spec, np.int64(4))

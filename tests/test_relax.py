@@ -23,7 +23,7 @@ from invoc import (
     solve_relaxed,
 )
 from invoc.discretization import norm
-from invoc.errors import ConvergenceError, DomainError
+from invoc.errors import ConvergenceError, DomainError, ValidationError
 from invoc.lower import _band_solve, _solve_qp, _tangent, lower_qp
 from invoc.relax import _member, _newton, _Point, _Solver
 from invoc.value import lower_objective_value, value_sample
@@ -305,6 +305,14 @@ def test_eps_validation(unit_spec):
         solve_relaxed(unit_spec, eps=-1e-3)
     with pytest.raises(DomainError):
         solve_relaxed(unit_spec, eps=math.inf)
+    for bad in ("1", None):
+        with pytest.raises(ValidationError, match="relaxation parameter must be a number"):
+            solve_relaxed(unit_spec, eps=bad)
+        for name in ("feas_tol", "stat_tol", "comp_tol"):
+            with pytest.raises(ValidationError, match=f"{name} must be a number"):
+                solve_relaxed(unit_spec, eps=1e-2, **{name: bad})
+    with pytest.raises(DomainError, match="stat_tol must be positive and finite"):
+        solve_relaxed(unit_spec, eps=1e-2, stat_tol=0.0)
 
 
 def test_convergence_error_carries_best(tilted_spec):
@@ -318,8 +326,8 @@ def test_convergence_error_carries_best(tilted_spec):
 
 @pytest.mark.parametrize("max_steps", [1, 3, 8])
 def test_stalled_solve_reports_every_x_step_it_made(tilted_spec, monkeypatch, max_steps):
-    # the best point's counts are the whole failed solve's, as run_path adds
-    # them to a fallback level's; at 1 and 8 steps the best point is not the last
+    # the best point's counts are the whole failed solve's, not those up to
+    # the best point; at 1 and 8 steps the best point is not the last
     monkeypatch.setattr(invoc.relax, "_MAX_STEPS", max_steps)
     with pytest.raises(ConvergenceError, match=f"stalled after {max_steps} x-steps") as err:
         solve_relaxed(tilted_spec, eps=1e-2, stat_tol=1e-30)

@@ -1,6 +1,8 @@
 """Stationarity certification: zero systems, an engineered W-but-not-C
 candidate built from dense algebra, active sets, and scaling invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,16 @@ def test_infeasible_candidates_rejected(unit_spec):
     not_optimal = dict(point, u=point["u"] + 0.1)
     with pytest.raises(InfeasibleError, match="optimal"):
         classify(spec, not_optimal, mult)
+
+
+def test_tolerance_validation(unit_spec):
+    point, mult = _zero_candidate(unit_spec, np.array([0.6, 0.4]))
+    for bad in ("1", None):
+        with pytest.raises(ValidationError, match="tol must be a number"):
+            classify(unit_spec, point, mult, tol=bad)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            classify(unit_spec, point, mult, tol=bad)
 
 
 @pytest.mark.parametrize("key", ["x", "u", "z", "mu", "w", "rho", "xi"])

@@ -90,6 +90,15 @@ def test_taylor_probe_bounded_across_radii(unit_spec):
     for radius in (np.inf, np.nan):
         with pytest.raises(ValidationError, match="radius must be positive and finite"):
             probe_taylor(unit_spec, x_bar, radius=radius, trials=5)
+    for bad in ("1", None):
+        with pytest.raises(ValidationError, match="radius must be a number"):
+            probe_taylor(unit_spec, x_bar, radius=bad, trials=5)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            probe_taylor(unit_spec, x_bar, radius=1e-2, trials=5, seed=bad)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            probe_concavity(unit_spec, 2, seed=bad)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        probe_concavity(unit_spec, 2, seed=1.5)
 
 
 def test_value_sample_is_exact_whatever_the_warm_start(unit_spec, monkeypatch):
