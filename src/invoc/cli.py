@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, InsufficientPathError, ValidationError
 from .lower import solve_lower
-from .model import load_problem, read_json, save_problem, write_file, write_json
+from .model import _integer, load_problem, read_json, save_problem, write_file, write_json
 from .oracle import grid_search
 from .path import extract_candidate, run_path, trace_rows
 from .presets import make_box_variant, make_default_problem
@@ -37,24 +37,8 @@ from .stationarity import classify
 from .value import sample_segment, value_sample
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(out: Path, name: str, payload) -> str:
-    write_json(out / name, _jsonable(payload))
+    write_json(out / name, payload)
     return name
 
 
@@ -108,14 +92,11 @@ def _cmd_lower(args, out: Path) -> list[str]:
 
 def _value_rows(spec, args):
     if args.samples is not None:
-        if args.samples < 1:
-            raise ValidationError("--samples must be at least 1")
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+        count = _integer(args.samples, "--samples", 1)
+        rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
         if args.x is not None or args.resolution is not None:
             raise ValidationError("--samples takes neither --x nor --resolution")
-        rng = np.random.default_rng(args.seed)
-        points = [spec.x_set.sample(rng) for _ in range(args.samples)]
+        points = [spec.x_set.sample(rng) for _ in range(count)]
         ts = [float(i) for i in range(len(points))]
         samples = [value_sample(spec, x) for x in points]
         return ts, samples
@@ -128,7 +109,7 @@ def _value_rows(spec, args):
         x0, x1 = _parse_vector(parts[0]), _parse_vector(parts[1])
     else:
         raise ValidationError("slice takes at most two endpoints separated by ';'")
-    count = args.resolution if args.resolution is not None else 21
+    count = 21 if args.resolution is None else _integer(args.resolution, "--resolution", 1)
     samples = sample_segment(spec, x0, x1, count)
     if len(samples) == 1:
         ts = [0.0]

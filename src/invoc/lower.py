@@ -8,16 +8,19 @@ One kernel computes them exactly for the whole family of tracking QPs
 (TrackingQP), which holds the lower QP and the u-subproblems of the relaxed
 program: the primal-dual active-set method (semismooth Newton on
 u = P_U(u + lam/r)), one banded solve of the optimality system in the
-interleaved unknowns (y_k, p_k) per step, with projected-Newton steps on the
-same band matrix if the active sets cycle.  The band matrices are factored
-and solved by LAPACK's dgbtrf and dgbtrs, which _lapack takes from scipy's
-Fortran wrappers without running scipy.linalg's init.  Every solution must
-pass a fixed-point residual check ||u - P_U(u + lam/r)|| <= tol, which for
-the lower QP reads ||u - P_U(p/sigma)|| <= tol.  The solution's derivative
-along a change of coefficients (_tangent) is one more solve on its last LU
-factors.  The band system's condition grows like N^2, so its u can miss a
-tight tol; one step of iterative refinement (Moler, J. ACM 1967) on the
-reduced equation in u, whose condition does not grow with N, is that solve.
+interleaved unknowns (y_k, p_k) per step, with projected Newton if the
+active sets cycle: its steps are solves of the same band matrix, and it
+evaluates a control as every check does, by the state and adjoint solves of
+the fixed-point residual.  The band matrices are factored and solved by
+LAPACK's dgbtrf and dgbtrs, which _lapack takes from scipy's Fortran
+wrappers without running scipy.linalg's init.  Every solution must pass a
+fixed-point residual check ||u - P_U(u + lam/r)|| <= tol, which for the
+lower QP reads ||u - P_U(p/sigma)|| <= tol.  The solution's derivative
+along a change of coefficients (_tangent) is one more solve, on its last LU
+factors if they fix its bound nodes and on one fresh factorization if not.
+The band system's condition grows like N^2, so its u can miss a tight tol;
+one step of iterative refinement (Moler, J. ACM 1967) on the reduced
+equation in u, whose condition does not grow with N, is that solve.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import dgbtrf, dgbtrs
-from .discretization import norm
-from .errors import ConvergenceError, DimensionError, DomainError
-from .model import ProblemSpec, _positive, _row_dot, lower_coefficients
+from .errors import ConvergenceError, DomainError
+from .model import ProblemSpec, _positive, _row_dot, _vector, lower_coefficients
 
-_MAX_SOLVES = 200  # band solves per kernel call, active-set and Newton steps together
+# solves per kernel call before the refinement step: each active-set step and
+# each of projected Newton's steps and evaluations counts one
+_MAX_SOLVES = 200
 _ROUNDOFF = 1e-13  # relative roundoff allowance of the exactness and decrease tests
 _ARMIJO = 1e-4
 
@@ -47,8 +51,9 @@ class LowerSolution:
     tridiagonal solve's roundoff, and lam = p - sigma*u makes the gradient
     equation exact.  kkt_residual is the larger of the kernel's fixed-point
     residual ||u - P_U(p/sigma)|| from those solves and lam's sign residual.
-    iterations counts the band solves of the active-set steps (and of
-    projected Newton after a cycle).
+    iterations counts the kernel's solves: one per active-set step, one per
+    projected-Newton step and evaluation after a cycle, and one for the
+    refinement step's factorization where it needs one.
     """
 
     x: np.ndarray
@@ -61,9 +66,7 @@ class LowerSolution:
 
 
 def _validate_parameter(spec: ProblemSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,):
-        raise DimensionError(f"parameter has shape {x.shape}, expected ({spec.n},)")
+    x = _vector(x, (spec.n,), "parameter")
     if not np.isfinite(x).all():
         raise DomainError(f"parameter {x} has a non-finite component")
     if (x < -1e-12).any():
@@ -187,20 +190,18 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
     roundoff guard on the decrease test, makes it globally convergent.  It
     stops at a fixed-point residual of tol/2, leaving the final check room
     for roundoff, which on fine grids with small sigma exceeds _ROUNDOFF.
+    Each evaluation of a control, _fixed_point_residual's state and adjoint
+    solves, counts as one solve against budget, as each Newton step does.
     """
     bounds, h = spec.bounds, spec.grid.h
-    everywhere = np.ones(u.shape, dtype=bool)
 
-    def at(w):  # target and objective at the control w
-        y, p, _ = _band_solve(system, everywhere, w)
-        return _target(spec, qp, y, p), _objective(spec, qp, y, w)
+    def at(w):  # fixed-point residual, target and objective at the control w
+        residual, y, p = _fixed_point_residual(spec, qp, w)
+        return residual, _target(spec, qp, y, p), _objective(spec, qp, y, w)
 
-    v, f = at(u)
+    residual, v, f = at(u)
     solves = 1
-    while solves < budget:
-        residual = norm(spec.grid, u - bounds.project(v))
-        if residual <= 0.5 * tol:
-            break
+    while solves < budget and residual > 0.5 * tol:
         grad = u - v  # the gradient s u - p - b, divided by r
         width = min(1e-3, residual)
         frozen = ((u <= bounds.ua + width) & (grad > 0.0)) | (
@@ -211,14 +212,14 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
         alpha = 1.0
         while solves < budget:
             trial = bounds.project(u + alpha * step)
-            v_t, f_t = at(trial)
+            res_t, v_t, f_t = at(trial)
             solves += 1
             decrease = h * _scale(spec, qp) * (
                 alpha * float(grad[~frozen] @ -step[~frozen])
                 + float(grad[frozen] @ (u - trial)[frozen])
             )
             if f_t <= f - _ARMIJO * decrease + _ROUNDOFF * (1.0 + abs(f)):
-                u, v, f = trial, v_t, f_t
+                u, v, f, residual = trial, v_t, f_t, res_t
                 break
             alpha *= 0.5
     return u, solves
@@ -248,18 +249,20 @@ _QPSolution = namedtuple("_QPSolution", "y u p solves system factors residual")
 
 
 def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | None = None):
-    """Exact solution (y, u, p) of one tracking QP and the band solves made.
+    """Exact solution (y, u, p) of one tracking QP and the solves made.
 
     p solves A p = c - d y.  The first active sets are the nodes where
     P_U(warm), or P_U(0) for a cold start, sits on a bound.  Active-set
     steps stop once u = P_U(u + lam/r) holds to roundoff, which covers
     repeated sets and biactive nodes.  A set pair seen before is a cycle,
     and projected Newton takes over, leaving one solve for an active-set
-    step from its sets.  At most _MAX_SOLVES band solves are made.  A
+    step from its sets.  At most _MAX_SOLVES solves are made.  Then a
     residual above min(tol, _ROUNDOFF (1 + max|u|)) gets one refinement
-    step, P_U(u + du) with H_FF du = p + b - s u solved by _tangent, if the
-    last factors fix exactly u's bound nodes; it is kept if it lowers the
-    residual.  The result must pass the fixed-point check against tol or
+    step, P_U(u + du) with H_FF du = p + b - s u solved by _tangent: on the
+    last factors where they fix u's bound nodes, else on one more
+    factorization, which counts as a solve.  It is kept if it lowers the
+    residual; a kernel allowed no solve has no factors and is not refined.
+    The result must pass the fixed-point check against tol or
     ConvergenceError carries the residual, and the final iterate as best.
     A result that passes the exactness test depends only on its final
     active sets: u is the band solve on them, refined by the same rule, and
@@ -301,17 +304,17 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     residual, y, p = _fixed_point_residual(spec, qp, u)
     sol = _QPSolution(y, u, p, solves, system, factors, float(residual))
     if (residual > min(tol, _ROUNDOFF) and residual > min(tol, _ROUNDOFF * (1.0 + np.abs(u).max()))
-            and factors is not None
-            and factors[2].tobytes() == ((u <= bounds.ua) | (u >= bounds.ub)).tobytes()):
-        # the step: H_FF du = p + b - s u, a back-substitution on the last factors
-        du = _tangent(spec, qp, sol, TrackingQP(d=0.0, c=0.0, s=0.0, b=p + qp.b - qp.s * u))[1]
+            and factors is not None):
+        # the step: H_FF du = p + b - s u, on the last factors if they fix u's bound nodes
+        _, du, factored = _tangent(spec, qp, sol, TrackingQP(d=0.0, c=0.0, s=0.0, b=p + qp.b - qp.s * u))
         u_r = bounds.project(u + du)
         res_r, y_r, p_r = _fixed_point_residual(spec, qp, u_r)
+        sol = sol._replace(solves=solves + factored)
         if res_r < residual:
             sol = sol._replace(y=y_r, u=u_r, p=p_r, residual=float(res_r))
     if not sol.residual <= tol:
         raise ConvergenceError(
-            f"QP solve missed tol {tol:g} after {solves} band solves "
+            f"QP solve missed tol {tol:g} after {sol.solves} solves "
             f"(fixed-point residual {sol.residual:.3e})",
             best=sol, residuals={"fixed_point": sol.residual},
         )
@@ -350,9 +353,7 @@ def solve_lower(
     x = _validate_parameter(spec, x)
     tol = _positive(spec.solver_tol if tol is None else tol, "tol")
     if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape[0] != spec.grid.n_nodes:
-            raise DimensionError("warm start length does not match grid")
+        warm_start = _vector(warm_start, (spec.grid.n_nodes,), "warm_start")
 
     y, u, p, solves, _, _, residual = _solve_qp(spec, lower_qp(spec, x), tol, warm_start)
     lam = p - spec.sigma * u

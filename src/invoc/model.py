@@ -441,10 +441,25 @@ def _positive(value, name: str, upper: float = math.inf) -> float:
     return value
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, low: int | None = None) -> int:
+    """value as an int of at least low; DomainError names the argument if it is below."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def _vector(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape: ValidationError if it is not
+    numeric, DimensionError if its shape differs, both naming the argument."""
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
+    if value.shape != shape:
+        raise DimensionError(f"{name} has shape {value.shape}, expected {shape}")
+    return value
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -634,9 +649,20 @@ def write_file(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def _numpy_to_json(obj):
+    """json.dumps's default hook: numpy arrays as lists, numpy scalars as numbers."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: str | os.PathLike, data) -> None:
-    """Write data as sorted, indented JSON with write_file."""
-    write_file(path, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Write data, numpy arrays and scalars among it, as sorted, indented JSON
+    with write_file."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False, default=_numpy_to_json)
+    write_file(path, text + "\n")
 
 
 def load_problem(path: str | os.PathLike) -> ProblemSpec:

@@ -160,9 +160,7 @@ def grid_search(
         raise ValidationError(
             f"exhaustive search supports at most 3 parameters, got {n}"
         )
-    resolution = _integer(resolution, "resolution")
-    if resolution < 2:
-        raise ValidationError(f"resolution must be at least 2, got {resolution}")
+    resolution = _integer(resolution, "resolution", 2)
     tol = _positive(tol, "tol")
 
     if spec.x_set.kind == "simplex":

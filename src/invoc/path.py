@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .discretization import norm
-from .errors import ConvergenceError, InsufficientPathError, ValidationError
+from .errors import ConvergenceError, InsufficientPathError
 from .model import ProblemSpec, _integer, _positive
 from .relax import RelaxedSolution, _solves_level, solve_relaxed
 from .value import value_sample
@@ -137,9 +137,7 @@ def run_path(
     failure marker, so callers can inspect how far the continuation got.
     """
     eps0, ratio = _positive(eps0, "eps0"), _positive(ratio, "ratio", 1.0)
-    steps = _integer(steps, "steps")
-    if steps < 2:
-        raise ValidationError(f"step count must be at least 2, got {steps}")
+    steps = _integer(steps, "steps", 2)
 
     trace = PathTrace(eps0=eps0, ratio=ratio, steps=steps)
     tols = {"feas_tol": feas_tol, "stat_tol": stat_tol, "comp_tol": comp_tol}

@@ -32,7 +32,7 @@ def plant(spec: ProblemSpec, x_star) -> ProblemSpec:
     F is then zero at x_star, so with gamma = 0 x_star is a global solution;
     x_star is added to the metadata.
     """
-    gen = solve_lower(spec, np.asarray(x_star, dtype=float), tol=1e-12)
+    gen = solve_lower(spec, x_star, tol=1e-12)
     return replace(spec, upper=replace(spec.upper, y_o=gen.y, u_o=gen.u),
                    metadata={**spec.metadata, "x_star": [float(v) for v in x_star]})
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import norm
-from .errors import DimensionError, InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .lower import TrackingQP, _fixed_point_residual, lower_qp
-from .model import ProblemSpec, _positive, eval_j_grad
+from .model import ProblemSpec, _positive, _vector, eval_j_grad
 
 _W_IDS = (
     "CSt_x", "CSt_y", "CSt_u", "CSt_p", "CSt_z",
@@ -83,8 +83,8 @@ class StationarityCertificate:
 
 def active_sets(spec: ProblemSpec, u, lam, tol_act: float | None = None) -> ActiveSets:
     """Classify nodes against the control bounds, deterministically in tol_act."""
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    nodes = (spec.grid.n_nodes,)
+    u, lam = _vector(u, nodes, "u"), _vector(lam, nodes, "lam")
     if tol_act is None:
         tol_act = spec.active_tol
     ua, ub = spec.bounds.ua, spec.bounds.ub
@@ -130,13 +130,7 @@ def _check_feasible(spec: ProblemSpec, qp: TrackingQP, x, u):
 def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
     if key not in data:
         raise ValidationError(f"candidate is missing field {key!r}")
-    try:
-        value = np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field {key!r} is not an array of numbers") from None
-    if value.shape != shape:
-        raise DimensionError(f"field {key!r} has shape {value.shape}, expected {shape}")
-    return value
+    return _vector(data[key], shape, f"field {key!r}")
 
 
 def _max_over(values: np.ndarray, idx: np.ndarray) -> float:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import inner
-from .errors import ValidationError
 from .lower import LowerSolution, solve_lower
-from .model import ProblemSpec, _integer, _positive, eval_j
+from .model import ProblemSpec, _integer, _positive, _vector, eval_j
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +34,7 @@ def lower_objective_value(spec: ProblemSpec, x: np.ndarray, y: np.ndarray, u: np
     jy = j(y) if the caller has it."""
     if jy is None:
         jy = eval_j(spec.grid, spec.lower, y)
-    return float(np.dot(np.asarray(x, dtype=float), jy) + 0.5 * spec.sigma * inner(spec.grid, u, u))
+    return float(np.dot(x, jy) + 0.5 * spec.sigma * inner(spec.grid, u, u))
 
 
 def value_sample(spec: ProblemSpec, x, warm_start: np.ndarray | None = None) -> ValueSample:
@@ -64,10 +63,8 @@ def probe_concavity(spec: ProblemSpec, trials: int, seed: int = 0) -> float:
     the largest value of t*phi(x1) + (1-t)*phi(x2) - phi(t*x1 + (1-t)*x2);
     nonpositive results confirm concavity on the sample.
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValidationError("need at least one trial")
-    rng = np.random.default_rng(_integer(seed, "seed"))
+    trials = _integer(trials, "trials", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     worst = -np.inf
     for _ in range(trials):
         x1 = spec.x_set.sample(rng)
@@ -89,13 +86,11 @@ def probe_taylor(
     Boundedness of the ratio across shrinking radii is the content of the
     differentiability estimate for phi.
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    trials = _integer(trials, "trials", 1)
     radius = _positive(radius, "radius")
-    x_bar = np.asarray(x_bar, dtype=float)
+    x_bar = _vector(x_bar, (spec.n,), "x_bar")
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     base = value_sample(spec, x_bar)
-    rng = np.random.default_rng(_integer(seed, "seed"))
     worst = 0.0
     for _ in range(trials):
         d = rng.standard_normal(spec.n)
@@ -121,11 +116,9 @@ def sample_segment(spec: ProblemSpec, x_from, x_to, count: int) -> list[ValueSam
     Equal endpoints collapse the slice to a single sample regardless of the
     requested count.
     """
-    count = _integer(count, "count")
-    if count < 1:
-        raise ValidationError("need at least one sample")
-    x_from = np.asarray(x_from, dtype=float)
-    x_to = np.asarray(x_to, dtype=float)
+    count = _integer(count, "count", 1)
+    x_from = _vector(x_from, (spec.n,), "x_from")
+    x_to = _vector(x_to, (spec.n,), "x_to")
     if np.array_equal(x_from, x_to):
         return [value_sample(spec, x_from)]
     out = []

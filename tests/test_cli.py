@@ -29,6 +29,7 @@ import invoc
 import invoc.path
 from invoc import cli, load_problem, save_problem, solve_lower, value_sample
 from invoc.errors import ConvergenceError
+from invoc.model import _numpy_to_json
 
 from conftest import make_generated_spec
 
@@ -36,6 +37,11 @@ from conftest import make_generated_spec
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _encoded(payload):
+    """payload as the result files hold it: through write_json's encoder and back."""
+    return json.loads(json.dumps(payload, default=_numpy_to_json))
 
 
 def _read_csv(path):
@@ -282,8 +288,8 @@ def test_path_tol_reaches_the_solver(problem_file, tmp_path, tol):
     assert rc == 0
     trace = invoc.run_path(load_problem(problem_file), **_tols(tol))
     point, multipliers = invoc.extract_candidate(trace)
-    assert _read_json(tmp_path / "candidate_point.json") == cli._jsonable(point)
-    assert _read_json(tmp_path / "candidate_multipliers.json") == cli._jsonable(multipliers)
+    assert _read_json(tmp_path / "candidate_point.json") == _encoded(point)
+    assert _read_json(tmp_path / "candidate_multipliers.json") == _encoded(multipliers)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-2])
@@ -295,7 +301,7 @@ def test_relax_tol_reaches_the_solver(tmp_path, tol):
                    "--eps0", "1e-2", "--tol", str(tol)])
     assert rc == 0
     sol = invoc.solve_relaxed(load_problem(problem), 1e-2, **_tols(tol))
-    assert _read_json(out / "relaxed_solution.json") == cli._jsonable(cli._relaxed_payload(sol))
+    assert _read_json(out / "relaxed_solution.json") == _encoded(cli._relaxed_payload(sol))
 
 
 def test_result_files_bit_identical_across_runs(problem_file, tmp_path):
@@ -437,7 +443,7 @@ def test_non_finite_parameter_exits_2(problem_file, tmp_path, text):
 @pytest.mark.parametrize("args, message", [
     (["relax", "--eps0", "inf"], "relaxation parameter must be positive and finite"),
     (["path", "--eps0", "inf"], "eps0 must be positive and finite"),
-    (["value", "--samples", "3", "--seed", "-1"], "--seed must be nonnegative"),
+    (["value", "--samples", "3", "--seed", "-1"], "--seed must be at least 0, got -1"),
 ], ids=["relax-eps0", "path-eps0", "value-seed"])
 def test_infinite_or_negative_option_exits_2(problem_file, tmp_path, args, message):
     # each used to exit 1 with a traceback, leaving no error.json
@@ -446,6 +452,22 @@ def test_infinite_or_negative_option_exits_2(problem_file, tmp_path, args, messa
     assert rc == 2
     err = _read_json(out / "error.json")
     assert err["exit_code"] == 2 and message in err["message"]
+
+
+@pytest.mark.parametrize("args, error, message", [
+    (["--samples", "0"], "DomainError", "--samples must be at least 1, got 0"),
+    ([], "ValidationError", "value requires --x (slice endpoints) or --samples"),
+    (["--x", "a;b;c"], "ValidationError",
+     "slice takes at most two endpoints separated by ';'"),
+    (["--x", "0.2,0.8;0.6,0.4", "--resolution", "0"], "DomainError",
+     "--resolution must be at least 1, got 0"),
+], ids=["samples-0", "no-x-no-samples", "three-endpoints", "resolution-0"])
+def test_value_refuses_malformed_options(problem_file, tmp_path, args, error, message):
+    out = tmp_path / "out"
+    rc = cli.main(["value", "--problem", problem_file, "--out", str(out), *args])
+    assert rc == 2
+    err = _read_json(out / "error.json")
+    assert err["error"] == error and err["message"] == message
 
 
 def test_lower_without_x_exits_2(problem_file, tmp_path):

@@ -133,6 +133,19 @@ def test_parameter_validation(unit_spec):
         solve_lower(unit_spec, np.array([0.5, 0.5]), warm_start=np.zeros(3))
 
 
+@pytest.mark.parametrize("x, warm_start, error, name", [
+    (["a", 0.7], None, ValidationError, "parameter"),
+    ([0.3, 0.7], 5.0, DimensionError, "warm_start"),
+    ([0.3, 0.7], np.zeros((16, 2)), DimensionError, "warm_start"),
+    ([0.3, 0.7], ["a"] * 16, ValidationError, "warm_start"),
+], ids=["parameter-text", "warm-scalar", "warm-matrix", "warm-text"])
+def test_malformed_array_argument_is_refused_by_name(unit_spec, x, warm_start, error, name):
+    # each used to surface as numpy's bare ValueError or an IndexError
+    with pytest.raises(error) as err:
+        solve_lower(unit_spec, x, warm_start=warm_start)
+    assert type(err.value) is error and str(err.value).startswith(name)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameter_rejected(unit_spec, bad):
     with pytest.raises(DomainError, match="non-finite"):
@@ -284,6 +297,61 @@ def test_refinement_step_reaches_tol_on_the_kernels_factors(n_nodes, sigma, monk
     if n_nodes <= 64:
         _, u_ref = solve_lower_dense(spec, x)
         assert h_norm(spec.grid, sol.u - u_ref) <= 1e-10
+
+
+def _count_work(monkeypatch):
+    """Counts of the kernel's band factorizations and of projected Newton's
+    evaluations, kept up to date as the kernel runs."""
+    lower, work = invoc.lower, {"factorizations": 0, "evaluations": 0, "newton": 0}
+    dgbtrf, newton, residual = lower.dgbtrf, lower._projected_newton, lower._fixed_point_residual
+
+    def counting_dgbtrf(*args, **kwargs):
+        work["factorizations"] += 1
+        return dgbtrf(*args, **kwargs)
+
+    def counting_newton(*args):
+        work["newton"] += 1
+        try:
+            return newton(*args)
+        finally:
+            work["newton"] -= 1
+
+    def counting_residual(*args, **kwargs):
+        work["evaluations"] += work["newton"]
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(lower, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(lower, "_projected_newton", counting_newton)
+    monkeypatch.setattr(lower, "_fixed_point_residual", counting_residual)
+    return work
+
+
+def test_newton_iterate_stands_when_its_active_set_step_is_not_exact(bounded_spec, monkeypatch):
+    # with the exactness test failing every time, the active-set steps come
+    # back to a set pair, projected Newton takes over, and the active-set step
+    # from its sets is refused as well: Newton's iterate is the result
+    work = _count_work(monkeypatch)
+    monkeypatch.setattr(invoc.lower, "_exact", lambda u, target: False)
+    x = np.array([0.3, 0.7])
+    sol = solve_lower(bounded_spec, x, tol=1e-10)
+    assert sol.kkt_residual <= 1e-10 and work["evaluations"] >= 1
+    # each band factorization and each of Newton's evaluations is one solve
+    assert sol.iterations == work["factorizations"] + work["evaluations"]
+    _, u_ref = solve_lower_dense(bounded_spec, x)
+    assert h_norm(bounded_spec.grid, sol.u - u_ref) <= 1e-10
+
+
+def test_refinement_step_factors_afresh_where_the_sets_moved(bounded_spec, monkeypatch):
+    # two band solves leave u = P_U(v) with bound nodes the last factors do
+    # not fix; the refinement step factors once more, counts it, and clears tol
+    work = _count_work(monkeypatch)
+    monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 2)
+    x = np.array([0.3, 0.7])
+    sol = solve_lower(bounded_spec, x, tol=1e-10)
+    assert sol.kkt_residual <= 1e-10
+    assert sol.iterations == work["factorizations"] == 3 and work["evaluations"] == 0
+    _, u_ref = solve_lower_dense(bounded_spec, x)
+    assert h_norm(bounded_spec.grid, sol.u - u_ref) <= 1e-10
 
 
 def _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o):

@@ -454,6 +454,114 @@ def test_problem_from_dict_rejects_non_numeric_box_bounds(box_unit_spec):
         problem_from_dict(data)
 
 
+_DELETE = object()
+
+# (fixture, path of keys into problem_to_dict's output, new value or _DELETE,
+# error class, the message's start, which names the field)
+_REFUSED = [
+    ("unit_spec", ("u_bounds",), _DELETE, ValidationError, "missing problem key 'u_bounds'"),
+    ("unit_spec", ("lower_objective", "targets"), "abc", ValidationError,
+     "target_type needs a nonempty 'targets' list"),
+    ("unit_spec", ("lower_objective", "targets"), [], ValidationError,
+     "target_type needs a nonempty 'targets' list"),
+    ("pointwise_spec", ("lower_objective", "points"), 4, ValidationError,
+     "pointwise needs a nonempty 'points' list"),
+    ("pointwise_spec", ("lower_objective", "points"), [], ValidationError,
+     "pointwise needs a nonempty 'points' list"),
+    ("unit_spec", ("lower_objective", "kind"), "quadratic", ValidationError,
+     "unknown lower objective kind 'quadratic'"),
+    ("unit_spec", ("upper_objective", "y_o"), [True] * 16, ValidationError,
+     "y_o: bad array entry True"),
+    ("unit_spec", ("upper_objective", "u_o"), [None] * 16, ValidationError,
+     "u_o: bad array entry None"),
+    ("pointwise_spec", ("lower_objective", "points"), [4, 16], ValidationError,
+     "measurement nodes must lie in [0, 16)"),
+    ("box_unit_spec", ("x_ad", "bounds", "lo"), 0.0, ValidationError,
+     "x_ad.bounds.lo must be a list of numbers"),
+    ("box_unit_spec", ("x_ad", "bounds", "lo"), [0.0, 0.0, 0.0], DimensionError,
+     "box bounds must have length n"),
+    ("box_unit_spec", ("x_ad", "bounds", "hi"), _DELETE, ValidationError,
+     "box x_ad needs bounds with 'lo' and 'hi'"),
+    ("unit_spec", ("x_ad", "kind"), "ball", ValidationError, "unknown x_ad kind 'ball'"),
+]
+
+
+@pytest.mark.parametrize("fixture, keys, value, error, message", _REFUSED)
+def test_problem_from_dict_refuses_a_malformed_block(request, fixture, keys, value, error, message):
+    data = problem_to_dict(request.getfixturevalue(fixture))
+    block = data
+    for key in keys[:-1]:
+        block = block[key]
+    if value is _DELETE:
+        del block[keys[-1]]
+    else:
+        block[keys[-1]] = value
+    with pytest.raises(error) as err:
+        problem_from_dict(data)
+    assert type(err.value) is error and str(err.value).startswith(message)
+
+
+def _spec_with(**changes):
+    """A pointwise instance on 4 nodes, with keyword changes to its parts."""
+    grid = build_grid(4)
+    parts = dict(
+        grid=grid, sigma=1.0,
+        lower=LowerObjective(kind="pointwise", points=(1, 2), target=np.zeros(4)),
+        upper=UpperObjective(c_y=1.0, y_o=np.zeros(4), c_u=1.0, u_o=np.zeros(4)),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(4, -1.0), ub=np.full(4, 1.0)),
+    )
+    parts.update(changes)
+    return ProblemSpec(**parts)
+
+
+_CONSTRUCTOR_REFUSALS = [
+    (lambda: grid_function(build_grid(4), [0.0, math.nan, 0.0, 0.0], name="y_o"),
+     ValidationError, "y_o: contains NaN"),
+    (lambda: LowerObjective(kind="pointwise", points=(1,), target=np.zeros(4),
+                            targets=np.zeros((1, 4))),
+     ValidationError, "pointwise objective takes no target stack"),
+    (lambda: AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.array([1.0, np.inf])),
+     ValidationError, "box bounds must be finite"),
+    (lambda: ControlBounds(ua=np.array([-1.0, np.nan]), ub=np.ones(2)),
+     ValidationError, "control bounds contain NaN"),
+    (lambda: _spec_with(lower=LowerObjective(kind="pointwise", points=(1, 2),
+                                             target=np.zeros(5))),
+     DimensionError, "desired state does not match the grid"),
+    (lambda: _spec_with(upper=UpperObjective(c_y=1.0, y_o=np.zeros(5), c_u=1.0,
+                                             u_o=np.zeros(4))),
+     DimensionError, "y_o does not match the grid"),
+    (lambda: _spec_with(upper=UpperObjective(c_y=1.0, y_o=np.zeros(4), c_u=1.0,
+                                             u_o=np.zeros(3))),
+     DimensionError, "u_o does not match the grid"),
+    (lambda: _spec_with(bounds=ControlBounds(ua=np.full(5, -1.0), ub=np.full(5, 1.0))),
+     DimensionError, "control bounds do not match the grid"),
+    (lambda: _spec_with(x_set=AdmissibleSetX(kind="simplex", n=3)),
+     DimensionError, "admissible set dimension 3 does not match objective dimension 2"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", _CONSTRUCTOR_REFUSALS, ids=[
+    "nan-grid-function", "pointwise-with-targets", "infinite-box", "nan-control-bounds",
+    "pointwise-target-length", "y_o-length", "u_o-length", "bounds-length", "x_set-dimension",
+])
+def test_constructors_refuse_malformed_parts(build, error, message):
+    assert _spec_with().n == 2  # the unchanged parts make a valid instance
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value).startswith(message)
+
+
+def test_write_json_writes_numpy_arrays_and_scalars(tmp_path):
+    path = tmp_path / "data.json"
+    model.write_json(path, {"a": np.arange(2.0), "i": np.int64(3), "b": np.bool_(True),
+                            "f": np.float32(0.5), "g": np.float64(0.1), "t": (1, 2)})
+    assert json.loads(path.read_text()) == {
+        "a": [0.0, 1.0], "i": 3, "b": True, "f": 0.5, "g": 0.1, "t": [1, 2]}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        model.write_json(path, {"s": {1}})
+
+
 def test_load_problem_missing_and_malformed(tmp_path):
     with pytest.raises(OSError):
         load_problem(tmp_path / "absent.json")

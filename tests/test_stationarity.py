@@ -18,7 +18,7 @@ from invoc import (
     make_default_problem,
     solve_lower,
 )
-from invoc.errors import InfeasibleError, ValidationError
+from invoc.errors import DimensionError, InfeasibleError, ValidationError
 from invoc.model import eval_j_grad
 
 from conftest import make_unplanted_spec
@@ -174,6 +174,17 @@ def test_active_sets_all_on_lower_bound(unit_spec):
     assert sets.biactive_a.size == n_nodes
     assert sets.i_a_plus.size == 0
     assert sets.inactive.size == 0
+
+
+@pytest.mark.parametrize("u, lam, error, name", [
+    (np.zeros(15), np.zeros(16), DimensionError, "u has shape (15,)"),
+    (np.zeros(16), ["a"] * 16, ValidationError, "lam is not an array of numbers"),
+])
+def test_active_sets_refuse_a_malformed_vector(unit_spec, u, lam, error, name):
+    # a short u used to reach numpy's broadcast error
+    with pytest.raises(error) as err:
+        active_sets(unit_spec, u, lam)
+    assert type(err.value) is error and str(err.value).startswith(name)
 
 
 def test_active_sets_tolerance_sensitivity(bounded_spec):

@@ -11,7 +11,7 @@ from invoc import (
     sample_segment,
     value_sample,
 )
-from invoc.errors import DomainError, ValidationError
+from invoc.errors import DimensionError, DomainError, ValidationError
 from invoc.value import lower_objective_value
 
 from util_dense import phi_dense
@@ -153,3 +153,20 @@ def test_sample_segment_counts(unit_spec):
 
 def test_phi_concave_even_with_binding_bounds(bounded_spec):
     assert probe_concavity(bounded_spec, trials=30, seed=5) <= 1e-10
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda spec: probe_concavity(spec, 2, seed=-1), DomainError, "seed"),
+    (lambda spec: probe_taylor(spec, [0.4, 0.6], 1e-2, 2, seed=-1), DomainError, "seed"),
+    (lambda spec: probe_taylor(spec, [0.3, "x"], 1e-2, 2), ValidationError, "x_bar"),
+    (lambda spec: sample_segment(spec, [0.3, 0.7], [0.3], 3), DimensionError, "x_to"),
+    (lambda spec: sample_segment(spec, [[0.3, 0.7]], [0.3, 0.7], 3), DimensionError, "x_from"),
+    (lambda spec: sample_segment(spec, [0.3, 0.7], [0.6, 0.4], 0), DomainError, "count"),
+], ids=["concavity-seed", "taylor-seed", "taylor-x_bar", "segment-x_to", "segment-x_from",
+        "segment-count"])
+def test_malformed_argument_is_refused_by_name(unit_spec, call, error, name):
+    # a negative seed used to reach numpy's bare ValueError, a text entry
+    # its float conversion, and a short endpoint was broadcast
+    with pytest.raises(error) as err:
+        call(unit_spec)
+    assert type(err.value) is error and str(err.value).startswith(name)
