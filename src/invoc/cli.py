@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -35,6 +36,11 @@ from .presets import make_box_variant, make_default_problem
 from .relax import solve_relaxed
 from .stationarity import classify
 from .value import sample_segment, value_sample
+
+
+def _fields(result, *skip) -> dict:
+    """A result dataclass's fields but skip, by name: the payload of its JSON file."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name not in skip}
 
 
 def _write_json(out: Path, name: str, payload) -> str:
@@ -82,12 +88,7 @@ def _cmd_lower(args, out: Path) -> list[str]:
     if args.x is None:
         raise ValidationError("lower requires --x")
     sol = solve_lower(spec, _parse_vector(args.x), **_tol(args))
-    return [
-        _write_json(out, "lower_solution.json", {
-            "x": sol.x, "y": sol.y, "u": sol.u, "p": sol.p, "lam": sol.lam,
-            "kkt_residual": sol.kkt_residual, "iterations": sol.iterations,
-        })
-    ]
+    return [_write_json(out, "lower_solution.json", _fields(sol))]
 
 
 def _value_rows(spec, args):
@@ -133,21 +134,10 @@ def _cmd_value(args, out: Path) -> list[str]:
     return [_write_csv(out, "value_slice.csv", header, rows)]
 
 
-def _relaxed_payload(sol) -> dict:
-    return {
-        "eps": sol.eps, "x": sol.x, "y": sol.y, "u": sol.u,
-        "alpha": sol.alpha, "z": sol.z, "p": sol.p, "lam": sol.lam,
-        "upper_value": sol.upper_value, "gap": sol.gap,
-        "inner_iterations": sol.inner_iterations,
-        "outer_iterations": sol.outer_iterations,
-        "converged": sol.converged, "residuals": sol.residuals,
-    }
-
-
 def _cmd_relax(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
     sol = solve_relaxed(spec, args.eps0, **_tol_overrides(args))
-    return [_write_json(out, "relaxed_solution.json", _relaxed_payload(sol))]
+    return [_write_json(out, "relaxed_solution.json", _fields(sol, "sample", "step"))]
 
 
 def _cmd_path(args, out: Path) -> list[str]:
@@ -164,16 +154,7 @@ def _cmd_path(args, out: Path) -> list[str]:
             out, "path_trace.csv", header,
             [[row[k] for k in header] for row in rows],
         ))
-    summary = {
-        "eps0": trace.eps0, "ratio": trace.ratio, "steps": trace.steps,
-        "completed": len(trace.records),
-        "deep_enough": trace.deep_enough,
-        "multiplier_sup": trace.multiplier_sup,
-        "multipliers_bounded": trace.multipliers_bounded,
-        "warnings": trace.warnings,
-        "failure": trace.failure,
-        "limit": trace.limit,
-    }
+    summary = {**_fields(trace, "records", "cauchy"), "completed": len(trace.records)}
     outputs.append(_write_json(out, "limit.json", summary))
     if trace.failure is not None:
         raise ConvergenceError(
@@ -192,21 +173,14 @@ def _cmd_certify(args, out: Path) -> list[str]:
     point = read_json(args.point)
     multipliers = read_json(args.multipliers)
     cert = classify(spec, point, multipliers, **_tol(args))
-    return [_write_json(out, "certificate.json", cert.as_dict())]
+    payload = {**_fields(cert, "active"), "active_sets": _fields(cert.active)}
+    return [_write_json(out, "certificate.json", payload)]
 
 
 def _cmd_oracle(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
     result = grid_search(spec, args.resolution, keep_samples=args.landscape, **_tol(args))
-    outputs = [
-        _write_json(out, "oracle.json", {
-            "best_x": result.best_x,
-            "best_value": result.best_value,
-            "sample_count": result.sample_count,
-            "resolution": result.resolution,
-            "lattice": result.lattice,
-        })
-    ]
+    outputs = [_write_json(out, "oracle.json", _fields(result, "samples"))]
     if result.samples is not None:
         n = spec.n
         header = [f"x{i + 1}" for i in range(n)] + ["value"]

@@ -9,7 +9,7 @@ One kernel computes them exactly for the whole family of tracking QPs
 program: the primal-dual active-set method (semismooth Newton on
 u = P_U(u + lam/r)), one banded solve of the optimality system in the
 interleaved unknowns (y_k, p_k) per step, with projected Newton if the
-active sets cycle: its steps are solves of the same band matrix, and it
+active sets cycle: its steps are reduced solves on its frozen set, and it
 evaluates a control as every check does, by the state and adjoint solves of
 the fixed-point residual.  The band matrices are factored and solved by
 LAPACK's dgbtrf and dgbtrs, which _lapack takes from scipy's Fortran
@@ -186,10 +186,11 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
 
     Nodes near a bound with the gradient pointing out take a gradient step
     of length 1/r, the others the Newton step of the quadratic with those
-    nodes frozen.  An Armijo search along the projection arc, with a
-    roundoff guard on the decrease test, makes it globally convergent.  It
-    stops at a fixed-point residual of tol/2, leaving the final check room
-    for roundoff, which on fine grids with small sigma exceeds _ROUNDOFF.
+    nodes frozen, a reduced solve as the refinement step is.  An Armijo
+    search along the projection arc, with a roundoff guard on the decrease
+    test, makes it globally convergent.  It stops at a fixed-point residual
+    of tol/2, leaving the final check room for roundoff, which on fine grids
+    with small sigma exceeds _ROUNDOFF.
     Each evaluation of a control, _fixed_point_residual's state and adjoint
     solves, counts as one solve against budget, as each Newton step does.
     """
@@ -207,7 +208,9 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
         frozen = ((u <= bounds.ua + width) & (grad > 0.0)) | (
             (u >= bounds.ub - width) & (grad < 0.0)
         )
-        step = np.where(frozen, v, _target(spec, qp, *_band_solve(system, frozen, u)[:2])) - u
+        # the Newton step: H_FF du = lam = r (v - u) with the frozen nodes fixed
+        lam = TrackingQP(d=0.0, c=0.0, s=0.0, b=_scale(spec, qp) * (v - u))
+        step = np.where(frozen, v - u, _reduced_solve(spec, qp, system, frozen, 0.0, 0.0, lam)[1])
         solves += 1
         alpha = 1.0
         while solves < budget:
@@ -321,20 +324,28 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     return sol
 
 
-def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQP):
-    """Derivative (y', u') of sol along the coefficient direction dqp, and
-    the band solves made for it: 0 on the kernel's factors, else 1.
+def _reduced_solve(spec: ProblemSpec, qp: TrackingQP, system, fixed, y, u, dqp: TrackingQP, factors=None):
+    """Derivative (y', u') at (y, u) along the coefficient direction dqp with
+    the fixed nodes held, and the band factors it was solved on.
 
-    The nodes where sol.u sits on a bound stay fixed: A y' = u',
-    A p' + d y' = dc - dd y, s u' - p' = db - ds u on the free nodes and
-    u' = 0 on the fixed ones.
+    A y' = u', A p' + d y' = dc - dd y, s u' - p' = db - ds u on the free
+    nodes and u' = 0 on the fixed ones: the reduced equation H_FF u' = db
+    for dqp = (0, 0, 0, db), whose condition does not grow with N.
     """
-    fixed = (sol.u <= spec.bounds.ua) | (sol.u >= spec.bounds.ub)
     rhs = np.empty(2 * spec.grid.n_nodes)
-    rhs[0::2] = (dqp.b - dqp.s * sol.u) / _scale(spec, qp)
-    rhs[1::2] = dqp.c - dqp.d * sol.y
-    y_t, _, factors = _band_solve((sol.system[0], rhs, sol.system[2]), fixed, 0.0, sol.factors)
-    return y_t, np.where(fixed, 0.0, spec.operator.apply(y_t)), int(factors is not sol.factors)
+    rhs[0::2] = (dqp.b - dqp.s * u) / _scale(spec, qp)
+    rhs[1::2] = dqp.c - dqp.d * y
+    y_t, _, factors = _band_solve((system[0], rhs, system[2]), fixed, 0.0, factors)
+    return y_t, np.where(fixed, 0.0, spec.operator.apply(y_t)), factors
+
+
+def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQP):
+    """Derivative (y', u') of sol along dqp with the nodes where sol.u sits on
+    a bound fixed, and the band solves made for it: 0 on the kernel's
+    factors, else 1."""
+    fixed = (sol.u <= spec.bounds.ua) | (sol.u >= spec.bounds.ub)
+    y_t, u_t, factors = _reduced_solve(spec, qp, sol.system, fixed, sol.y, sol.u, dqp, sol.factors)
+    return y_t, u_t, int(factors is not sol.factors)
 
 
 def solve_lower(

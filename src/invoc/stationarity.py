@@ -45,16 +45,6 @@ class ActiveSets:
     inactive: np.ndarray
     tol_act: float
 
-    def as_dict(self) -> dict:
-        return {
-            "i_a_plus": [int(i) for i in self.i_a_plus],
-            "i_b_minus": [int(i) for i in self.i_b_minus],
-            "biactive_a": [int(i) for i in self.biactive_a],
-            "biactive_b": [int(i) for i in self.biactive_b],
-            "inactive": [int(i) for i in self.inactive],
-            "tol_act": self.tol_act,
-        }
-
 
 @dataclass(eq=False)
 class StationarityCertificate:
@@ -71,14 +61,6 @@ class StationarityCertificate:
     classification: str
     tol: float
     active: ActiveSets
-
-    def as_dict(self) -> dict:
-        return {
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "classification": self.classification,
-            "tol": self.tol,
-            "active_sets": self.active.as_dict(),
-        }
 
 
 def active_sets(spec: ProblemSpec, u, lam, tol_act: float | None = None) -> ActiveSets:

@@ -263,6 +263,38 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
     assert len(cert["residuals"]) == 12
 
 
+_RESULT_KEYS = {
+    "lower_solution.json": {"x", "y", "u", "p", "lam", "kkt_residual", "iterations"},
+    "relaxed_solution.json": {
+        "eps", "x", "y", "u", "alpha", "z", "p", "lam", "upper_value", "gap",
+        "inner_iterations", "outer_iterations", "converged", "residuals",
+    },
+    "limit.json": {
+        "eps0", "ratio", "steps", "completed", "deep_enough", "multiplier_sup",
+        "multipliers_bounded", "warnings", "failure", "limit",
+    },
+    "certificate.json": {"residuals", "classification", "tol", "active_sets"},
+    "oracle.json": {"best_x", "best_value", "sample_count", "resolution", "lattice"},
+}
+
+
+def test_result_files_hold_exactly_their_keys(problem_file, tmp_path):
+    # each JSON result file is its result type's fields; a new field changes
+    # a file's format only together with this list
+    common = ["--problem", problem_file, "--out", str(tmp_path)]
+    assert cli.main(["lower", *common, "--x", "0.5,0.5"]) == 0
+    assert cli.main(["relax", *common, "--eps0", "1e-2"]) == 0
+    assert cli.main(["path", *common, "--eps0", "1e-2", "--steps", "2"]) == 0
+    assert cli.main(["certify", *common, "--point", str(tmp_path / "candidate_point.json"),
+                     "--multipliers", str(tmp_path / "candidate_multipliers.json")]) == 0
+    assert cli.main(["oracle", *common, "--resolution", "4"]) == 0
+    for name, keys in _RESULT_KEYS.items():
+        assert set(_read_json(tmp_path / name)) == keys, name
+    active = _read_json(tmp_path / "certificate.json")["active_sets"]
+    assert set(active) == {"i_a_plus", "i_b_minus", "biactive_a", "biactive_b", "inactive", "tol_act"}
+    assert all(isinstance(i, int) for key in set(active) - {"tol_act"} for i in active[key])
+
+
 def _tols(tol):
     return {"feas_tol": tol, "stat_tol": tol, "comp_tol": tol}
 
@@ -301,7 +333,7 @@ def test_relax_tol_reaches_the_solver(tmp_path, tol):
                    "--eps0", "1e-2", "--tol", str(tol)])
     assert rc == 0
     sol = invoc.solve_relaxed(load_problem(problem), 1e-2, **_tols(tol))
-    assert _read_json(out / "relaxed_solution.json") == _encoded(cli._relaxed_payload(sol))
+    assert _read_json(out / "relaxed_solution.json") == _encoded(cli._fields(sol, "sample", "step"))
 
 
 def test_result_files_bit_identical_across_runs(problem_file, tmp_path):

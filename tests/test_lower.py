@@ -249,8 +249,9 @@ def test_cycling_active_sets_still_converge(case, monkeypatch):
     # u = P(0) come back to a set pair; projected Newton must take over and
     # finish.  A tight box about u0 keeps u0 as the solution, and the final
     # active-set step from Newton's (empty) sets, refined by the same rule as
-    # u0, returns it bitwise.  At tol 1e-12 Newton cannot reach its stop test and
-    # spends every band solve, and the refinement step clears the check
+    # u0, returns it bitwise.  Newton's steps are reduced solves, whose
+    # condition does not grow with N, so at tol 1e-12 it reaches its stop test
+    # in a few solves, where steps through the band system spent all 200
     if case == "w_not_c":
         spec, point, _, _ = _w_not_c_fixture()
         x, tol, u0 = point["x"], 1e-13, None
@@ -274,6 +275,8 @@ def test_cycling_active_sets_still_converge(case, monkeypatch):
     assert sol.kkt_residual <= max(tol, 1e-12)
     if u0 is not None:
         np.testing.assert_array_equal(sol.u, u0)
+    if tol == 1e-12:
+        assert sol.iterations <= 30
 
 
 @pytest.mark.parametrize("n_nodes, sigma", [(4096, 1e-2), (32, 1e-4)])
@@ -352,6 +355,35 @@ def test_refinement_step_factors_afresh_where_the_sets_moved(bounded_spec, monke
     assert sol.iterations == work["factorizations"] == 3 and work["evaluations"] == 0
     _, u_ref = solve_lower_dense(bounded_spec, x)
     assert h_norm(bounded_spec.grid, sol.u - u_ref) <= 1e-10
+
+
+def test_newton_halves_a_step_its_armijo_test_refuses(monkeypatch):
+    # the objective refuses Newton's first full step once: the Armijo search
+    # evaluates the half step next, and the result still passes its check
+    spec, x, _ = _tight_box(16, 0.75)
+    real, controls = invoc.lower._objective, []
+
+    def refuse_once(spec, qp, y, u):
+        controls.append(u)
+        return np.inf if len(controls) == 2 else real(spec, qp, y, u)
+
+    monkeypatch.setattr(invoc.lower, "_objective", refuse_once)
+    sol = solve_lower(spec, x)
+    start, full, half = controls[:3]
+    inside = (full > spec.bounds.ua) & (full < spec.bounds.ub)
+    assert inside.any()
+    assert_allclose((half - start)[inside], 0.5 * (full - start)[inside], rtol=0,
+                    atol=1e-14 * np.abs(full).max())
+    assert sol.kkt_residual <= spec.solver_tol
+    _, u_ref = solve_lower_dense(spec, x)
+    assert h_norm(spec.grid, sol.u - u_ref) <= 1e-10
+
+
+def test_singular_band_system_raises_convergence_error():
+    n_nodes = 4
+    system = (np.zeros((7, 2 * n_nodes)), np.zeros(2 * n_nodes), 1.0)
+    with pytest.raises(ConvergenceError, match=r"optimality system is singular \(dgbtrf info 1\)"):
+        invoc.lower._band_solve(system, np.zeros(n_nodes, dtype=bool), 0.0)
 
 
 def _relaxed_dense(spec, x, alpha, c_y, c_u, y_o, u_o):

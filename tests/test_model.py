@@ -353,6 +353,27 @@ def test_one_sided_bounds_allowed():
     assert_allclose(bounds.project(np.array([-5.0, 1.0, 0.0])), [-5.0, 0.0, 0.0])
 
 
+_SIMPLEX = AdmissibleSetX(kind="simplex", n=2)
+_BOX = AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2))
+_UPPER = UpperObjective(c_y=1.0, y_o=np.zeros(5), c_u=1.0, u_o=np.zeros(5))
+_BOUNDS = ControlBounds(ua=np.zeros(5), ub=np.ones(5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _UPPER.value(build_grid(5), np.ones(2), np.zeros(4), np.zeros(5)), "state or control length"),
+    (lambda: _UPPER.value(build_grid(5), np.ones(2), np.zeros(5), np.zeros(6)), "state or control length"),
+    (lambda: _SIMPLEX.project(np.ones(3)), r"point has shape \(3,\)"),
+    (lambda: _BOX.project(np.ones((2, 2))), r"point has shape \(2, 2\)"),
+    (lambda: _SIMPLEX.normal_cone_residual(np.full(2, 0.5), np.ones(3)), r"dual vector has shape \(3,\)"),
+    (lambda: _BOX.normal_cone_residual(np.full(2, 0.5), np.ones(1)), r"dual vector has shape \(1,\)"),
+    (lambda: _BOUNDS.normal_cone_residual(np.full(5, 0.5), np.zeros(4)), "multiplier length"),
+], ids=["upper-short-state", "upper-long-control", "simplex-project", "box-project",
+        "simplex-normal-cone", "box-normal-cone", "bounds-short-multiplier"])
+def test_primitives_refuse_a_wrong_shape(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
 # ----------------------------------------------------------------- problem spec
 
 def test_problem_spec_validation(unit_spec):
@@ -404,6 +425,20 @@ def test_problem_round_trip_file(tmp_path, pointwise_spec):
     assert back.lower.points == pointwise_spec.lower.points
     assert_allclose(back.lower.target, pointwise_spec.lower.target)
     assert back.upper.gamma == pointwise_spec.upper.gamma
+
+
+def test_problem_round_trip_file_with_infinite_bounds(tmp_path, unit_spec):
+    ub = np.ones(unit_spec.grid.n_nodes)
+    ub[::2] = np.inf
+    spec = replace(unit_spec, bounds=ControlBounds(ua=np.full(ub.shape, -np.inf), ub=ub))
+    path = tmp_path / "prob.json"
+    save_problem(spec, path)
+    written = json.loads(path.read_text())["u_bounds"]
+    assert written["allow_infinite"] is True
+    assert set(written["ua"]) == {"-inf"} and written["ub"][:2] == ["inf", 1.0]
+    back = load_problem(path)
+    np.testing.assert_array_equal(back.bounds.ua, spec.bounds.ua)
+    np.testing.assert_array_equal(back.bounds.ub, spec.bounds.ub)
 
 
 def test_problem_from_dict_rejects_garbage():
