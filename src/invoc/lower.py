@@ -35,8 +35,9 @@ from ._lapack import dgbtrf, dgbtrs
 from .errors import ConvergenceError, DomainError
 from .model import ProblemSpec, _positive, _row_dot, _vector, lower_coefficients
 
-# solves per kernel call before the refinement step: each active-set step and
-# each of projected Newton's steps and evaluations counts one
+# solves per kernel call before the refinement step: each active-set step,
+# each of projected Newton's evaluations and each of its steps that factors
+# counts one
 _MAX_SOLVES = 200
 _ROUNDOFF = 1e-13  # relative roundoff allowance of the exactness and decrease tests
 _ARMIJO = 1e-4
@@ -52,8 +53,8 @@ class LowerSolution:
     equation exact.  kkt_residual is the larger of the kernel's fixed-point
     residual ||u - P_U(p/sigma)|| from those solves and lam's sign residual.
     iterations counts the kernel's solves: one per active-set step, one per
-    projected-Newton step and evaluation after a cycle, and one for the
-    refinement step's factorization where it needs one.
+    projected-Newton evaluation and factorization after a cycle, and one for
+    the refinement step's factorization where it needs one.
     """
 
     x: np.ndarray
@@ -186,13 +187,16 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
 
     Nodes near a bound with the gradient pointing out take a gradient step
     of length 1/r, the others the Newton step of the quadratic with those
-    nodes frozen, a reduced solve as the refinement step is.  An Armijo
+    nodes frozen, a reduced solve as the refinement step is, on the last
+    step's band factors where the frozen set repeats.  An Armijo
     search along the projection arc, with a roundoff guard on the decrease
     test, makes it globally convergent.  It stops at a fixed-point residual
     of tol/2, leaving the final check room for roundoff, which on fine grids
     with small sigma exceeds _ROUNDOFF.
     Each evaluation of a control, _fixed_point_residual's state and adjoint
-    solves, counts as one solve against budget, as each Newton step does.
+    solves, counts as one solve against budget, as each Newton step that
+    factors does; a step on the last step's factors counts none, as the
+    refinement step on the kernel's factors does.
     """
     bounds, h = spec.bounds, spec.grid.h
 
@@ -201,7 +205,7 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
         return residual, _target(spec, qp, y, p), _objective(spec, qp, y, w)
 
     residual, v, f = at(u)
-    solves = 1
+    solves, factors = 1, None
     while solves < budget and residual > 0.5 * tol:
         grad = u - v  # the gradient s u - p - b, divided by r
         width = min(1e-3, residual)
@@ -210,8 +214,10 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
         )
         # the Newton step: H_FF du = lam = r (v - u) with the frozen nodes fixed
         lam = TrackingQP(d=0.0, c=0.0, s=0.0, b=_scale(spec, qp) * (v - u))
-        step = np.where(frozen, v - u, _reduced_solve(spec, qp, system, frozen, 0.0, 0.0, lam)[1])
-        solves += 1
+        _, du, factored = _reduced_solve(spec, qp, system, frozen, 0.0, 0.0, lam, factors)
+        step = np.where(frozen, v - u, du)
+        solves += int(factored is not factors)
+        factors = factored
         alpha = 1.0
         while solves < budget:
             trial = bounds.project(u + alpha * step)
@@ -243,8 +249,16 @@ def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, work
     y = op.solve(u.T, out=None if y is None else y.T).T
     rhs = np.subtract(qp.c, np.multiply(qp.d, y, out=p), out=p).T
     p = op.solve(rhs, out=rhs).T
-    diff = np.subtract(u, spec.bounds.project(_target(spec, qp, y, p, out=diff), out=diff), out=diff)
-    return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff)), y, p
+    return _projected_residual(spec, qp, u, y, p, out=diff), y, p
+
+
+def _projected_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, y: np.ndarray,
+                        p: np.ndarray, out: np.ndarray | None = None):
+    """||u - P_U(u + lam/r)|| of u with its state y and adjoint p, one per
+    row for stacked rows; out, an array of u's shape, receives u's distance
+    to its projected target."""
+    diff = np.subtract(u, spec.bounds.project(_target(spec, qp, y, p, out=out), out=out), out=out)
+    return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff))
 
 
 # a solved tracking QP, its fixed-point residual, and the band system and factors _tangent reuses

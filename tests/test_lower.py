@@ -303,13 +303,16 @@ def test_refinement_step_reaches_tol_on_the_kernels_factors(n_nodes, sigma, monk
 
 
 def _count_work(monkeypatch):
-    """Counts of the kernel's band factorizations and of projected Newton's
-    evaluations, kept up to date as the kernel runs."""
-    lower, work = invoc.lower, {"factorizations": 0, "evaluations": 0, "newton": 0}
+    """Counts of the kernel's band factorizations, of those made inside
+    projected Newton and of its evaluations, kept up to date as the kernel
+    runs."""
+    lower = invoc.lower
+    work = {"factorizations": 0, "newton_factorizations": 0, "evaluations": 0, "newton": 0}
     dgbtrf, newton, residual = lower.dgbtrf, lower._projected_newton, lower._fixed_point_residual
 
     def counting_dgbtrf(*args, **kwargs):
         work["factorizations"] += 1
+        work["newton_factorizations"] += work["newton"]
         return dgbtrf(*args, **kwargs)
 
     def counting_newton(*args):
@@ -342,6 +345,36 @@ def test_newton_iterate_stands_when_its_active_set_step_is_not_exact(bounded_spe
     assert sol.iterations == work["factorizations"] + work["evaluations"]
     _, u_ref = solve_lower_dense(bounded_spec, x)
     assert h_norm(bounded_spec.grid, sol.u - u_ref) <= 1e-10
+
+
+def test_newton_steps_reuse_the_factors_of_a_repeated_frozen_set(monkeypatch):
+    # on the six tight boxes at tol 1e-12 projected Newton's steps often hold
+    # the frozen set of the step before; such a step is a back-substitution
+    # on that step's factors, counted as no solve, and u stays u0 bitwise
+    work = _count_work(monkeypatch)
+    reduced, frozen = invoc.lower._reduced_solve, []
+
+    def recording(*args):
+        if work["newton"]:
+            frozen.append(args[3].tobytes())
+        return reduced(*args)
+
+    monkeypatch.setattr(invoc.lower, "_reduced_solve", recording)
+    steps = factorizations = 0
+    for n_nodes in (16, 32, 64):
+        for below in (0.75, 0.25):
+            spec, x, u0 = _tight_box(n_nodes, below, 1e-12)
+            frozen.clear()
+            work.update(factorizations=0, newton_factorizations=0, evaluations=0)
+            sol = solve_lower(spec, x, tol=1e-12)
+            np.testing.assert_array_equal(sol.u, u0)
+            assert sol.iterations == work["factorizations"] + work["evaluations"]
+            # one Newton run per solve: a step factors only where its frozen set is new
+            assert frozen and work["newton_factorizations"] == 1 + sum(
+                a != b for a, b in zip(frozen, frozen[1:]))
+            steps += len(frozen)
+            factorizations += work["newton_factorizations"]
+    assert factorizations < steps
 
 
 def test_refinement_step_factors_afresh_where_the_sets_moved(bounded_spec, monkeypatch):

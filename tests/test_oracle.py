@@ -187,11 +187,9 @@ def test_batch_iteration_cap_raises(unit_spec, bounded_spec, monkeypatch):
 
 
 def _box(spec: ProblemSpec) -> ProblemSpec:
-    return ProblemSpec(
-        grid=spec.grid, sigma=spec.sigma, lower=spec.lower, upper=spec.upper,
-        x_set=AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2)),
-        bounds=spec.bounds,
-    )
+    """spec on the unit box."""
+    n = spec.n
+    return replace(spec, x_set=AdmissibleSetX(kind="box", n=n, lo=np.zeros(n), hi=np.ones(n)))
 
 
 def _three_parameter_tracking_spec() -> ProblemSpec:
@@ -238,8 +236,15 @@ def _assert_values_match_kernel(spec: ProblemSpec, result):
     assert_allclose(vals, want, rtol=1e-12, atol=0.0)
 
 
+def _processing_order(X):
+    """The order in which the target kind's rows are solved: sorted by
+    d = 2 sum(x), ties in lattice order."""
+    return np.argsort(X.sum(axis=1), kind="stable")
+
+
 def test_batched_values_match_per_row_kernel_across_blocks(bounded_spec, monkeypatch):
-    # 169 rows in blocks of 21: eight full blocks and a last one of one row
+    # 169 rows in blocks of 21: eight full blocks and a last one of one row,
+    # the rows taken in processing order
     spec = _box(bounded_spec)
     monkeypatch.setattr(invoc.oracle, "_BLOCK", 21)
     kernel, calls = invoc.oracle._solve_qp, {}
@@ -253,18 +258,90 @@ def test_batched_values_match_per_row_kernel_across_blocks(bounded_spec, monkeyp
     result = grid_search(spec, 12, keep_samples=True)
     _assert_values_match_kernel(spec, result)
     X = result.samples[:, :-1]
-    solves = {}
-    for row, x in enumerate(X):
-        key = lower_qp(spec, x).c.tobytes()
-        if key in calls:
-            solves[row] = calls[key]
+    keys = [lower_qp(spec, x).c.tobytes() for x in X[_processing_order(X)]]
+    solves = {pos: calls[key] for pos, key in enumerate(keys) if key in calls}
+    # the kernel runs in processing order
+    assert [keys.index(key) for key in calls] == sorted(solves)
     # the bound binds in several blocks and at the one-row last block
-    assert len({row // 21 for row in solves}) >= 2 and 168 in solves
-    # a block's first row is warm-started from the previous block's last row
-    first = [row for row in solves if row % 21 == 0 and row - 1 in solves]
+    assert len({pos // 21 for pos in solves}) >= 2 and 168 in solves
+    # a block's first row is warm-started from the row processed just before
+    # it, the previous block's last
+    first = [pos for pos in solves if pos % 21 == 0 and pos - 1 in solves]
     assert first
-    for row in first:
-        assert np.array_equal(solves[row][0], solves[row - 1][1])
+    for pos in first:
+        assert np.array_equal(solves[pos][0], solves[pos - 1][1])
+
+
+@pytest.mark.parametrize("n, block", [(2, 20), (3, 50)])
+def test_superposed_rows_solve_their_own_equations_across_blocks(n, block, unit_spec, monkeypatch):
+    # rows of one d run over a block boundary, so that each block builds its
+    # own basis for that d; every row's y and p still solve A y = u and
+    # A p = c - d y to roundoff, and match the per-row kernel
+    spec = _box(unit_spec if n == 2 else _three_parameter_tracking_spec())
+    monkeypatch.setattr(invoc.oracle, "_BLOCK", block)
+    check, blocks = invoc.oracle._projected_residual, []
+
+    def recorded(spec, qp, u, y, p, out=None):
+        blocks.append((qp.d[:, 0].copy(), qp.c.copy(), u.copy(), y.copy(), p.copy()))
+        return check(spec, qp, u, y, p, out=out)
+
+    monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
+    result = grid_search(spec, 12 if n == 2 else 6, keep_samples=True)
+    _assert_values_match_kernel(spec, result)
+    X = result.samples[:, :-1][_processing_order(result.samples[:, :-1])]
+    assert sum(len(d) for d, *_ in blocks) == X.shape[0]
+    # some value of d has more than n rows on each side of a boundary
+    assert any(d0[-1] == d1[0] and (d0 == d0[-1]).sum() > n and (d1 == d1[0]).sum() > n
+               for (d0, *_), (d1, *_) in zip(blocks, blocks[1:]))
+    A, scale, start = spec.operator.apply, 4.0 / spec.grid.h ** 2, 0  # scale: the norm of A
+    for d, c, u, y, p in blocks:
+        assert np.abs(A(y.T).T - u).max() <= 1e-14 * scale * np.abs(y).max()
+        assert np.abs(A(p.T).T - (c - d[:, None] * y)).max() <= 1e-14 * scale * np.abs(p).max()
+        for x, row in zip(X[start:start + len(d)], u):
+            want = _solve_qp(spec, lower_qp(spec, x), 1e-12).u
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+        start += len(d)
+
+
+@pytest.mark.parametrize("name", ["bounded_box", "irrational_box", "simplex3", "box3"])
+def test_target_rows_solve_columns_per_distinct_d(name, unit_spec, bounded_spec, monkeypatch):
+    # a run of r rows of one d in a block costs 2 min(n, r) Laplacian solve
+    # columns: its basis, or its rows where they are no more than n; the
+    # kernel's rows make their own solves on top.  On a box with edges
+    # 1 and 1/sqrt(2) no two rows share a d
+    spec = {
+        "bounded_box": lambda: _box(bounded_spec),
+        "irrational_box": lambda: replace(unit_spec, x_set=AdmissibleSetX(
+            kind="box", n=2, lo=np.zeros(2), hi=np.array([1.0, 0.5 ** 0.5]))),
+        "simplex3": _three_parameter_tracking_spec,
+        "box3": lambda: _box(_three_parameter_tracking_spec()),
+    }[name]()
+    monkeypatch.setattr(invoc.oracle, "_BLOCK", 40)
+    operator_solve, kernel = type(spec.operator).solve, invoc.oracle._solve_qp
+    columns, in_kernel = {"oracle": 0, "kernel": 0}, []
+
+    def counted(self, rhs, out=None):
+        columns["kernel" if in_kernel else "oracle"] += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return operator_solve(self, rhs, out=out)
+
+    def flagged(*args):
+        in_kernel.append(1)
+        try:
+            return kernel(*args)
+        finally:
+            in_kernel.pop()
+
+    monkeypatch.setattr(type(spec.operator), "solve", counted)
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", flagged)
+    result = grid_search(spec, 12 if spec.n == 2 else 6, keep_samples=True)
+    d = 2.0 * np.sort(result.samples[:, :-1].sum(axis=1), kind="stable")
+    want = 0
+    for start in range(0, d.size, 40):
+        _, runs = np.unique(d[start:start + 40], return_counts=True)
+        want += 2 * np.minimum(spec.n, runs).sum()
+    assert columns["oracle"] == want
+    assert want == 2 * d.size if name == "irrational_box" else want < d.size
+    assert (columns["kernel"] > 0) == (name == "bounded_box")
 
 
 def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, pointwise_spec, monkeypatch):
