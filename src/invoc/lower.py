@@ -86,7 +86,8 @@ class TrackingQP(NamedTuple):
     scalars, and s >= 0 a scalar; b = s w for a control target w, written
     so that s = 0 needs no division.  The lower QP at x is lower_qp(spec, x);
     lower_qp on stacked parameter rows stacks c and d by row, which only
-    _fixed_point_residual accepts.
+    _fixed_point_residual accepts; _projected_residual reads s and b alone,
+    so the oracle's superposed rows carry c = None.
     """
 
     d: np.ndarray | float
@@ -159,11 +160,12 @@ def _target(spec: ProblemSpec, qp: TrackingQP, y: np.ndarray, p: np.ndarray,
     """v = u + lam/r with u = A y and lam = p + b - s u, without dividing by s,
     written to out if given.
 
-    The optimal control is u = P_U(v); for r = s this is (p + b)/s.
+    The optimal control is u = P_U(v); for r = s this is (p + b)/s, one
+    division p/r for the lower QP, whose b is the scalar 0.
     """
     r = _scale(spec, qp)
-    v = np.add(p, qp.b, out=out)
-    v /= r
+    v = p if isinstance(qp.b, float) and qp.b == 0.0 else np.add(p, qp.b, out=out)
+    v = np.divide(v, r, out=out if v is p else v)  # one pass where b is the lower QP's 0
     if qp.s != r:
         v += (1.0 - qp.s / r) * spec.operator.apply(y)
     return v
@@ -256,9 +258,13 @@ def _projected_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, y: np.
                         p: np.ndarray, out: np.ndarray | None = None):
     """||u - P_U(u + lam/r)|| of u with its state y and adjoint p, one per
     row for stacked rows; out, an array of u's shape, receives u's distance
-    to its projected target."""
-    diff = np.subtract(u, spec.bounds.project(_target(spec, qp, y, p, out=out), out=out), out=out)
-    return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(diff))
+    to its projected target.  Stacked rows whose targets all lie strictly
+    inside the bounds, by two reductions, skip the projection, there the
+    identity."""
+    v = _target(spec, qp, y, p, out=out)
+    if u.ndim == 1 or not spec.bounds.inside(v):
+        v = spec.bounds.project(v, out=out)
+    return np.sqrt(spec.grid.h) * np.sqrt(_row_dot(np.subtract(u, v, out=out)))
 
 
 # a solved tracking QP, its fixed-point residual, and the band system and factors _tangent reuses

@@ -338,6 +338,11 @@ class ControlBounds:
         # np.clip's value, zeros' signs included, without its Python wrapper
         return np.minimum(self.ub, np.maximum(self.ua, u, out=out), out=out)
 
+    def inside(self, u: np.ndarray) -> bool:
+        """Whether all of u lies strictly between max(ua) and min(ub), so that
+        every entry is feasible and project(u) is u bitwise; NaN is not inside."""
+        return bool(self.ua.max() < u.min() and u.max() < self.ub.min())
+
     def feasible(self, u: np.ndarray, tol: float) -> bool:
         u = np.asarray(u, dtype=float)
         return bool((u >= self.ua - tol).all() and (u <= self.ub + tol).all())

@@ -13,23 +13,28 @@ unconstrained lower solutions of a whole block in closed form: the target
 kind from the sine eigenbasis of A, the pointwise kind from one n x n
 system per row, its d being of rank n.  The target kind's QP depends on x
 only through c = 2 x . y_d, linear in x, and the scalar d = 2 sum(x), so
-its rows are taken sorted by d, and the rows of one d in a block are
-combinations x [U | Y | P](d) of n basis controls, states and adjoints
-built once per block by fresh solves.  A row whose closed-form control is
+its rows are taken sorted by d, with the runs of equal d found once per
+search, and the rows of one d in a block are combinations x [U | Y | P](d)
+of n basis controls, states and adjoints built once per block by fresh
+solves; c itself is never formed.  A row whose closed-form control is
 feasible and passes the kernel's fixed-point check on its own (u, y, p)
 (lower._projected_residual, on the whole block at once) is solved, the QP
-being strictly convex; every other row goes to the active-set kernel.
+being strictly convex; a block whose controls and targets all lie strictly
+inside the bounds needs neither the projection nor the per-row bound test.
+Every other row goes to the active-set kernel, in lattice order within its
+block, warm-started from the last kernel solution.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .lower import _fixed_point_residual, _projected_residual, _solve_qp, lower_qp
+from .lower import TrackingQP, _fixed_point_residual, _projected_residual, _solve_qp, lower_qp
 from .model import ProblemSpec, _integer, _positive
 
 _BLOCK = 1024  # lattice rows per block; each of the five buffers holds 1024 x N floats
@@ -70,23 +75,27 @@ def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, lo.size)
 
 
-def _target_rows(spec: ProblemSpec):
-    """The target kind's closed form: rows(X, qp, work) writes the
-    unconstrained (u, y, p) of the rows of X to work's first three arrays
-    and returns the fixed-point residuals, u and y.  Adjacent rows of equal
-    d share a basis, so X should come sorted by d.
+def _target_rows(spec: ProblemSpec, X: np.ndarray):
+    """The target kind's closed form: the order in which X's rows are solved,
+    sorted by d = 2 sum(x) with ties in lattice order, and rows(start, Xb,
+    work), which writes the unconstrained (u, y, p) of the rows Xb found at
+    position start of that order to work's first three arrays and returns
+    their fixed-point residuals, u and y.
 
     With A = Q diag(l) Q^T, c = 2 x . y_d and d = 2 sum(x), (sigma A^2 + d) y
     = c is diagonal in the sine basis, the coefficient d being constant in
     space, so u = A y = Q ((l Q^T c) / (sigma l^2 + d)) = sum_i x_i U_i(d)
     with U_i(d) = Q ((2 l Q^T t_i) / (sigma l^2 + d)), and y = sum_i x_i Y_i,
     p = sum_i x_i P_i with Y_i = A^{-1} U_i and P_i = A^{-1} (2 t_i - d Y_i).
-    d is taken from qp, so it is each row's own d bitwise.  A run of more
-    than n rows of one d is x [U | Y | P](d), one product per run, from a
-    basis of n generators; a shorter run's rows are their own generators.
-    All generators of a block take one product with Q and fresh solves of
-    their columns, so A y = u and A p = c - d y hold to roundoff in every row,
-    and a run of r rows costs 2 min(n, r) solve columns.
+    A block's d is 2 Xb.sum(axis=1), each row's own lower_qp d bitwise, and
+    c, which no row reads, is never formed.  The runs of equal d are found
+    once per search, from the sorted sums, and each block takes those that
+    fall in it.  A run of more than n rows of a block is x [U | Y | P](d),
+    one product per run, from a basis of n generators; a shorter run's rows
+    are their own generators.  All generators of a block take one product
+    with Q and fresh solves of their columns, so A y = u and A p = c - d y
+    hold to roundoff in every row, and a run of r rows costs 2 min(n, r)
+    solve columns.
     """
     l, Q = spec.operator.eigenbasis
     weights = 2.0 * l * (spec.lower.targets @ Q)  # row i is 2 l Q^T t_i, Q being symmetric
@@ -95,36 +104,42 @@ def _target_rows(spec: ProblemSpec):
     solve = spec.operator.solve
     n = weights.shape[0]
     eye = np.eye(n)
+    total = X.sum(axis=1)
+    order = np.argsort(total, kind="stable")
+    cuts = (np.flatnonzero(np.diff(total[order])) + 1).tolist()  # where the sorted d changes
 
-    def rows(X, qp, work):
-        d = qp.d[:, 0]
-        edges = np.flatnonzero(np.r_[True, d[1:] != d[:-1], True])
-        lengths = np.diff(edges)
-        shared = lengths > n
-        own = np.repeat(~shared, lengths)  # the rows that are their own generators
-        m, runs = np.count_nonzero(own), edges[:-1][shared]
-        # generator coefficients and their d: the own rows, then n unit rows per shared run
-        G = np.concatenate([X[own], np.tile(eye, (runs.size, 1))])
-        dg = np.concatenate([d[own], np.repeat(d[runs], n)])[:, None]
+    def rows(start, Xb, work):
+        b = Xb.shape[0]
+        edges = [0, *(c - start for c in cuts[bisect_right(cuts, start):bisect_left(cuts, start + b)]), b]
+        runs = [(r0, r1) for r0, r1 in zip(edges, edges[1:]) if r1 - r0 > n]
+        d = 2.0 * Xb.sum(axis=1, keepdims=True)
+        own = np.ones(b, dtype=bool)  # the rows that are their own generators
+        for r0, r1 in runs:
+            own[r0:r1] = False
+        # generator coefficients and their d: the own rows, then n unit rows per run
+        G = np.concatenate([Xb[own], np.tile(eye, (len(runs), 1))])
+        dg = np.concatenate([d[own], np.repeat(d[[r0 for r0, _ in runs]], n, axis=0)])
+        m = np.count_nonzero(own)
         # a block of own rows only is solved in place
-        basis = work[:3] if m == d.size else np.empty((3, dg.size, Q.shape[0]))
+        basis = work[:3] if m == b else np.empty((3, dg.shape[0], Q.shape[0]))
         U, Y, P = basis
         np.divide(np.matmul(G, weights, out=U), np.add(shift, dg, out=P), out=P)
         solve(np.matmul(P, Q, out=U).T, out=Y.T)
-        np.subtract(np.matmul(G, twice_targets, out=P), np.multiply(dg, Y, out=work[3, :dg.size]), out=P)
+        np.subtract(np.matmul(G, twice_targets, out=P), np.multiply(dg, Y, out=work[3, :dg.shape[0]]), out=P)
         solve(P.T, out=P.T)
-        if runs.size:
+        if runs:
             work[:3, own] = basis[:, :m]
-        for k, (r0, r1) in enumerate(zip(runs, edges[1:][shared])):
-            np.matmul(X[r0:r1], basis[:, m + k * n:m + (k + 1) * n], out=work[:3, r0:r1])
-        return _projected_residual(spec, qp, *work[:3], out=work[3]), work[0], work[1]
+        for j, (r0, r1) in zip(range(m, dg.shape[0], n), runs):
+            np.matmul(Xb[r0:r1], basis[:, j:j + n], out=work[:3, r0:r1])
+        residual = _projected_residual(spec, TrackingQP(d=d, c=None, s=spec.sigma, b=0.0), *work[:3], out=work[3])
+        return residual, work[0], work[1]
 
-    return rows
+    return order, rows
 
 
-def _pointwise_rows(spec: ProblemSpec):
-    """The pointwise kind's closed form, with _target_rows' signature; y and
-    p are fresh solves of u.
+def _pointwise_rows(spec: ProblemSpec, X: np.ndarray):
+    """The pointwise kind's closed form, with _target_rows' signature and
+    X's rows solved in lattice order; y and p are fresh solves of u.
 
     d = 2 x / h at the measurement columns P, so the lower QP's
     (sigma A^2 + P diag(d) P^T) y = P (d * y_d(P)) has a rank-n term.  With
@@ -142,53 +157,51 @@ def _pointwise_rows(spec: ProblemSpec):
     eye, y_d = np.eye(n), spec.lower.target[None, points, None]
     scale = 2.0 / spec.grid.h
 
-    def rows(X, qp, work):
-        U, Y, P, W = work
-        d = scale * X
+    def rows(start, Xb, work):
+        U, Y, P, W, C = work
+        d = scale * Xb
         z = np.linalg.solve(eye + K * d[:, None, :], y_d)[..., 0]
         np.matmul(d * z, H.T, out=U)
-        residual, Y, _ = _fixed_point_residual(spec, qp, U, (Y, P, W))
+        residual, Y, _ = _fixed_point_residual(spec, lower_qp(spec, Xb, out=C), U, (Y, P, W))
         return residual, U, Y
 
-    return rows
+    return np.arange(X.shape[0]), rows
 
 
 def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     """F(x, psi_y(x), psi_u(x)) for every row of X, in blocks of _BLOCK rows.
 
     A block's rows live in five row-major buffers, allocated once, whose
-    transposes are the F-ordered column blocks the solves run on in place.
-    The target kind's rows go through the blocks sorted by 2 sum(x), which
-    is lower_coefficients' d, ties in lattice order, so that a block solves
-    one basis per distinct d of its own lower_qp rather than two columns per
+    transposes are the F-ordered column blocks the solves run on in place;
+    only the pointwise kind writes the fifth, its c.  The target kind's rows
+    go through the blocks sorted by d = 2 sum(x), ties in lattice order, so
+    that a block solves one basis per distinct d rather than two columns per
     row; the pointwise kind's go in lattice order.  A row's closed-form
-    control counts as its solution if it lies within the bounds and passes
-    the kernel's fixed-point check against tol, the QP being strictly
-    convex.  Every other row gets a kernel solve,
-    warm-started from the solution of the row processed before it and
-    verified against tol.  The values are returned in lattice order.
+    control counts as its solution if it lies within the bounds, which two
+    reductions show for a whole block inside them, and passes the kernel's
+    fixed-point check against tol, the QP being strictly convex.  Every
+    other row gets a kernel solve, in lattice order within its block,
+    warm-started from the last kernel solution and verified against tol.
+    The values are returned in lattice order.
     """
     bounds = spec.bounds
-    if spec.lower.kind == "target_type":
-        rows = _target_rows(spec)
-        order = np.argsort(X.sum(axis=1), kind="stable")
-    else:
-        rows, order = _pointwise_rows(spec), np.arange(X.shape[0])
+    order, rows = (_target_rows if spec.lower.kind == "target_type" else _pointwise_rows)(spec, X)
     size = min(_BLOCK, X.shape[0])
     buffers = np.empty((5, size, spec.grid.n_nodes))
     vals = np.empty(X.shape[0])
-    u = None
+    warm = None
     for start in range(0, X.shape[0], size):
         index = order[start:start + size]
         Xb = X[index]
         b = Xb.shape[0]
-        qp = lower_qp(spec, Xb, out=buffers[4, :b])
-        residual, Ub, Yb = rows(Xb, qp, buffers[:4, :b])
-        solved = ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1) & (residual <= tol)
-        for row in np.flatnonzero(~solved):
-            warm = Ub[row - 1] if row else u
-            Yb[row], Ub[row] = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)[:2]
-        u = Ub[-1].copy()  # the next block overwrites the buffers
+        residual, Ub, Yb = rows(start, Xb, buffers[:, :b])
+        solved = residual <= tol
+        if not bounds.inside(Ub):
+            solved &= ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1)
+        rest = np.flatnonzero(~solved)
+        for row in rest[np.argsort(index[rest])]:  # in lattice order
+            sol = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
+            Yb[row], Ub[row], warm = sol.y, sol.u, sol.u
         vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=buffers[3, :b])
     return vals
 

@@ -347,6 +347,20 @@ def test_control_bounds_projection_and_signs():
         bounds.normal_cone_residual(np.full(4, 5.0), lam)
 
 
+def test_inside_needs_every_entry_strictly_within_the_tightest_bounds():
+    # a stacked u is inside only if project(u) is u and every row is
+    # feasible; against max(ua) and min(ub), so -0.5 and 1.5 in the first
+    # column are feasible yet not inside, and NaN is never inside
+    bounds = ControlBounds(ua=np.array([-1.0, 0.0]), ub=np.array([2.0, 1.0]))
+    u = np.array([[0.5, 0.25], [0.75, 0.5]])
+    assert bounds.inside(u) and np.array_equal(bounds.project(u), u)
+    for bad in (0.0, 1.0, -0.5, 1.5, np.nan):
+        w = u.copy()
+        w[1, 0] = bad
+        assert not bounds.inside(w)
+    assert ControlBounds(ua=np.full(2, -np.inf), ub=np.full(2, np.inf)).inside(u)
+
+
 def test_one_sided_bounds_allowed():
     bounds = ControlBounds(ua=np.full(3, -np.inf), ub=np.zeros(3))
     assert bounds.feasible(np.full(3, -1e9), tol=0.0)

@@ -206,10 +206,10 @@ def _three_parameter_tracking_spec() -> ProblemSpec:
     )
 
 
-def _bounded_pointwise(spec: ProblemSpec) -> ProblemSpec:
-    """spec on the unit box, its upper control bound clipped to 0.6 max(u)
+def _clipped_box(spec: ProblemSpec, share: float = 0.6) -> ProblemSpec:
+    """spec on the unit box, its upper control bound clipped to share max(u)
     of the lower solution at x = (1, 1), so that it binds on part of the box."""
-    cap = 0.6 * float(solve_lower(spec, np.ones(2)).u.max())
+    cap = share * float(solve_lower(spec, np.ones(2)).u.max())
     return replace(_box(spec), bounds=ControlBounds(ua=spec.bounds.ua,
                                                     ub=np.full(spec.grid.n_nodes, cap)))
 
@@ -220,7 +220,7 @@ def test_batched_values_match_per_row_kernel(name, bounded_spec, pointwise_spec)
     spec = {
         "bounded_box": lambda: _box(bounded_spec),
         "pointwise": lambda: pointwise_spec,
-        "bounded_pointwise": lambda: _bounded_pointwise(pointwise_spec),
+        "bounded_pointwise": lambda: _clipped_box(pointwise_spec),
         "repeated_point": lambda: _box(_repeated_point_spec()),
         "simplex3": _three_parameter_tracking_spec,
     }[name]()
@@ -247,42 +247,47 @@ def test_batched_values_match_per_row_kernel_across_blocks(bounded_spec, monkeyp
     # the rows taken in processing order
     spec = _box(bounded_spec)
     monkeypatch.setattr(invoc.oracle, "_BLOCK", 21)
-    kernel, calls = invoc.oracle._solve_qp, {}
+    kernel, calls = invoc.oracle._solve_qp, []
 
     def recorded(spec, qp, tol, warm):
         sol = kernel(spec, qp, tol, warm)
-        calls[qp.c.tobytes()] = (warm, sol.u)
+        calls.append((qp.c.tobytes(), warm, sol.u))
         return sol
 
     monkeypatch.setattr(invoc.oracle, "_solve_qp", recorded)
     result = grid_search(spec, 12, keep_samples=True)
     _assert_values_match_kernel(spec, result)
     X = result.samples[:, :-1]
-    keys = [lower_qp(spec, x).c.tobytes() for x in X[_processing_order(X)]]
-    solves = {pos: calls[key] for pos, key in enumerate(keys) if key in calls}
-    # the kernel runs in processing order
-    assert [keys.index(key) for key in calls] == sorted(solves)
+    lattice = {lower_qp(spec, x).c.tobytes(): i for i, x in enumerate(X)}
+    position = np.argsort(_processing_order(X))  # each lattice row's place in processing order
+    block = position // 21
+    rows = [lattice[key] for key, *_ in calls]
+    # the kernel takes the blocks in processing order and a block's rows in
+    # lattice order, which differs from the processing order in some block
+    assert rows == sorted(rows, key=lambda i: (block[i], i))
+    assert any(position[a] > position[b] for a, b in zip(rows, rows[1:]) if block[a] == block[b])
     # the bound binds in several blocks and at the one-row last block
-    assert len({pos // 21 for pos in solves}) >= 2 and 168 in solves
-    # a block's first row is warm-started from the row processed just before
-    # it, the previous block's last
-    first = [pos for pos in solves if pos % 21 == 0 and pos - 1 in solves]
-    assert first
-    for pos in first:
-        assert np.array_equal(solves[pos][0], solves[pos - 1][1])
+    assert len({block[i] for i in rows}) >= 2 and position[rows[-1]] == 168
+    # each kernel row is warm-started from the last kernel solution, across
+    # blocks too, and the first from P_U(0)
+    assert calls[0][1] is None
+    assert any(block[a] != block[b] for a, b in zip(rows, rows[1:]))
+    for (_, _, u), (_, warm, _) in zip(calls, calls[1:]):
+        assert np.array_equal(warm, u)
 
 
 @pytest.mark.parametrize("n, block", [(2, 20), (3, 50)])
 def test_superposed_rows_solve_their_own_equations_across_blocks(n, block, unit_spec, monkeypatch):
     # rows of one d run over a block boundary, so that each block builds its
-    # own basis for that d; every row's y and p still solve A y = u and
-    # A p = c - d y to roundoff, and match the per-row kernel
+    # own basis for that d; every row's d is its own lower_qp's, bitwise, and
+    # its y and p still solve A y = u and A p = c - d y to roundoff, with
+    # c = 2 x . y_d, and match the per-row kernel
     spec = _box(unit_spec if n == 2 else _three_parameter_tracking_spec())
     monkeypatch.setattr(invoc.oracle, "_BLOCK", block)
     check, blocks = invoc.oracle._projected_residual, []
 
     def recorded(spec, qp, u, y, p, out=None):
-        blocks.append((qp.d[:, 0].copy(), qp.c.copy(), u.copy(), y.copy(), p.copy()))
+        blocks.append((qp.d[:, 0].copy(), u.copy(), y.copy(), p.copy()))
         return check(spec, qp, u, y, p, out=out)
 
     monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
@@ -294,13 +299,94 @@ def test_superposed_rows_solve_their_own_equations_across_blocks(n, block, unit_
     assert any(d0[-1] == d1[0] and (d0 == d0[-1]).sum() > n and (d1 == d1[0]).sum() > n
                for (d0, *_), (d1, *_) in zip(blocks, blocks[1:]))
     A, scale, start = spec.operator.apply, 4.0 / spec.grid.h ** 2, 0  # scale: the norm of A
-    for d, c, u, y, p in blocks:
+    for d, u, y, p in blocks:
+        Xb = X[start:start + len(d)]
+        assert np.array_equal(d, [lower_qp(spec, x).d for x in Xb])
+        c = 2.0 * Xb @ spec.lower.targets
         assert np.abs(A(y.T).T - u).max() <= 1e-14 * scale * np.abs(y).max()
         assert np.abs(A(p.T).T - (c - d[:, None] * y)).max() <= 1e-14 * scale * np.abs(p).max()
-        for x, row in zip(X[start:start + len(d)], u):
+        for x, row in zip(Xb, u):
             want = _solve_qp(spec, lower_qp(spec, x), 1e-12).u
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
         start += len(d)
+
+
+@pytest.mark.parametrize("share, flags", [(0.9, {(True, True), (False, False)}),
+                                          (1.0, {(True, True), (True, False)})])
+def test_block_wide_bound_test_matches_the_elementwise_one(share, flags, unit_spec, monkeypatch):
+    # with the cap at 0.9 max(u) of x = (1, 1) the bound binds in some blocks
+    # and not in others; at max(u) the last block's targets v = p/sigma lie
+    # inside the bounds and its controls do not.  Each block's residuals
+    # are bitwise those with the projection minimum(ub, maximum(ua, v)),
+    # and the rows sent to the kernel are those that fail the per-row test
+    spec = _clipped_box(unit_spec, share)
+    ua, ub = spec.bounds.ua, spec.bounds.ub
+    monkeypatch.setattr(invoc.oracle, "_BLOCK", 21)
+    check, kernel, blocks, calls = invoc.oracle._projected_residual, invoc.oracle._solve_qp, [], set()
+
+    def recorded(spec, qp, u, y, p, out=None):
+        residual = check(spec, qp, u, y, p, out=out)
+        blocks.append((u.copy(), p / spec.sigma, residual))
+        return residual
+
+    def counted(spec, qp, tol, warm):
+        calls.add(qp.c.tobytes())
+        return kernel(spec, qp, tol, warm)
+
+    monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", counted)
+    X = grid_search(spec, 12, keep_samples=True).samples[:, :-1]
+    X = X[_processing_order(X)]
+    inside = lambda w: bool(ua.max() < w.min() and w.max() < ub.min())  # noqa: E731
+    assert {(inside(v), inside(u)) for u, v, _ in blocks} == flags
+    want, start = set(), 0
+    for u, v, residual in blocks:
+        diff = u - np.minimum(ub, np.maximum(ua, v))
+        assert np.array_equal(residual, np.sqrt(spec.grid.h) * np.sqrt(invoc.model._row_dot(diff)))
+        solved = ((u >= ua) & (u <= ub)).all(axis=1) & (residual <= 1e-12)
+        want |= {lower_qp(spec, x).c.tobytes() for x in X[start:start + len(u)][~solved]}
+        start += len(u)
+    assert calls == want and want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_size_changes_no_sample_beyond_roundoff(n, unit_spec, monkeypatch):
+    # a block takes the runs of equal d that fall in it from the search's
+    # run table, so every row still passes on its closed form, whatever
+    # the block size; only how runs split into bases and the products'
+    # shapes change, which moves a value by roundoff
+    spec = _box(unit_spec if n == 2 else _three_parameter_tracking_spec())
+
+    def no_kernel(*args):
+        raise AssertionError("a row reached the kernel")
+
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", no_kernel)
+    results = []
+    for block in (7, 21, 1024):
+        monkeypatch.setattr(invoc.oracle, "_BLOCK", block)
+        results.append(grid_search(spec, 12 if n == 2 else 6, keep_samples=True))
+    _assert_values_match_kernel(spec, results[0])
+    first = results[0].samples
+    for other in (result.samples for result in results[1:]):
+        assert np.array_equal(other[:, :-1], first[:, :-1])
+        assert np.abs(other[:, -1] - first[:, -1]).max() <= 64 * np.finfo(float).eps * np.abs(first[:, -1]).max()
+
+
+def test_target_kind_forms_no_stacked_c(bounded_spec, pointwise_spec, monkeypatch):
+    # the target kind's rows read only d = 2 sum(x); its kernel rows still
+    # take their own lower_qp, while the pointwise kind's blocks need c
+    coefficients, shapes = invoc.lower.lower_coefficients, []
+
+    def recorded(grid, obj, x, out=None):
+        shapes.append(np.ndim(x))
+        return coefficients(grid, obj, x, out)
+
+    monkeypatch.setattr(invoc.lower, "lower_coefficients", recorded)
+    grid_search(_box(bounded_spec), 12)
+    assert set(shapes) == {1}
+    shapes.clear()
+    grid_search(_box(pointwise_spec), 12)
+    assert 2 in shapes
 
 
 @pytest.mark.parametrize("name", ["bounded_box", "irrational_box", "simplex3", "box3"])
@@ -375,7 +461,7 @@ def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, pointwise_spec
     grid_search(_box(pointwise_spec), 20)
     grid_search(_box(_repeated_point_spec()), 20)
     assert calls == []
-    result = grid_search(_bounded_pointwise(pointwise_spec), 20)
+    result = grid_search(_clipped_box(pointwise_spec), 20)
     assert 0 < len(calls) < result.sample_count
 
 
