@@ -84,10 +84,9 @@ class TrackingQP(NamedTuple):
     min 1/2 <y, d y> - <c, y> + s/2 ||u||^2 - <b, u> over U with A y = u,
     all pairings weighted by h.  c is a node vector, d and b node vectors or
     scalars, and s >= 0 a scalar; b = s w for a control target w, written
-    so that s = 0 needs no division.  The lower QP at x is lower_qp(spec, x);
-    lower_qp on stacked parameter rows stacks c and d by row, which only
-    _fixed_point_residual accepts; _projected_residual reads s and b alone,
-    so the oracle's superposed rows carry c = None.
+    so that s = 0 needs no division.  The lower QP at x is lower_qp(spec, x).
+    _projected_residual reads s and b alone, so the oracle checks the rows
+    of every block against one member with d = c = None.
     """
 
     d: np.ndarray | float
@@ -96,11 +95,10 @@ class TrackingQP(NamedTuple):
     b: np.ndarray | float
 
 
-def lower_qp(spec: ProblemSpec, x: np.ndarray, out: np.ndarray | None = None) -> TrackingQP:
-    """The lower QP at x, or one stacked row per row of x: the coefficients
-    of x . j(y) = 1/2 <y, d y> - <c, y> + const, and s = sigma; c is
-    written to out if given."""
-    d, c = lower_coefficients(spec.grid, spec.lower, x, out)
+def lower_qp(spec: ProblemSpec, x: np.ndarray) -> TrackingQP:
+    """The lower QP at x: the coefficients of x . j(y) = 1/2 <y, d y> - <c, y>
+    + const, and s = sigma."""
+    d, c = lower_coefficients(spec.grid, spec.lower, x)
     return TrackingQP(d=d, c=c, s=spec.sigma, b=0.0)
 
 
@@ -236,22 +234,15 @@ def _projected_newton(spec: ProblemSpec, qp: TrackingQP, system, u: np.ndarray,
     return u, solves
 
 
-def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, work=None):
+def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray):
     """||u - P_U(u + lam/r)|| from fresh state and adjoint solves, with y and p.
 
     This is the projected-gradient residual at step 1/r, at least the
     residual at any shorter step; for the lower QP it is ||u - P_U(p/sigma)||.
-    u may stack one control row per stacked row of qp, solved together as
-    columns; then y, p and the residual have one row per row of u.  work,
-    three C-ordered arrays of u's shape, receives y, p and u's distance to
-    its projected target, and the solves run in place on their transposes.
     """
-    op = spec.operator
-    y, p, diff = (None, None, None) if work is None else work
-    y = op.solve(u.T, out=None if y is None else y.T).T
-    rhs = np.subtract(qp.c, np.multiply(qp.d, y, out=p), out=p).T
-    p = op.solve(rhs, out=rhs).T
-    return _projected_residual(spec, qp, u, y, p, out=diff), y, p
+    y = spec.operator.solve(u)
+    p = spec.operator.solve(qp.c - qp.d * y)
+    return _projected_residual(spec, qp, u, y, p), y, p
 
 
 def _projected_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, y: np.ndarray,

@@ -146,24 +146,19 @@ def eval_j_grad(grid: Grid, obj: LowerObjective, y: np.ndarray, v: np.ndarray) -
     return 2.0 * (y[idx] - obj.target[idx]) * v[idx]
 
 
-def lower_coefficients(grid: Grid, obj: LowerObjective, x: np.ndarray,
-                       out: np.ndarray | None = None) -> tuple[np.ndarray | float, np.ndarray]:
+def lower_coefficients(grid: Grid, obj: LowerObjective,
+                       x: np.ndarray) -> tuple[np.ndarray | float, np.ndarray]:
     """(d, c) with x . j(y) = 1/2 <y, d y> - <c, y> + const under the weighted product.
 
-    x is one parameter or a stack of parameter rows, and so are d and c; c
-    is written to out if given.  d = 2 sum(x), one scalar per row, and
-    c = 2 x . y_d for the target kind; d = 2 x_i / h and c = d y_d at the
-    measurement nodes for the pointwise kind, since a Dirac at node i is e_i / h.
+    d = 2 sum(x), a scalar, and c = 2 x . y_d for the target kind; d = 2 x_i / h
+    and c = d y_d at the measurement nodes for the pointwise kind, since a
+    Dirac at node i is e_i / h.
     """
     if obj.kind == "target_type":
-        c = np.matmul(x, obj.targets, out=out)
-        c *= 2.0
-        if x.ndim == 1:
-            return 2.0 * float(np.sum(x)), c
-        return 2.0 * x.sum(axis=1, keepdims=True), c
-    d = np.zeros(x.shape[:-1] + (grid.n_nodes,))
-    np.add.at(d, (..., np.asarray(obj.points)), 2.0 * x / grid.h)
-    return d, np.multiply(d, obj.target, out=out)
+        return 2.0 * float(np.sum(x)), 2.0 * (x @ obj.targets)
+    d = np.zeros(grid.n_nodes)
+    np.add.at(d, np.asarray(obj.points), 2.0 * x / grid.h)
+    return d, d * obj.target
 
 
 def _row_dot(v: np.ndarray) -> float | np.ndarray:

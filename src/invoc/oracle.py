@@ -18,11 +18,11 @@ search, and the rows of one d in a block are combinations x [U | Y | P](d)
 of n basis controls, states and adjoints built once per block by fresh
 solves; c itself is never formed.  A row whose closed-form control is
 feasible and passes the kernel's fixed-point check on its own (u, y, p)
-(lower._projected_residual, on the whole block at once) is solved, the QP
-being strictly convex; a block whose controls and targets all lie strictly
-inside the bounds needs neither the projection nor the per-row bound test.
-Every other row goes to the active-set kernel, in lattice order within its
-block, warm-started from the last kernel solution.
+(lower._projected_residual, one call per block for either kind) is solved,
+the QP being strictly convex; a block whose controls and targets all lie
+strictly inside the bounds needs neither the projection nor the per-row
+bound test.  Every other row goes to the active-set kernel, in lattice
+order within its block, warm-started from the last kernel solution.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lower import TrackingQP, _fixed_point_residual, _projected_residual, _solve_qp, lower_qp
+from .lower import TrackingQP, _projected_residual, _solve_qp, lower_qp
 from .model import ProblemSpec, _integer, _positive
 
-_BLOCK = 1024  # lattice rows per block; each of the five buffers holds 1024 x N floats
+_BLOCK = 1024  # lattice rows per block; each of the four buffers holds 1024 x N floats
 
 
 @dataclass(eq=False)
@@ -79,8 +79,8 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     """The target kind's closed form: the order in which X's rows are solved,
     sorted by d = 2 sum(x) with ties in lattice order, and rows(start, Xb,
     work), which writes the unconstrained (u, y, p) of the rows Xb found at
-    position start of that order to work's first three arrays and returns
-    their fixed-point residuals, u and y.
+    position start of that order to work's first three arrays, using the
+    fourth as scratch.
 
     With A = Q diag(l) Q^T, c = 2 x . y_d and d = 2 sum(x), (sigma A^2 + d) y
     = c is diagonal in the sine basis, the coefficient d being constant in
@@ -131,39 +131,40 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
             work[:3, own] = basis[:, :m]
         for j, (r0, r1) in zip(range(m, dg.shape[0], n), runs):
             np.matmul(Xb[r0:r1], basis[:, j:j + n], out=work[:3, r0:r1])
-        residual = _projected_residual(spec, TrackingQP(d=d, c=None, s=spec.sigma, b=0.0), *work[:3], out=work[3])
-        return residual, work[0], work[1]
 
     return order, rows
 
 
 def _pointwise_rows(spec: ProblemSpec, X: np.ndarray):
     """The pointwise kind's closed form, with _target_rows' signature and
-    X's rows solved in lattice order; y and p are fresh solves of u.
+    X's rows solved in lattice order.
 
     d = 2 x / h at the measurement columns P, so the lower QP's
     (sigma A^2 + P diag(d) P^T) y = P (d * y_d(P)) has a rank-n term.  With
-    G = (sigma A^2)^{-1} P, K = P^T G and H = A^{-1} P / sigma, y = G (d * z)
-    and u = A y = H (d * z) for the z with (I + K diag(d)) z = y_d(P): one
-    n x n system per row, with no division by x.  A repeated node gives
-    equal columns of P, whose weights add up in P diag(d) P^T as in the QP.
+    E = A^{-1} P, H = E / sigma, G = A^{-1} H and K = P^T G, u = H w and
+    y = G w with w = d * z for the z with (I + K diag(d)) z = y_d(P), and
+    p = E (d * (y_d - y)(P)), so A y = u and A p = c - d y hold to roundoff
+    whatever z is; p takes E, not sigma H, so an error in H or z shows in
+    the check.  A repeated node gives equal columns of P, whose weights add
+    up in P diag(d) P^T as in the QP.
     """
     points = np.asarray(spec.lower.points)
     n = points.size
     columns = np.zeros((spec.grid.n_nodes, n))
     columns[points, np.arange(n)] = 1.0
-    H = spec.operator.solve(columns) / spec.sigma
-    K = spec.operator.solve(H)[points]
-    eye, y_d = np.eye(n), spec.lower.target[None, points, None]
+    E = spec.operator.solve(columns)
+    H = E / spec.sigma
+    G = spec.operator.solve(H)
+    eye, y_d, K = np.eye(n), spec.lower.target[None, points, None], G[points]
     scale = 2.0 / spec.grid.h
 
     def rows(start, Xb, work):
-        U, Y, P, W, C = work
+        U, Y, P = work[:3]
         d = scale * Xb
-        z = np.linalg.solve(eye + K * d[:, None, :], y_d)[..., 0]
-        np.matmul(d * z, H.T, out=U)
-        residual, Y, _ = _fixed_point_residual(spec, lower_qp(spec, Xb, out=C), U, (Y, P, W))
-        return residual, U, Y
+        w = d * np.linalg.solve(eye + K * d[:, None, :], y_d)[..., 0]
+        np.matmul(w, H.T, out=U)
+        np.matmul(w, G.T, out=Y)
+        np.matmul(d * (y_d[..., 0] - Y[:, points]), E.T, out=P)
 
     return np.arange(X.shape[0]), rows
 
@@ -171,38 +172,41 @@ def _pointwise_rows(spec: ProblemSpec, X: np.ndarray):
 def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     """F(x, psi_y(x), psi_u(x)) for every row of X, in blocks of _BLOCK rows.
 
-    A block's rows live in five row-major buffers, allocated once, whose
-    transposes are the F-ordered column blocks the solves run on in place;
-    only the pointwise kind writes the fifth, its c.  The target kind's rows
-    go through the blocks sorted by d = 2 sum(x), ties in lattice order, so
-    that a block solves one basis per distinct d rather than two columns per
-    row; the pointwise kind's go in lattice order.  A row's closed-form
-    control counts as its solution if it lies within the bounds, which two
-    reductions show for a whole block inside them, and passes the kernel's
-    fixed-point check against tol, the QP being strictly convex.  Every
+    A block's rows live in four row-major buffers, allocated once, whose
+    transposes are the F-ordered column blocks the solves run on in place.
+    The target kind's rows go through the blocks sorted by d = 2 sum(x),
+    ties in lattice order, so that a block solves one basis per distinct d
+    rather than two columns per row; the pointwise kind's go in lattice
+    order.  Either kind writes its rows' (u, y, p) to the first three; the
+    one check of the block, on a member with only the s and b it reads,
+    writes to the fourth.  A row's closed-form control counts as its
+    solution if it lies within the bounds, which two reductions show for a
+    whole block inside them, and passes that check against tol.  Every
     other row gets a kernel solve, in lattice order within its block,
     warm-started from the last kernel solution and verified against tol.
     The values are returned in lattice order.
     """
     bounds = spec.bounds
     order, rows = (_target_rows if spec.lower.kind == "target_type" else _pointwise_rows)(spec, X)
+    check = TrackingQP(d=None, c=None, s=spec.sigma, b=0.0)
     size = min(_BLOCK, X.shape[0])
-    buffers = np.empty((5, size, spec.grid.n_nodes))
+    buffers = np.empty((4, size, spec.grid.n_nodes))
     vals = np.empty(X.shape[0])
     warm = None
     for start in range(0, X.shape[0], size):
         index = order[start:start + size]
         Xb = X[index]
         b = Xb.shape[0]
-        residual, Ub, Yb = rows(start, Xb, buffers[:, :b])
-        solved = residual <= tol
+        Ub, Yb, Pb, Wb = buffers[:, :b]
+        rows(start, Xb, buffers[:, :b])
+        solved = _projected_residual(spec, check, Ub, Yb, Pb, out=Wb) <= tol
         if not bounds.inside(Ub):
             solved &= ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1)
         rest = np.flatnonzero(~solved)
         for row in rest[np.argsort(index[rest])]:  # in lattice order
             sol = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
             Yb[row], Ub[row], warm = sol.y, sol.u, sol.u
-        vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=buffers[3, :b])
+        vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=Wb)
     return vals
 
 

@@ -209,27 +209,6 @@ def _repeated_point_spec():
     )
 
 
-@pytest.mark.parametrize("name", ["unit_spec", "pointwise_spec", "repeated_point"])
-def test_stacked_rows_match_single_rows(name, request):
-    spec = _repeated_point_spec() if name == "repeated_point" else request.getfixturevalue(name)
-    X = np.array([[0.3, 0.7], [1.0, 0.0], [0.0, 0.0], [0.55, 0.45]])
-    stacked = invoc.lower.lower_qp(spec, X)
-    # perturbed solutions, so the residuals are well above roundoff
-    U = np.stack([solve_lower(spec, x).u for x in X]) + 1e-3 * np.sin(np.arange(spec.grid.n_nodes))
-    residual, Y, P = invoc.lower._fixed_point_residual(spec, stacked, U)
-    for i, x in enumerate(X):
-        single = invoc.lower.lower_qp(spec, x)
-        assert_allclose(np.broadcast_to(stacked.d[i], U.shape[1:]),
-                        np.broadcast_to(single.d, U.shape[1:]), rtol=1e-15, atol=0.0)
-        assert_allclose(stacked.c[i], single.c, rtol=1e-15, atol=1e-15 * np.abs(single.c).max())
-        res_i, y_i, p_i = invoc.lower._fixed_point_residual(spec, single, U[i])
-        # the residual is a difference of node vectors of size ||u||, so the
-        # rounding of c between a matrix and a vector product shows relative to that
-        assert abs(residual[i] - res_i) <= 1e-15 * norm(spec.grid, U[i])
-        assert_allclose(Y[i], y_i, rtol=1e-15, atol=0.0)
-        assert_allclose(P[i], p_i, rtol=1e-15, atol=1e-15 * np.abs(p_i).max())
-
-
 def _tight_box(n_nodes, below, tol=None):
     """make_unplanted_spec(n_nodes, sigma=1e-4) at x = (0.3, 0.7), its control
     bounds narrowed to u0 + [-below, 1 - below] max|u0| about the solution u0

@@ -276,39 +276,43 @@ def test_batched_values_match_per_row_kernel_across_blocks(bounded_spec, monkeyp
         assert np.array_equal(warm, u)
 
 
-@pytest.mark.parametrize("n, block", [(2, 20), (3, 50)])
-def test_superposed_rows_solve_their_own_equations_across_blocks(n, block, unit_spec, monkeypatch):
-    # rows of one d run over a block boundary, so that each block builds its
-    # own basis for that d; every row's d is its own lower_qp's, bitwise, and
-    # its y and p still solve A y = u and A p = c - d y to roundoff, with
-    # c = 2 x . y_d, and match the per-row kernel
-    spec = _box(unit_spec if n == 2 else _three_parameter_tracking_spec())
+@pytest.mark.parametrize("case, block", [(2, 20), (3, 50), ("pointwise", 20),
+                                         ("repeated_point", 20)])
+def test_superposed_rows_solve_their_own_equations_across_blocks(case, block, unit_spec,
+                                                                 pointwise_spec, monkeypatch):
+    # every block's rows, of either kind, pass through the one check; each
+    # row's y and p solve A y = u and A p = c - d y to roundoff with the c
+    # and d of its own lower_qp, a repeated measurement node included, and
+    # its u matches the per-row kernel.  For the target kind, rows of one d
+    # run over a block boundary, so that each block builds its own basis
+    spec = _box({2: lambda: unit_spec, 3: _three_parameter_tracking_spec,
+                 "pointwise": lambda: pointwise_spec, "repeated_point": _repeated_point_spec}[case]())
     monkeypatch.setattr(invoc.oracle, "_BLOCK", block)
     check, blocks = invoc.oracle._projected_residual, []
 
     def recorded(spec, qp, u, y, p, out=None):
-        blocks.append((qp.d[:, 0].copy(), u.copy(), y.copy(), p.copy()))
+        blocks.append((u.copy(), y.copy(), p.copy()))
         return check(spec, qp, u, y, p, out=out)
 
     monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
-    result = grid_search(spec, 12 if n == 2 else 6, keep_samples=True)
+    result = grid_search(spec, 6 if case == 3 else 12, keep_samples=True)
     _assert_values_match_kernel(spec, result)
-    X = result.samples[:, :-1][_processing_order(result.samples[:, :-1])]
-    assert sum(len(d) for d, *_ in blocks) == X.shape[0]
-    # some value of d has more than n rows on each side of a boundary
-    assert any(d0[-1] == d1[0] and (d0 == d0[-1]).sum() > n and (d1 == d1[0]).sum() > n
-               for (d0, *_), (d1, *_) in zip(blocks, blocks[1:]))
-    A, scale, start = spec.operator.apply, 4.0 / spec.grid.h ** 2, 0  # scale: the norm of A
-    for d, u, y, p in blocks:
-        Xb = X[start:start + len(d)]
-        assert np.array_equal(d, [lower_qp(spec, x).d for x in Xb])
-        c = 2.0 * Xb @ spec.lower.targets
-        assert np.abs(A(y.T).T - u).max() <= 1e-14 * scale * np.abs(y).max()
-        assert np.abs(A(p.T).T - (c - d[:, None] * y)).max() <= 1e-14 * scale * np.abs(p).max()
-        for x, row in zip(Xb, u):
-            want = _solve_qp(spec, lower_qp(spec, x), 1e-12).u
-            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
-        start += len(d)
+    X = result.samples[:, :-1]
+    if spec.lower.kind == "target_type":
+        X = X[_processing_order(X)]
+        d = 2.0 * X.sum(axis=1)
+        n = spec.n
+        # some value of d has more than n rows on each side of a boundary
+        assert any((d[s - block:s] == d[s - 1]).sum() > n and (d[s:s + block] == d[s]).sum() > n
+                   for s in range(block, d.size, block))
+    assert [len(u) for u, *_ in blocks] == [min(block, X.shape[0] - s) for s in range(0, X.shape[0], block)]
+    A, scale = spec.operator.apply, 4.0 / spec.grid.h ** 2  # scale: the norm of A
+    for x, u, y, p in zip(X, *(np.concatenate(a) for a in zip(*blocks))):
+        qp = lower_qp(spec, x)
+        assert np.abs(A(y) - u).max() <= 1e-14 * scale * np.abs(y).max()
+        assert np.abs(A(p) - (qp.c - qp.d * y)).max() <= 1e-14 * scale * np.abs(p).max()
+        want = _solve_qp(spec, qp, 1e-12).u
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("share, flags", [(0.9, {(True, True), (False, False)}),
@@ -373,20 +377,26 @@ def test_block_size_changes_no_sample_beyond_roundoff(n, unit_spec, monkeypatch)
 
 
 def test_target_kind_forms_no_stacked_c(bounded_spec, pointwise_spec, monkeypatch):
-    # the target kind's rows read only d = 2 sum(x); its kernel rows still
-    # take their own lower_qp, while the pointwise kind's blocks need c
-    coefficients, shapes = invoc.lower.lower_coefficients, []
+    # neither kind forms a block's stacked c and d: for the target kind and
+    # for the pointwise kind, lower_coefficients is called with one
+    # parameter, once per kernel row
+    coefficients, kernel, shapes, calls = invoc.lower.lower_coefficients, invoc.oracle._solve_qp, [], []
 
-    def recorded(grid, obj, x, out=None):
+    def recorded(grid, obj, x):
         shapes.append(np.ndim(x))
-        return coefficients(grid, obj, x, out)
+        return coefficients(grid, obj, x)
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
 
     monkeypatch.setattr(invoc.lower, "lower_coefficients", recorded)
-    grid_search(_box(bounded_spec), 12)
-    assert set(shapes) == {1}
-    shapes.clear()
-    grid_search(_box(pointwise_spec), 12)
-    assert 2 in shapes
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", counted)
+    for spec in (_box(bounded_spec), _clipped_box(pointwise_spec)):
+        shapes.clear()
+        calls.clear()
+        grid_search(spec, 12)
+        assert shapes == [1] * len(calls) and calls
 
 
 @pytest.mark.parametrize("name", ["bounded_box", "irrational_box", "simplex3", "box3"])
@@ -470,3 +480,25 @@ def test_default_tol_holds_at_n1024():
     spec = make_generated_spec(1024, (0.3, 0.7))
     result = grid_search(spec, 200)
     assert np.array_equal(result.best_x, grid_search(spec, 200, tol=1e-9).best_x)
+
+
+def test_pointwise_rows_need_no_kernel_at_n1023(monkeypatch):
+    # the pointwise closed form's rows pass the check on their own at
+    # N = 1023: no row reaches the kernel, and sampled rows match it
+    grid = build_grid(1023)
+    w = grid.nodes
+    spec = ProblemSpec(
+        grid=grid, sigma=1e-2,
+        lower=LowerObjective(kind="pointwise", points=(256, 700), target=np.sin(np.pi * w)),
+        upper=UpperObjective(c_y=1.0, y_o=0.2 * np.sin(np.pi * w), c_u=1.0, u_o=np.zeros(1023), gamma=1e-3),
+        x_set=AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2)),
+        bounds=ControlBounds(ua=np.full(1023, -50.0), ub=np.full(1023, 50.0)),
+    )
+
+    def no_kernel(*args):
+        raise AssertionError("a row reached the kernel")
+
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", no_kernel)
+    result = grid_search(spec, 40, keep_samples=True)
+    sample = np.linspace(0, result.sample_count - 1, 20).astype(int)
+    _assert_values_match_kernel(spec, replace(result, samples=result.samples[sample]))
