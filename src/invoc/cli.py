@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, InsufficientPathError, ValidationError
+from .errors import ConvergenceError, InsufficientPathError, ValidationError, _integer
 from .lower import solve_lower
-from .model import _integer, load_problem, read_json, save_problem, write_file, write_json
+from .model import load_problem, read_json, save_problem, write_file, write_json
 from .oracle import grid_search
 from .path import extract_candidate, run_path, trace_rows
 from .presets import make_box_variant, make_default_problem
@@ -154,7 +154,7 @@ def _cmd_path(args, out: Path) -> list[str]:
             out, "path_trace.csv", header,
             [[row[k] for k in header] for row in rows],
         ))
-    summary = {**_fields(trace, "records", "cauchy"), "completed": len(trace.records)}
+    summary = {**_fields(trace, "records"), "completed": len(trace.records)}
     outputs.append(_write_json(out, "limit.json", summary))
     if trace.failure is not None:
         raise ConvergenceError(

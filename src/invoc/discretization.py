@@ -8,18 +8,20 @@ evaluation functionals) are stored as Riesz coefficient vectors under that
 product, so a Dirac at node i is e_i / h.  Every solve with the Laplacian
 goes through one tridiagonal LDL^T factor per grid, column by column:
 LAPACK's dpttrf and dpttrs, taken from scipy's Fortran wrappers by _lapack
-so that importing the package does not run scipy.linalg's init.
+so that importing the package does not run scipy.linalg's init.  The
+operator holds only the grid and that factor: the oracle builds the sine
+eigenbasis it needs once per search, and the tracking QPs build their own
+band systems.  Vector arguments are checked by errors._vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._lapack import dpttrf, dpttrs
-from .errors import ConvergenceError, DimensionError, DomainError, GridError
+from .errors import ConvergenceError, DimensionError, DomainError, GridError, _vector
 
 
 @dataclass(frozen=True)
@@ -48,25 +50,16 @@ def build_grid(n_nodes: int) -> Grid:
     return Grid(n_nodes)
 
 
-def _check_length(grid: Grid, v: np.ndarray, name: str = "vector") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != grid.n_nodes:
-        raise DimensionError(
-            f"{name} has length {v.shape[0]}, grid has {grid.n_nodes} nodes"
-        )
-    return v
-
-
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Weighted inner product h * sum(u_i * v_i)."""
-    u = _check_length(grid, u, "u")
-    v = _check_length(grid, v, "v")
+    u = _vector(u, (grid.n_nodes,), "u")
+    v = _vector(v, (grid.n_nodes,), "v")
     return float(grid.h * np.dot(u, v))
 
 
 def norm(grid: Grid, u: np.ndarray) -> float:
     """Norm induced by the weighted inner product."""
-    u = _check_length(grid, u, "u")
+    u = _vector(u, (grid.n_nodes,), "u")
     return float(np.sqrt(grid.h) * np.linalg.norm(u))
 
 
@@ -77,8 +70,7 @@ class EllipticOperator:
     product, so apply and solve serve for the adjoint equations too.  The
     tridiagonal LDL^T factorization (LAPACK dpttrf: n pivots and n - 1
     multipliers) is computed once at construction; solves accept a vector
-    or a matrix of stacked columns.  The closed-form sine eigenpairs are
-    built on first use.
+    or a matrix of stacked columns.
     """
 
     def __init__(self, grid: Grid):
@@ -89,35 +81,15 @@ class EllipticOperator:
         if info != 0:
             raise ConvergenceError(f"Laplacian factorization failed (dpttrf info {info})")
         self._factor = (d, e)
-        # A on both halves of the unknowns (y_0, p_0, y_1, ...) of the tracking
-        # QPs' optimality systems, in LAPACK band storage with kl = ku = 2
-        self.pair_band = np.zeros((7, 2 * n))
-        self.pair_band[2, 2:] = self.pair_band[6, :-2] = -1.0 / h2
-        self.pair_band[4] = 2.0 / h2
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the stencil (-y_{i-1} + 2 y_i - y_{i+1})/h^2 with zero boundary."""
-        y = _check_length(self.grid, y, "state")
+        y = _vector(y, (self.grid.n_nodes,), "state")
         h2 = self.grid.h * self.grid.h
         out = 2.0 * y
         out[:-1] -= y[1:]
         out[1:] -= y[:-1]
         return out / h2
-
-    @cached_property
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues l and orthonormal eigenvectors Q with A = Q diag(l) Q^T.
-
-        Column k-1 of Q is the discrete sine sqrt(2h) sin(pi k omega_i), with
-        eigenvalue l_k = 4 sin^2(pi k h / 2) / h^2 (DST-I); Q is symmetric.
-        """
-        grid = self.grid
-        k = np.arange(1, grid.n_nodes + 1)
-        l = (2.0 * np.sin(0.5 * np.pi * k * grid.h) / grid.h) ** 2
-        # reduce the integer phase jk mod 2(N+1) first, so sin sees |arg| <= 2 pi
-        phase = np.outer(k, k) % (2 * (grid.n_nodes + 1))
-        Q = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
-        return l, Q
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve A y = rhs (vector or matrix of columns) by LAPACK dpttrs, one

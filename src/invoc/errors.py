@@ -1,6 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the argument checks that
+raise them, here because every module imports this one: _number, _positive
+and _integer for scalars, and _vector, the package's one array check."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class ToolError(Exception):
@@ -42,3 +48,39 @@ class ConvergenceError(ToolError, RuntimeError):
 
 class InsufficientPathError(ToolError):
     """A relaxation path does not contain enough successful iterates."""
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, name: str, upper: float = math.inf) -> float:
+    """value as a float in (0, upper); DomainError names the argument if it is not."""
+    value = _number(value, name)
+    if not 0.0 < value < upper:
+        bound = "finite" if upper == math.inf else f"below {upper:g}"
+        raise DomainError(f"{name} must be positive and {bound}, got {value}")
+    return value
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    """value as an int of at least low; DomainError names the argument if it is below."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
+def _vector(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape: ValidationError if it is not
+    numeric, DimensionError if its shape differs, both naming the argument."""
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
+    if value.shape != shape:
+        raise DimensionError(f"{name} has shape {value.shape}, expected {shape}")
+    return value

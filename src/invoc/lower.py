@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import dgbtrf, dgbtrs
-from .errors import ConvergenceError, DomainError
-from .model import ProblemSpec, _positive, _row_dot, _vector, lower_coefficients
+from .errors import ConvergenceError, DomainError, _positive, _vector
+from .model import ProblemSpec, _row_dot, lower_coefficients
 
 # solves per kernel call before the refinement step: each active-set step,
 # each of projected Newton's evaluations and each of its steps that factors
@@ -121,10 +121,13 @@ def _optimality_system(spec: ProblemSpec, qp: TrackingQP):
     factor _band_solve puts on the A y part of the free rows.
     """
     r = _scale(spec, qp)
-    ab = spec.operator.pair_band.copy()
+    n, h2 = spec.grid.n_nodes, spec.grid.h * spec.grid.h
+    ab = np.zeros((7, 2 * n))
+    ab[2, 2:] = ab[6, :-2] = -1.0 / h2  # A on both halves of the unknowns
+    ab[4] = 2.0 / h2
     ab[3, 1::2] = -1.0 / r
     ab[5, 0::2] = qp.d
-    rhs = np.empty(2 * spec.grid.n_nodes)
+    rhs = np.empty(2 * n)
     rhs[0::2] = qp.b / r
     rhs[1::2] = qp.c
     return ab, rhs, qp.s / r
@@ -359,6 +362,15 @@ def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQ
     return y_t, u_t, int(factors is not sol.factors)
 
 
+def _lower_solution(spec: ProblemSpec, x: np.ndarray, sol: _QPSolution) -> LowerSolution:
+    """The LowerSolution at x of the kernel's (y, u, p) for the lower QP there,
+    with lam = p - sigma u; a failed kernel's final iterate is built alike."""
+    lam = sol.p - spec.sigma * sol.u
+    sign_res = spec.bounds.normal_cone_residual(sol.u, lam, spec.active_tol)
+    return LowerSolution(x=x, y=sol.y, u=sol.u, p=sol.p, lam=lam,
+                         kkt_residual=max(sol.residual, sign_res), iterations=sol.solves)
+
+
 def solve_lower(
     spec: ProblemSpec,
     x,
@@ -370,17 +382,18 @@ def solve_lower(
     tol bounds the fixed-point residual ||u - P_U(p/sigma)||, the discrete
     form of -grad g(u) in the normal cone at u; warm_start seeds the active
     sets.  The kernel's checked (y, u, p) is returned as it stands; lam's
-    sign test is kept, as it bounds lam nodewise in multiplier units.
+    sign test is kept, as it bounds lam nodewise in multiplier units.  A
+    kernel failure's ConvergenceError carries its final iterate's
+    LowerSolution as best.
     """
     x = _validate_parameter(spec, x)
     tol = _positive(spec.solver_tol if tol is None else tol, "tol")
     if warm_start is not None:
         warm_start = _vector(warm_start, (spec.grid.n_nodes,), "warm_start")
 
-    y, u, p, solves, _, _, residual = _solve_qp(spec, lower_qp(spec, x), tol, warm_start)
-    lam = p - spec.sigma * u
-    sign_res = spec.bounds.normal_cone_residual(u, lam, spec.active_tol)
-    return LowerSolution(
-        x=x, y=y, u=u, p=p, lam=lam,
-        kkt_residual=max(residual, sign_res), iterations=solves,
-    )
+    try:
+        sol = _solve_qp(spec, lower_qp(spec, x), tol, warm_start)
+    except ConvergenceError as err:
+        err.best = _lower_solution(spec, x, err.best)
+        raise
+    return _lower_solution(spec, x, sol)

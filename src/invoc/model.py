@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .discretization import EllipticOperator, Grid, build_grid
-from .errors import DimensionError, DomainError, InfeasibleError, ValidationError
+from .errors import (DimensionError, DomainError, InfeasibleError, ValidationError, _integer,
+                     _number, _positive, _vector)
 
 
 def grid_function(
@@ -123,9 +124,7 @@ class LowerObjective:
 
 def eval_j(grid: Grid, obj: LowerObjective, y: np.ndarray) -> np.ndarray:
     """Component values j_i(y), a nonnegative vector of length n."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != grid.n_nodes:
-        raise DimensionError("state length does not match grid")
+    y = _vector(y, (grid.n_nodes,), "state")
     if obj.kind == "target_type":
         d = y[None, :] - obj.targets
         return grid.h * np.sum(d * d, axis=1)
@@ -136,10 +135,8 @@ def eval_j(grid: Grid, obj: LowerObjective, y: np.ndarray) -> np.ndarray:
 
 def eval_j_grad(grid: Grid, obj: LowerObjective, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Directional derivatives (j_i'(y) v)_i as a vector of length n."""
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if y.shape[0] != grid.n_nodes or v.shape[0] != grid.n_nodes:
-        raise DimensionError("state or direction length does not match grid")
+    y = _vector(y, (grid.n_nodes,), "state")
+    v = _vector(v, (grid.n_nodes,), "direction")
     if obj.kind == "target_type":
         return 2.0 * grid.h * ((y[None, :] - obj.targets) @ v)
     idx = np.asarray(obj.points)
@@ -184,9 +181,10 @@ class UpperObjective:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for label, w in (("c_y", self.c_y), ("c_u", self.c_u), ("gamma", self.gamma)):
-            if not (w >= 0.0):
-                raise ValidationError(f"{label} must be nonnegative, got {w}")
+        for label in ("c_y", "c_u", "gamma"):
+            w = _number(getattr(self, label), label)
+            if not 0.0 <= w < math.inf:
+                raise DomainError(f"{label} must be nonnegative and finite, got {w}")
         object.__setattr__(self, "y_o", np.asarray(self.y_o, dtype=float))
         object.__setattr__(self, "u_o", np.asarray(self.u_o, dtype=float))
 
@@ -196,14 +194,13 @@ class UpperObjective:
 
         work, an array of y's shape, takes y - y_o and then u - u_o in turn.
         """
-        y = np.asarray(y, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if y.shape[-1] != grid.n_nodes or u.shape[-1] != grid.n_nodes:
-            raise DimensionError("state or control length does not match grid")
+        x = np.asarray(x, dtype=float)
+        y = _vector(y, x.shape[:-1] + (grid.n_nodes,), "state")
+        u = _vector(u, x.shape[:-1] + (grid.n_nodes,), "control")
         return (
             0.5 * self.c_y * (grid.h * _row_dot(np.subtract(y, self.y_o, out=work)))
             + 0.5 * self.c_u * (grid.h * _row_dot(np.subtract(u, self.u_o, out=work)))
-            + 0.5 * self.gamma * _row_dot(np.asarray(x, dtype=float))
+            + 0.5 * self.gamma * _row_dot(x)
         )
 
     def grad_x(self, x: np.ndarray) -> np.ndarray:
@@ -226,8 +223,7 @@ class AdmissibleSetX:
     hi: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("parameter dimension must be at least 1")
+        object.__setattr__(self, "n", _integer(self.n, "parameter dimension", 1))
         if self.kind == "simplex":
             if self.lo is not None or self.hi is not None:
                 raise ValidationError("simplex set takes no bounds")
@@ -260,9 +256,7 @@ class AdmissibleSetX:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the set."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionError(f"point has shape {x.shape}, expected ({self.n},)")
+        x = _vector(x, (self.n,), "point")
         if not np.isfinite(x).all():
             raise ValidationError(f"cannot project the non-finite point {x}")
         if self.kind == "box":
@@ -294,10 +288,8 @@ class AdmissibleSetX:
 
     def normal_cone_residual(self, x: np.ndarray, z: np.ndarray, tol: float = 1e-8) -> float:
         """Violation of z in N_{X_ad}(x): max over vertices v of z.(v - x), clipped at 0."""
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.n,):
-            raise DimensionError(f"dual vector has shape {z.shape}, expected ({self.n},)")
+        x = _vector(x, (self.n,), "point")
+        z = _vector(z, (self.n,), "dual vector")
         if not self.contains(x, tol):
             raise InfeasibleError(f"point {x} is not in the admissible set")
         gaps = self.vertices() @ z - float(np.dot(z, x))
@@ -339,7 +331,7 @@ class ControlBounds:
         return bool(self.ua.max() < u.min() and u.max() < self.ub.min())
 
     def feasible(self, u: np.ndarray, tol: float) -> bool:
-        u = np.asarray(u, dtype=float)
+        u = _vector(u, self.ua.shape, "control")
         return bool((u >= self.ua - tol).all() and (u <= self.ub + tol).all())
 
     def normal_cone_residual(self, u: np.ndarray, lam: np.ndarray, tol_act: float = 1e-6) -> float:
@@ -349,10 +341,8 @@ class ControlBounds:
         nonnegative, where u is strictly below the upper bound it must be
         nonpositive; strictness is measured with the active-set tolerance.
         """
-        u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        if u.shape != self.ua.shape or lam.shape != self.ua.shape:
-            raise DimensionError("control or multiplier length does not match bounds")
+        u = _vector(u, self.ua.shape, "control")
+        lam = _vector(lam, self.ua.shape, "multiplier")
         if not self.feasible(u, tol_act):
             raise InfeasibleError("control violates its bounds beyond tolerance")
         above = u > self.ua + tol_act
@@ -384,7 +374,7 @@ class ProblemSpec:
             if self.lower.targets.shape[1] != n_nodes:
                 raise DimensionError("desired states do not match the grid")
         else:
-            if self.lower.target.shape[0] != n_nodes:
+            if self.lower.target.shape != (n_nodes,):
                 raise DimensionError("desired state does not match the grid")
             if any(not (0 <= i < n_nodes) for i in self.lower.points):
                 raise ValidationError(
@@ -397,10 +387,15 @@ class ProblemSpec:
                 f"objective dimension {self.lower.n}"
             )
         for label, v in (("y_o", self.upper.y_o), ("u_o", self.upper.u_o)):
-            if v.shape[0] != n_nodes:
+            if v.shape != (n_nodes,):
                 raise DimensionError(f"{label} does not match the grid")
         if self.bounds.ua.shape[0] != n_nodes:
             raise DimensionError("control bounds do not match the grid")
+        data = {"targets": self.lower.targets, "target": self.lower.target,
+                "y_o": self.upper.y_o, "u_o": self.upper.u_o}
+        for label, v in data.items():
+            if v is not None and not np.isfinite(v).all():
+                raise ValidationError(f"{label} must be finite")
 
     @cached_property
     def operator(self) -> EllipticOperator:
@@ -424,42 +419,6 @@ def _block(data: dict, key: str) -> dict:
     if not isinstance(block, dict):
         raise ValidationError(f"{key} must be an object, got {block!r}")
     return block
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _positive(value, name: str, upper: float = math.inf) -> float:
-    """value as a float in (0, upper); DomainError names the argument if it is not."""
-    value = _number(value, name)
-    if not 0.0 < value < upper:
-        bound = "finite" if upper == math.inf else f"below {upper:g}"
-        raise DomainError(f"{name} must be positive and {bound}, got {value}")
-    return value
-
-
-def _integer(value, name: str, low: int | None = None) -> int:
-    """value as an int of at least low; DomainError names the argument if it is below."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise DomainError(f"{name} must be at least {low}, got {value}")
-    return int(value)
-
-
-def _vector(value, shape: tuple, name: str) -> np.ndarray:
-    """value as a float array of the given shape: ValidationError if it is not
-    numeric, DimensionError if its shape differs, both naming the argument."""
-    try:
-        value = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not an array of numbers") from None
-    if value.shape != shape:
-        raise DimensionError(f"{name} has shape {value.shape}, expected {shape}")
-    return value
 
 
 def _numbers(value, name: str) -> np.ndarray:

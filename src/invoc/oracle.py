@@ -10,19 +10,21 @@ verified at a tightened tolerance, so comparisons are not
 tolerance-dominated.  Lattice rows go in blocks of up to 1024, held in
 buffers allocated once per search.  Both lower-objective kinds give the
 unconstrained lower solutions of a whole block in closed form: the target
-kind from the sine eigenbasis of A, the pointwise kind from one n x n
-system per row, its d being of rank n.  The target kind's QP depends on x
-only through c = 2 x . y_d, linear in x, and the scalar d = 2 sum(x), so
-its rows are taken sorted by d, with the runs of equal d found once per
-search, and the rows of one d in a block are combinations x [U | Y | P](d)
-of n basis controls, states and adjoints built once per block by fresh
-solves; c itself is never formed.  A row whose closed-form control is
-feasible and passes the kernel's fixed-point check on its own (u, y, p)
-(lower._projected_residual, one call per block for either kind) is solved,
-the QP being strictly convex; a block whose controls and targets all lie
-strictly inside the bounds needs neither the projection nor the per-row
-bound test.  Every other row goes to the active-set kernel, in lattice
-order within its block, warm-started from the last kernel solution.
+kind from the sine eigenbasis of A, built once per search and freed with
+it, the pointwise kind from one n x n system per row, its d being of rank
+n.  The target kind's QP depends on x only through c = 2 x . y_d, linear
+in x, and the scalar d = 2 sum(x), so its rows are taken sorted by d, with
+the runs of equal d found once per search, and the rows of one d in a
+block are combinations x [U | Y | P](d) of n basis controls, states and
+adjoints built once per block by fresh solves; c itself is never formed.  A
+row whose closed-form control is feasible and passes the kernel's
+fixed-point check on its own (u, y, p) (lower._projected_residual, one
+call per block for either kind) is solved, the QP being strictly convex; a
+block whose controls and targets all lie strictly inside the bounds needs
+neither the projection nor the per-row bound test.  Every other row goes
+to the active-set kernel, in lattice order within its block, warm-started
+from the last kernel solution; a kernel failure's ConvergenceError carries
+the row's LowerSolution as best.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .lower import TrackingQP, _projected_residual, _solve_qp, lower_qp
-from .model import ProblemSpec, _integer, _positive
+from .discretization import Grid
+from .errors import ConvergenceError, ValidationError, _integer, _positive
+from .lower import TrackingQP, _lower_solution, _projected_residual, _solve_qp, lower_qp
+from .model import ProblemSpec
 
 _BLOCK = 1024  # lattice rows per block; each of the four buffers holds 1024 x N floats
 
@@ -75,6 +78,21 @@ def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, lo.size)
 
 
+def _eigenbasis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues l and orthonormal eigenvectors Q of the grid's Laplacian,
+    A = Q diag(l) Q^T.
+
+    Column k-1 of Q is the discrete sine sqrt(2h) sin(pi k omega_i), with
+    eigenvalue l_k = 4 sin^2(pi k h / 2) / h^2 (DST-I); Q is symmetric.
+    """
+    k = np.arange(1, grid.n_nodes + 1)
+    l = (2.0 * np.sin(0.5 * np.pi * k * grid.h) / grid.h) ** 2
+    # reduce the integer phase jk mod 2(N+1) first, so sin sees |arg| <= 2 pi
+    phase = np.outer(k, k) % (2 * (grid.n_nodes + 1))
+    Q = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
+    return l, Q
+
+
 def _target_rows(spec: ProblemSpec, X: np.ndarray):
     """The target kind's closed form: the order in which X's rows are solved,
     sorted by d = 2 sum(x) with ties in lattice order, and rows(start, Xb,
@@ -97,7 +115,7 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     hold to roundoff in every row, and a run of r rows costs 2 min(n, r)
     solve columns.
     """
-    l, Q = spec.operator.eigenbasis
+    l, Q = _eigenbasis(spec.grid)
     weights = 2.0 * l * (spec.lower.targets @ Q)  # row i is 2 l Q^T t_i, Q being symmetric
     shift = spec.sigma * l * l
     twice_targets = 2.0 * spec.lower.targets
@@ -204,7 +222,11 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
             solved &= ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1)
         rest = np.flatnonzero(~solved)
         for row in rest[np.argsort(index[rest])]:  # in lattice order
-            sol = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
+            try:
+                sol = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
+            except ConvergenceError as err:
+                err.best = _lower_solution(spec, Xb[row], err.best)
+                raise
             Yb[row], Ub[row], warm = sol.y, sol.u, sol.u
         vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=Wb)
     return vals

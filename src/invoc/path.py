@@ -19,8 +19,9 @@ predictor that solve_relaxed corrects (Allgower and Georg, Numerical
 Continuation Methods, 1990).  Each level is solved once, and a level that
 fails ends the path.
 Convergence of the whole sequence is not guaranteed, only subsequential
-convergence, so the trace reports Cauchy diagnostics instead of asserting a
-limit.  Consecutive upper values must obey weak duality,
+convergence, so the trace's limit reports the last step's Cauchy
+diagnostics, cauchy_dx and cauchy_du, instead of asserting a limit.
+Consecutive upper values must obey weak duality,
 alpha_k d <= F_{k+1} - F_k <= alpha_{k+1} d with d = eps_k - eps_{k+1}; a
 violation is reported as a likely switch between local minima.
 """
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .discretization import norm
-from .errors import ConvergenceError, InsufficientPathError
-from .model import ProblemSpec, _integer, _positive
+from .errors import ConvergenceError, InsufficientPathError, _integer, _positive
+from .model import ProblemSpec
 from .relax import RelaxedSolution, _solves_level, solve_relaxed
 from .value import value_sample
 
@@ -64,7 +65,6 @@ class PathTrace:
     records: list[PathStep] = field(default_factory=list)
     limit: dict = field(default_factory=dict)
     failure: dict | None = None
-    cauchy: dict = field(default_factory=dict)
     deep_enough: bool = False
     multipliers_bounded: bool = True
     multiplier_sup: float = 0.0
@@ -178,19 +178,6 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
     eps_last = last.eps
     trace.deep_enough = eps_last <= 1e-6 * trace.eps0
 
-    dxs, dus = [], []
-    for a, b in zip(recs, recs[1:]):
-        dxs.append(float(np.linalg.norm(b.relaxed.x - a.relaxed.x)))
-        dus.append(norm(spec.grid, b.relaxed.u - a.relaxed.u))
-    alphas = [r.relaxed.alpha for r in recs]
-    trace.cauchy = {
-        "dx": dxs,
-        "du": dus,
-        "alpha": alphas,
-        "final_dx": dxs[-1] if dxs else 0.0,
-        "final_du": dus[-1] if dus else 0.0,
-    }
-
     sup = 0.0
     for r in recs:
         sup = max(
@@ -228,8 +215,8 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
             "limit quantities are coarse"
         )
 
-    if trace.failure is None:
-        low = last.relaxed.sample.lower
+    if trace.failure is None:  # then the path has all steps + 1 >= 3 levels
+        low, prev = last.relaxed.sample.lower, recs[-2].relaxed
         trace.limit = {
             "x": last.relaxed.x,
             "y": low.y,
@@ -245,8 +232,8 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
             "upper_value": float(
                 spec.upper.value(spec.grid, last.relaxed.x, low.y, low.u)
             ),
-            "cauchy_dx": trace.cauchy["final_dx"],
-            "cauchy_du": trace.cauchy["final_du"],
+            "cauchy_dx": float(np.linalg.norm(last.relaxed.x - prev.x)),
+            "cauchy_du": norm(spec.grid, last.relaxed.u - prev.u),
         }
 
 

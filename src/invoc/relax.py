@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _positive
 from .lower import (_ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _solve_qp, _tangent,
                     lower_qp)
-from .model import ProblemSpec, _positive, eval_j
+from .model import ProblemSpec, eval_j
 from .value import ValueSample, value_sample
 
 _MAX_STEPS = 200   # x-steps per relaxed solve

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import norm
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, _positive, _vector
 from .lower import TrackingQP, _fixed_point_residual, lower_qp
-from .model import ProblemSpec, _positive, _vector, eval_j_grad
+from .model import ProblemSpec, eval_j_grad
 
 _W_IDS = (
     "CSt_x", "CSt_y", "CSt_u", "CSt_p", "CSt_z",

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import inner
+from .errors import _integer, _positive, _vector
 from .lower import LowerSolution, solve_lower
-from .model import ProblemSpec, _integer, _positive, _vector, eval_j
+from .model import ProblemSpec, eval_j
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,22 +108,6 @@ def test_discrete_sine_eigenpairs():
         assert norm(grid, op.apply(v) - lam * v) <= 1e-9 * lam
 
 
-@pytest.mark.parametrize("n_nodes", [2, 3, 16, 64])
-def test_eigenbasis_diagonalizes_operator(n_nodes):
-    # A = Q diag(l) Q^T with Q orthonormal, both to roundoff
-    grid = build_grid(n_nodes)
-    op = EllipticOperator(grid)
-    l, Q = op.eigenbasis
-    assert l.shape == (n_nodes,) and Q.shape == (n_nodes, n_nodes)
-    assert_allclose(Q @ Q.T, np.eye(n_nodes), rtol=0.0, atol=1e-14)
-    rng = np.random.default_rng(n_nodes)
-    for v in (*np.eye(n_nodes), rng.standard_normal(n_nodes)):
-        want = op.apply(v)
-        got = Q @ (l * (Q.T @ v))
-        assert np.abs(got - want).max() <= 1e-14 * l.max() * np.abs(v).max()
-    assert op.eigenbasis is op.eigenbasis  # built once
-
-
 def test_poisson_constant_load_is_nodally_exact():
     # -y'' = 1 with zero boundary: y = w (1 - w) / 2; second differences of a
     # quadratic are exact, so the discrete solution matches at the nodes

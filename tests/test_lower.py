@@ -14,6 +14,7 @@ from invoc import (
     AdmissibleSetX,
     ControlBounds,
     LowerObjective,
+    LowerSolution,
     ProblemSpec,
     UpperObjective,
     build_grid,
@@ -165,20 +166,22 @@ def test_convergence_error_carries_residual(unit_spec, monkeypatch):
 
 
 def test_convergence_error_carries_final_iterate(bounded_spec):
-    # the kernel's failure carries the iterate it checked, which is
-    # bound-feasible and has the residual the error reports
+    # the kernel's failure carries, as the public LowerSolution at x, the
+    # iterate it checked, which is bound-feasible and has the residual the
+    # error reports
     x = np.array([0.3, 0.7])
     with pytest.raises(ConvergenceError) as err:
         solve_lower(bounded_spec, x, tol=1e-30)
     best, bounds = err.value.best, bounded_spec.bounds
-    assert best is not None
+    assert type(best) is LowerSolution and np.array_equal(best.x, x)
     assert np.all((bounds.ua <= best.u) & (best.u <= bounds.ub))
     assert best.u.max() == bounds.ub.max()  # the bound binds
-    assert best.residual == err.value.residuals["fixed_point"]
     fresh, y, p = invoc.lower._fixed_point_residual(
         bounded_spec, invoc.lower.lower_qp(bounded_spec, x), best.u)
-    assert fresh == best.residual
+    assert fresh == err.value.residuals["fixed_point"] <= best.kkt_residual
     assert np.array_equal(y, best.y) and np.array_equal(p, best.p)
+    assert np.array_equal(best.lam, best.p - bounded_spec.sigma * best.u)
+    assert best.iterations >= 1
 
 
 def test_kernel_matches_dense_bvls(unit_spec, pointwise_spec, bounded_spec):

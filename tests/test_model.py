@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from invoc import (
     AdmissibleSetX,
     ControlBounds,
+    EllipticOperator,
     LowerObjective,
     ProblemSpec,
     UpperObjective,
@@ -23,9 +24,10 @@ from invoc import (
     save_problem,
 )
 from invoc import model
-from invoc.discretization import inner
+from invoc.discretization import inner, norm
 from invoc.errors import (
     DimensionError,
+    DomainError,
     InfeasibleError,
     ValidationError,
 )
@@ -371,21 +373,43 @@ _SIMPLEX = AdmissibleSetX(kind="simplex", n=2)
 _BOX = AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2))
 _UPPER = UpperObjective(c_y=1.0, y_o=np.zeros(5), c_u=1.0, u_o=np.zeros(5))
 _BOUNDS = ControlBounds(ua=np.zeros(5), ub=np.ones(5))
+_GRID = build_grid(5)
+_TARGETS = LowerObjective(kind="target_type", targets=np.zeros((2, 5)))
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: _UPPER.value(build_grid(5), np.ones(2), np.zeros(4), np.zeros(5)), "state or control length"),
-    (lambda: _UPPER.value(build_grid(5), np.ones(2), np.zeros(5), np.zeros(6)), "state or control length"),
-    (lambda: _SIMPLEX.project(np.ones(3)), r"point has shape \(3,\)"),
-    (lambda: _BOX.project(np.ones((2, 2))), r"point has shape \(2, 2\)"),
-    (lambda: _SIMPLEX.normal_cone_residual(np.full(2, 0.5), np.ones(3)), r"dual vector has shape \(3,\)"),
-    (lambda: _BOX.normal_cone_residual(np.full(2, 0.5), np.ones(1)), r"dual vector has shape \(1,\)"),
-    (lambda: _BOUNDS.normal_cone_residual(np.full(5, 0.5), np.zeros(4)), "multiplier length"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _UPPER.value(_GRID, np.ones(2), np.zeros(4), np.zeros(5)), DimensionError,
+     r"state has shape \(4,\), expected \(5,\)"),
+    (lambda: _UPPER.value(_GRID, np.ones(2), np.zeros(5), np.zeros(6)), DimensionError,
+     r"control has shape \(6,\), expected \(5,\)"),
+    (lambda: _SIMPLEX.project(np.ones(3)), DimensionError, r"point has shape \(3,\)"),
+    (lambda: _BOX.project(np.ones((2, 2))), DimensionError, r"point has shape \(2, 2\)"),
+    (lambda: _SIMPLEX.normal_cone_residual(np.full(2, 0.5), np.ones(3)), DimensionError,
+     r"dual vector has shape \(3,\)"),
+    (lambda: _BOX.normal_cone_residual(np.full(2, 0.5), np.ones(1)), DimensionError,
+     r"dual vector has shape \(1,\)"),
+    (lambda: _BOUNDS.normal_cone_residual(np.full(5, 0.5), np.zeros(4)), DimensionError,
+     r"multiplier has shape \(4,\), expected \(5,\)"),
+    (lambda: norm(_GRID, np.ones((5, 2))), DimensionError, r"u has shape \(5, 2\)"),
+    (lambda: inner(_GRID, np.ones(5), np.ones((5, 2))), DimensionError, r"v has shape \(5, 2\)"),
+    (lambda: eval_j(_GRID, _TARGETS, np.ones((5, 2))), DimensionError, r"state has shape \(5, 2\)"),
+    (lambda: eval_j_grad(_GRID, _TARGETS, np.ones((5, 2)), np.ones(5)), DimensionError,
+     r"state has shape \(5, 2\)"),
+    (lambda: _BOUNDS.feasible(np.zeros(6), tol=0.0), DimensionError, r"control has shape \(6,\)"),
+    (lambda: _SIMPLEX.normal_cone_residual(np.full(3, 0.5), np.ones(2)), DimensionError,
+     r"point has shape \(3,\)"),
+    (lambda: EllipticOperator(_GRID).apply(["a"] * 5), ValidationError,
+     "state is not an array of numbers"),
 ], ids=["upper-short-state", "upper-long-control", "simplex-project", "box-project",
-        "simplex-normal-cone", "box-normal-cone", "bounds-short-multiplier"])
-def test_primitives_refuse_a_wrong_shape(call, message):
-    with pytest.raises(DimensionError, match=message):
+        "simplex-normal-cone", "box-normal-cone", "bounds-short-multiplier", "norm-matrix",
+        "inner-matrix", "eval-j-matrix", "eval-j-grad-matrix", "bounds-long-feasible",
+        "simplex-normal-cone-point", "apply-text"])
+def test_primitives_refuse_a_wrong_shape(call, error, message):
+    # _vector names the argument: an N x 2 array is not a grid vector, and
+    # a point of the wrong length is refused before the feasibility test
+    with pytest.raises(error, match=message) as err:
         call()
+    assert type(err.value) is error
 
 
 # ----------------------------------------------------------------- problem spec
@@ -408,15 +432,27 @@ def test_problem_spec_validation(unit_spec):
         )
 
 
-@pytest.mark.parametrize("name", ["sigma", "solver_tol", "active_tol"])
+@pytest.mark.parametrize("name", ["sigma", "solver_tol", "active_tol", "c_y", "c_u", "gamma"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, "1", None])
 def test_problem_spec_refuses_a_non_finite_or_non_positive_scalar(name, value):
     # an infinite sigma or tolerance would pass every fixed-point check
-    # vacuously; a non-number is refused by name, not by a bare TypeError
+    # vacuously; a non-number is refused by name, not by a bare TypeError.
+    # The upper objective's weights may be 0 but not infinite
     spec = make_generated_spec(16, (0.3, 0.7))
-    reason = "a number" if value is None or isinstance(value, str) else "positive and finite"
+    weight = name in ("c_y", "c_u", "gamma")
+
+    def change():
+        if weight:
+            return replace(spec, upper=replace(spec.upper, **{name: value}))
+        return replace(spec, **{name: value})
+
+    if weight and value == 0.0:
+        assert getattr(change().upper, name) == 0.0
+        return
+    reason = ("a number" if value is None or isinstance(value, str)
+              else "nonnegative and finite" if weight else "positive and finite")
     with pytest.raises(ValidationError, match=f"{name} must be {reason}"):
-        replace(spec, **{name: value})
+        change()
 
 
 def test_problem_round_trip_dict(unit_spec):
@@ -587,12 +623,29 @@ _CONSTRUCTOR_REFUSALS = [
      DimensionError, "control bounds do not match the grid"),
     (lambda: _spec_with(x_set=AdmissibleSetX(kind="simplex", n=3)),
      DimensionError, "admissible set dimension 3 does not match objective dimension 2"),
+    # non-finite data, which problem_from_dict refuses too: a NaN in y_o
+    # would make grid_search return the value nan without an error
+    (lambda: _spec_with(upper=UpperObjective(c_y=1.0, y_o=np.array([0.0, math.nan, 0.0, 0.0]),
+                                             c_u=1.0, u_o=np.zeros(4))),
+     ValidationError, "y_o must be finite"),
+    (lambda: _spec_with(upper=UpperObjective(c_y=1.0, y_o=np.zeros(4), c_u=1.0,
+                                             u_o=np.array([0.0, math.inf, 0.0, 0.0]))),
+     ValidationError, "u_o must be finite"),
+    (lambda: _spec_with(lower=LowerObjective(kind="pointwise", points=(1, 2),
+                                             target=np.array([0.0, 0.0, math.nan, 0.0]))),
+     ValidationError, "target must be finite"),
+    (lambda: _spec_with(lower=LowerObjective(kind="target_type", targets=np.full((2, 4), -math.inf))),
+     ValidationError, "targets must be finite"),
+    (lambda: AdmissibleSetX(kind="simplex", n=2.0), ValidationError,
+     "parameter dimension must be an integer"),
+    (lambda: AdmissibleSetX(kind="simplex", n=0), DomainError, "parameter dimension must be at least 1"),
 ]
 
 
 @pytest.mark.parametrize("build, error, message", _CONSTRUCTOR_REFUSALS, ids=[
     "nan-grid-function", "pointwise-with-targets", "infinite-box", "nan-control-bounds",
     "pointwise-target-length", "y_o-length", "u_o-length", "bounds-length", "x_set-dimension",
+    "nan-y_o", "inf-u_o", "nan-target", "inf-targets", "float-dimension", "zero-dimension",
 ])
 def test_constructors_refuse_malformed_parts(build, error, message):
     assert _spec_with().n == 2  # the unchanged parts make a valid instance

@@ -14,7 +14,9 @@ import invoc.oracle
 from invoc import (
     AdmissibleSetX,
     ControlBounds,
+    EllipticOperator,
     LowerObjective,
+    LowerSolution,
     ProblemSpec,
     UpperObjective,
     build_grid,
@@ -23,7 +25,7 @@ from invoc import (
     solve_lower,
 )
 from invoc.errors import ConvergenceError, ValidationError
-from invoc.lower import _solve_qp, lower_qp
+from invoc.lower import _fixed_point_residual, _solve_qp, lower_qp
 
 from conftest import make_generated_spec
 from test_lower import _repeated_point_spec
@@ -184,6 +186,57 @@ def test_batch_iteration_cap_raises(unit_spec, bounded_spec, monkeypatch):
     with pytest.raises(ConvergenceError, match="fixed-point residual") as excinfo:
         grid_search(unit_spec, 5, tol=1e-300)
     assert excinfo.value.residuals["fixed_point"] > 0.0
+
+
+def test_kernel_failure_carries_a_lower_solution(bounded_spec):
+    # the first lattice row the kernel fails on is reported as the public
+    # LowerSolution at that row, with the residual the error reports
+    with pytest.raises(ConvergenceError, match="fixed-point residual") as excinfo:
+        grid_search(bounded_spec, 5, tol=1e-30)
+    best = excinfo.value.best
+    assert type(best) is LowerSolution
+    assert best.x.sum() == pytest.approx(1.0) and np.array_equal(np.round(5 * best.x), 5 * best.x)
+    fresh, y, p = _fixed_point_residual(bounded_spec, lower_qp(bounded_spec, best.x), best.u)
+    assert fresh == excinfo.value.residuals["fixed_point"] <= best.kkt_residual
+    assert np.array_equal(y, best.y) and np.array_equal(p, best.p)
+    assert np.array_equal(best.lam, best.p - bounded_spec.sigma * best.u)
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 16, 64])
+def test_eigenbasis_diagonalizes_operator(n_nodes):
+    # A = Q diag(l) Q^T with Q orthonormal, both to roundoff
+    grid = build_grid(n_nodes)
+    op = EllipticOperator(grid)
+    l, Q = invoc.oracle._eigenbasis(grid)
+    assert l.shape == (n_nodes,) and Q.shape == (n_nodes, n_nodes)
+    assert_allclose(Q @ Q.T, np.eye(n_nodes), rtol=0.0, atol=1e-14)
+    rng = np.random.default_rng(n_nodes)
+    for v in (*np.eye(n_nodes), rng.standard_normal(n_nodes)):
+        want = op.apply(v)
+        got = Q @ (l * (Q.T @ v))
+        assert np.abs(got - want).max() <= 1e-14 * l.max() * np.abs(v).max()
+
+
+def test_search_leaves_no_basis_on_the_operator():
+    # the sine basis is built per search and freed with it: no N x N array
+    # stays reachable from the spec's operator, which lives as long as the spec
+    spec = make_generated_spec(16, (0.3, 0.7))
+    grid_search(spec, 10)
+    n, seen, stack = spec.grid.n_nodes, set(), [spec.operator]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            assert obj.shape != (n, n)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    assert len(seen) > 3  # the walk reached the grid and the factor
 
 
 def _box(spec: ProblemSpec) -> ProblemSpec:

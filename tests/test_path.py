@@ -119,11 +119,11 @@ def test_feasibility_bound_every_step(unit_spec, unit_trace):
 
 def test_cauchy_diagnostics_and_limit_block(unit_spec, unit_trace):
     trace = unit_trace
-    assert trace.converged
-    assert len(trace.cauchy["dx"]) == 6
-    assert len(trace.cauchy["du"]) == 6
-    assert len(trace.cauchy["alpha"]) == 7
-    assert trace.cauchy["final_dx"] == trace.cauchy["dx"][-1]
+    assert trace.converged and len(trace.records) == 7
+    # the Cauchy diagnostics are the last step's, in x and in u
+    last, prev = trace.records[-1].relaxed, trace.records[-2].relaxed
+    assert trace.limit["cauchy_dx"] == float(np.linalg.norm(last.x - prev.x))
+    assert trace.limit["cauchy_du"] == norm(unit_spec.grid, last.u - prev.u)
     assert set(trace.limit) == {
         "x", "y", "u", "z", "mu", "w", "rho", "xi", "p", "lam",
         "eps_final", "upper_value", "cauchy_dx", "cauchy_du",
