@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the argument checks that
 raise them, here because every module imports this one: _number, _positive
-and _integer for scalars, and _vector, the package's one array check."""
+and _integer for scalars, _floats, the package's one array conversion, and
+_vector, its one array check."""
 
 from __future__ import annotations
 
@@ -74,13 +75,18 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
-def _vector(value, shape: tuple, name: str) -> np.ndarray:
-    """value as a float array of the given shape: ValidationError if it is not
-    numeric, DimensionError if its shape differs, both naming the argument."""
+def _floats(value, name: str) -> np.ndarray:
+    """value as a float array; ValidationError names the argument if it is not numeric."""
     try:
-        value = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} is not an array of numbers") from None
+
+
+def _vector(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape: _floats' ValidationError if
+    it is not numeric, DimensionError naming the argument if its shape differs."""
+    value = _floats(value, name)
     if value.shape != shape:
         raise DimensionError(f"{name} has shape {value.shape}, expected {shape}")
     return value

@@ -251,10 +251,10 @@ def _fixed_point_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray):
 def _projected_residual(spec: ProblemSpec, qp: TrackingQP, u: np.ndarray, y: np.ndarray,
                         p: np.ndarray, out: np.ndarray | None = None):
     """||u - P_U(u + lam/r)|| of u with its state y and adjoint p, one per
-    row for stacked rows; out, an array of u's shape, receives u's distance
-    to its projected target.  Stacked rows whose targets all lie strictly
-    inside the bounds, by two reductions, skip the projection, there the
-    identity."""
+    row for stacked rows; out, an array of u's shape that may be p itself,
+    receives u's distance to its projected target.  Stacked rows whose
+    targets all lie strictly inside the bounds, by two reductions, skip the
+    projection, there the identity."""
     v = _target(spec, qp, y, p, out=out)
     if u.ndim == 1 or not spec.bounds.inside(v):
         v = spec.bounds.project(v, out=out)

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .discretization import EllipticOperator, Grid, build_grid
-from .errors import (DimensionError, DomainError, InfeasibleError, ValidationError, _integer,
-                     _number, _positive, _vector)
+from .errors import (DimensionError, DomainError, InfeasibleError, ValidationError, _floats,
+                     _integer, _number, _positive, _vector)
 
 
 def grid_function(
@@ -92,13 +92,12 @@ class LowerObjective:
 
     def __post_init__(self):
         if self.kind == "target_type":
-            if self.targets is None or np.asarray(self.targets).ndim != 2:
+            targets = None if self.targets is None else _floats(self.targets, "targets")
+            if targets is None or targets.ndim != 2:
                 raise ValidationError(
                     "target_type objective needs a 2d stack of desired states"
                 )
-            object.__setattr__(
-                self, "targets", np.asarray(self.targets, dtype=float)
-            )
+            object.__setattr__(self, "targets", targets)
             if self.points is not None or self.target is not None:
                 raise ValidationError("target_type objective takes only targets")
         elif self.kind == "pointwise":
@@ -106,8 +105,9 @@ class LowerObjective:
                 raise ValidationError(
                     "pointwise objective needs measurement nodes and a target"
                 )
-            object.__setattr__(self, "points", tuple(int(i) for i in self.points))
-            object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+            object.__setattr__(self, "points",
+                               tuple(_integer(i, "measurement node") for i in self.points))
+            object.__setattr__(self, "target", _floats(self.target, "target"))
             if self.targets is not None:
                 raise ValidationError("pointwise objective takes no target stack")
             if len(self.points) == 0:
@@ -185,14 +185,15 @@ class UpperObjective:
             w = _number(getattr(self, label), label)
             if not 0.0 <= w < math.inf:
                 raise DomainError(f"{label} must be nonnegative and finite, got {w}")
-        object.__setattr__(self, "y_o", np.asarray(self.y_o, dtype=float))
-        object.__setattr__(self, "u_o", np.asarray(self.u_o, dtype=float))
+        object.__setattr__(self, "y_o", _floats(self.y_o, "y_o"))
+        object.__setattr__(self, "u_o", _floats(self.u_o, "u_o"))
 
     def value(self, grid: Grid, x: np.ndarray, y: np.ndarray, u: np.ndarray,
               work: np.ndarray | None = None) -> float | np.ndarray:
         """F at (x, y, u) as a float, or an array of F over stacked rows of x, y, u.
 
-        work, an array of y's shape, takes y - y_o and then u - u_o in turn.
+        work, an array of y's shape that may be y itself, takes y - y_o and
+        then u - u_o in turn.
         """
         x = np.asarray(x, dtype=float)
         y = _vector(y, x.shape[:-1] + (grid.n_nodes,), "state")
@@ -230,8 +231,8 @@ class AdmissibleSetX:
         elif self.kind == "box":
             if self.lo is None or self.hi is None:
                 raise ValidationError("box set needs lower and upper bounds")
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
+            lo = _floats(self.lo, "lo")
+            hi = _floats(self.hi, "hi")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
             if lo.shape != (self.n,) or hi.shape != (self.n,):
@@ -304,8 +305,8 @@ class ControlBounds:
     ub: np.ndarray
 
     def __post_init__(self):
-        ua = np.asarray(self.ua, dtype=float)
-        ub = np.asarray(self.ub, dtype=float)
+        ua = _floats(self.ua, "ua")
+        ub = _floats(self.ub, "ub")
         object.__setattr__(self, "ua", ua)
         object.__setattr__(self, "ub", ub)
         if ua.shape != ub.shape or ua.ndim != 1:

@@ -8,23 +8,24 @@ sample.  Lattices at resolutions m and 2m nest, so refinement can only
 improve the best value.  Every lattice point gets an exact lower solve,
 verified at a tightened tolerance, so comparisons are not
 tolerance-dominated.  Lattice rows go in blocks of up to 1024, held in
-buffers allocated once per search.  Both lower-objective kinds give the
+three buffers (u, y, p) allocated once per search, which the check and the
+upper objective then reuse in place.  Both lower-objective kinds give the
 unconstrained lower solutions of a whole block in closed form: the target
 kind from the sine eigenbasis of A, built once per search and freed with
 it, the pointwise kind from one n x n system per row, its d being of rank
 n.  The target kind's QP depends on x only through c = 2 x . y_d, linear
 in x, and the scalar d = 2 sum(x), so its rows are taken sorted by d, with
-the runs of equal d found once per search, and the rows of one d in a
-block are combinations x [U | Y | P](d) of n basis controls, states and
-adjoints built once per block by fresh solves; c itself is never formed.  A
-row whose closed-form control is feasible and passes the kernel's
-fixed-point check on its own (u, y, p) (lower._projected_residual, one
-call per block for either kind) is solved, the QP being strictly convex; a
-block whose controls and targets all lie strictly inside the bounds needs
-neither the projection nor the per-row bound test.  Every other row goes
-to the active-set kernel, in lattice order within its block, warm-started
-from the last kernel solution; a kernel failure's ConvergenceError carries
-the row's LowerSolution as best.
+the runs of equal d found once per search (the sums by column adds), and
+the rows of one d in a block are combinations x [U | Y | P](d) of n basis
+controls, states and adjoints built once per block by fresh solves; c
+itself is never formed.  A row whose closed-form control is feasible and
+passes the kernel's fixed-point check on its own (u, y, p)
+(lower._projected_residual, one call per block for either kind) is solved,
+the QP being strictly convex; a block whose controls and targets all lie
+strictly inside the bounds needs neither the projection nor the per-row
+bound test.  Every other row goes to the active-set kernel, in lattice
+order within its block, warm-started from the last kernel solution; a
+kernel failure's ConvergenceError carries the row's LowerSolution as best.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import ConvergenceError, ValidationError, _integer, _positive
 from .lower import TrackingQP, _lower_solution, _projected_residual, _solve_qp, lower_qp
 from .model import ProblemSpec
 
-_BLOCK = 1024  # lattice rows per block; each of the four buffers holds 1024 x N floats
+_BLOCK = 1024  # lattice rows per block; each of the three buffers holds 1024 x N floats
 
 
 @dataclass(eq=False)
@@ -73,9 +74,14 @@ def _simplex_lattice(n: int, m: int) -> np.ndarray:
 
 
 def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
-    axes = [lo[d] + (hi[d] - lo[d]) * np.arange(m + 1) / m for d in range(lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, lo.size)
+    """Tensor lattice of the box in ascending lexicographic order, each axis
+    written into one array, its entries varying along that array's axis."""
+    n = lo.size
+    X = np.empty((m + 1,) * n + (n,))
+    for d in range(n):
+        axis = lo[d] + (hi[d] - lo[d]) * np.arange(m + 1) / m
+        X[..., d] = axis.reshape((m + 1,) + (1,) * (n - 1 - d))
+    return X.reshape(-1, n)
 
 
 def _eigenbasis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -87,33 +93,47 @@ def _eigenbasis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.arange(1, grid.n_nodes + 1)
     l = (2.0 * np.sin(0.5 * np.pi * k * grid.h) / grid.h) ** 2
-    # reduce the integer phase jk mod 2(N+1) first, so sin sees |arg| <= 2 pi
-    phase = np.outer(k, k) % (2 * (grid.n_nodes + 1))
-    Q = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
+    # reduce the integer phase jk mod 2(N+1) first, so sin sees |arg| <= 2 pi;
+    # one integer and one float N x N array, the rest in place
+    phase = np.outer(k, k)
+    phase %= 2 * (grid.n_nodes + 1)
+    Q = np.multiply(np.pi * grid.h, phase)
+    del phase
+    np.sin(Q, out=Q)
+    Q *= np.sqrt(2.0 * grid.h)
     return l, Q
+
+
+def _row_sums(X: np.ndarray) -> np.ndarray:
+    """sum(x) of every row x of X by column adds, left to right as np.sum
+    adds the n <= 3 entries of one x, so 2 sum(x) is its lower_qp d bitwise."""
+    total = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        total += X[:, j]
+    return total
 
 
 def _target_rows(spec: ProblemSpec, X: np.ndarray):
     """The target kind's closed form: the order in which X's rows are solved,
     sorted by d = 2 sum(x) with ties in lattice order, and rows(start, Xb,
     work), which writes the unconstrained (u, y, p) of the rows Xb found at
-    position start of that order to work's first three arrays, using the
-    fourth as scratch.
+    position start of that order to work's three arrays.
 
     With A = Q diag(l) Q^T, c = 2 x . y_d and d = 2 sum(x), (sigma A^2 + d) y
     = c is diagonal in the sine basis, the coefficient d being constant in
     space, so u = A y = Q ((l Q^T c) / (sigma l^2 + d)) = sum_i x_i U_i(d)
     with U_i(d) = Q ((2 l Q^T t_i) / (sigma l^2 + d)), and y = sum_i x_i Y_i,
     p = sum_i x_i P_i with Y_i = A^{-1} U_i and P_i = A^{-1} (2 t_i - d Y_i).
-    A block's d is 2 Xb.sum(axis=1), each row's own lower_qp d bitwise, and
-    c, which no row reads, is never formed.  The runs of equal d are found
-    once per search, from the sorted sums, and each block takes those that
-    fall in it.  A run of more than n rows of a block is x [U | Y | P](d),
-    one product per run, from a basis of n generators; a shorter run's rows
-    are their own generators.  All generators of a block take one product
-    with Q and fresh solves of their columns, so A y = u and A p = c - d y
-    hold to roundoff in every row, and a run of r rows costs 2 min(n, r)
-    solve columns.
+    A generator's d is 2 _row_sums of its row, that row's own lower_qp d
+    bitwise, and c, which no row reads, is never formed.  The runs of equal
+    d are found once per search, from the sorted sums, and each block takes
+    those that fall in it.  A run of more than n rows of a block is
+    x [U | Y | P](d), one product per run, from a basis of n generators, the
+    unit rows of a tile made once per search; a shorter run's rows are their
+    own generators.  All generators of a block take one product with Q and
+    fresh solves of their columns, so A y = u and A p = c - d y hold to
+    roundoff in every row, and a run of r rows costs 2 min(n, r) solve
+    columns.
     """
     l, Q = _eigenbasis(spec.grid)
     weights = 2.0 * l * (spec.lower.targets @ Q)  # row i is 2 l Q^T t_i, Q being symmetric
@@ -121,34 +141,33 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     twice_targets = 2.0 * spec.lower.targets
     solve = spec.operator.solve
     n = weights.shape[0]
-    eye = np.eye(n)
-    total = X.sum(axis=1)
+    total = _row_sums(X)
     order = np.argsort(total, kind="stable")
     cuts = (np.flatnonzero(np.diff(total[order])) + 1).tolist()  # where the sorted d changes
+    # the unit generators of as many runs as a block can hold, each run having more than n rows
+    units = np.tile(np.eye(n), (min(_BLOCK, X.shape[0]) // (n + 1), 1))
 
     def rows(start, Xb, work):
         b = Xb.shape[0]
         edges = [0, *(c - start for c in cuts[bisect_right(cuts, start):bisect_left(cuts, start + b)]), b]
-        runs = [(r0, r1) for r0, r1 in zip(edges, edges[1:]) if r1 - r0 > n]
-        d = 2.0 * Xb.sum(axis=1, keepdims=True)
-        own = np.ones(b, dtype=bool)  # the rows that are their own generators
-        for r0, r1 in runs:
-            own[r0:r1] = False
-        # generator coefficients and their d: the own rows, then n unit rows per run
-        G = np.concatenate([Xb[own], np.tile(eye, (len(runs), 1))])
-        dg = np.concatenate([d[own], np.repeat(d[[r0 for r0, _ in runs]], n, axis=0)])
-        m = np.count_nonzero(own)
+        pieces = list(zip(edges, edges[1:]))
+        runs = [(r0, r1) for r0, r1 in pieces if r1 - r0 > n]
+        own = [i for r0, r1 in pieces if r1 - r0 <= n for i in range(r0, r1)]  # the short pieces' rows
+        # generator coefficients and their d: the own rows, then n unit rows per run, of its d
+        G = np.concatenate([Xb[own], units[:n * len(runs)]])
+        dg = 2.0 * _row_sums(Xb[own + [r0 for r0, _ in runs for _ in range(n)]])[:, None]
+        m = len(own)
         # a block of own rows only is solved in place
-        basis = work[:3] if m == b else np.empty((3, dg.shape[0], Q.shape[0]))
+        basis = work if m == b else np.empty((3, dg.shape[0], Q.shape[0]))
         U, Y, P = basis
         np.divide(np.matmul(G, weights, out=U), np.add(shift, dg, out=P), out=P)
         solve(np.matmul(P, Q, out=U).T, out=Y.T)
-        np.subtract(np.matmul(G, twice_targets, out=P), np.multiply(dg, Y, out=work[3, :dg.shape[0]]), out=P)
+        np.subtract(np.matmul(G, twice_targets, out=P), dg * Y, out=P)
         solve(P.T, out=P.T)
         if runs:
-            work[:3, own] = basis[:, :m]
+            work[:, own] = basis[:, :m]
         for j, (r0, r1) in zip(range(m, dg.shape[0], n), runs):
-            np.matmul(Xb[r0:r1], basis[:, j:j + n], out=work[:3, r0:r1])
+            np.matmul(Xb[r0:r1], basis[:, j:j + n], out=work[:, r0:r1])
 
     return order, rows
 
@@ -177,7 +196,7 @@ def _pointwise_rows(spec: ProblemSpec, X: np.ndarray):
     scale = 2.0 / spec.grid.h
 
     def rows(start, Xb, work):
-        U, Y, P = work[:3]
+        U, Y, P = work
         d = scale * Xb
         w = d * np.linalg.solve(eye + K * d[:, None, :], y_d)[..., 0]
         np.matmul(w, H.T, out=U)
@@ -190,14 +209,15 @@ def _pointwise_rows(spec: ProblemSpec, X: np.ndarray):
 def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     """F(x, psi_y(x), psi_u(x)) for every row of X, in blocks of _BLOCK rows.
 
-    A block's rows live in four row-major buffers, allocated once, whose
-    transposes are the F-ordered column blocks the solves run on in place.
-    The target kind's rows go through the blocks sorted by d = 2 sum(x),
-    ties in lattice order, so that a block solves one basis per distinct d
-    rather than two columns per row; the pointwise kind's go in lattice
-    order.  Either kind writes its rows' (u, y, p) to the first three; the
+    A block's rows live in three row-major buffers (u, y, p), allocated
+    once, whose transposes are the F-ordered column blocks the solves run
+    on in place.  The target kind's rows go through the blocks sorted by
+    d = 2 sum(x), ties in lattice order, so that a block solves one basis
+    per distinct d rather than two columns per row; the pointwise kind's go
+    in lattice order.  Either kind writes its rows' (u, y, p) to them; the
     one check of the block, on a member with only the s and b it reads,
-    writes to the fourth.  A row's closed-form control counts as its
+    writes v and u - v over p, and F writes y - y_o and u - u_o over y,
+    each dead by then.  A row's closed-form control counts as its
     solution if it lies within the bounds, which two reductions show for a
     whole block inside them, and passes that check against tol.  Every
     other row gets a kernel solve, in lattice order within its block,
@@ -208,16 +228,16 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     order, rows = (_target_rows if spec.lower.kind == "target_type" else _pointwise_rows)(spec, X)
     check = TrackingQP(d=None, c=None, s=spec.sigma, b=0.0)
     size = min(_BLOCK, X.shape[0])
-    buffers = np.empty((4, size, spec.grid.n_nodes))
+    buffers = np.empty((3, size, spec.grid.n_nodes))
     vals = np.empty(X.shape[0])
     warm = None
     for start in range(0, X.shape[0], size):
         index = order[start:start + size]
         Xb = X[index]
         b = Xb.shape[0]
-        Ub, Yb, Pb, Wb = buffers[:, :b]
+        Ub, Yb, Pb = buffers[:, :b]
         rows(start, Xb, buffers[:, :b])
-        solved = _projected_residual(spec, check, Ub, Yb, Pb, out=Wb) <= tol
+        solved = _projected_residual(spec, check, Ub, Yb, Pb, out=Pb) <= tol
         if not bounds.inside(Ub):
             solved &= ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1)
         rest = np.flatnonzero(~solved)
@@ -228,7 +248,7 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
                 err.best = _lower_solution(spec, Xb[row], err.best)
                 raise
             Yb[row], Ub[row], warm = sol.y, sol.u, sol.u
-        vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=Wb)
+        vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=Yb)
     return vals
 
 

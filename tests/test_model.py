@@ -639,6 +639,16 @@ _CONSTRUCTOR_REFUSALS = [
     (lambda: AdmissibleSetX(kind="simplex", n=2.0), ValidationError,
      "parameter dimension must be an integer"),
     (lambda: AdmissibleSetX(kind="simplex", n=0), DomainError, "parameter dimension must be at least 1"),
+    (lambda: LowerObjective(kind="pointwise", points=(1.7, 2.2), target=np.zeros(4)),
+     ValidationError, "measurement node must be an integer, got 1.7"),
+    # non-numeric arrays, which numpy would refuse with a bare ValueError
+    (lambda: UpperObjective(c_y=1.0, y_o=["a"] * 4, c_u=1.0, u_o=np.zeros(4)),
+     ValidationError, "y_o is not an array of numbers"),
+    (lambda: LowerObjective(kind="target_type", targets=[["a", "b"]]),
+     ValidationError, "targets is not an array of numbers"),
+    (lambda: ControlBounds(ua=["a"], ub=[1.0]), ValidationError, "ua is not an array of numbers"),
+    (lambda: AdmissibleSetX(kind="box", n=2, lo=["a", "b"], hi=np.ones(2)),
+     ValidationError, "lo is not an array of numbers"),
 ]
 
 
@@ -646,6 +656,7 @@ _CONSTRUCTOR_REFUSALS = [
     "nan-grid-function", "pointwise-with-targets", "infinite-box", "nan-control-bounds",
     "pointwise-target-length", "y_o-length", "u_o-length", "bounds-length", "x_set-dimension",
     "nan-y_o", "inf-u_o", "nan-target", "inf-targets", "float-dimension", "zero-dimension",
+    "float-node", "text-y_o", "text-targets", "text-control-bounds", "text-box",
 ])
 def test_constructors_refuse_malformed_parts(build, error, message):
     assert _spec_with().n == 2  # the unchanged parts make a valid instance

@@ -217,6 +217,25 @@ def test_eigenbasis_diagonalizes_operator(n_nodes):
         assert np.abs(got - want).max() <= 1e-14 * l.max() * np.abs(v).max()
 
 
+@pytest.mark.parametrize("n_nodes", [2, 5, 64, 1023])
+def test_eigenbasis_is_the_sine_formula_bitwise(n_nodes):
+    # the in-place build gives the formula's Q bit for bit
+    grid = build_grid(n_nodes)
+    k = np.arange(1, n_nodes + 1)
+    phase = np.outer(k, k) % (2 * (n_nodes + 1))
+    want = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
+    assert np.array_equal(invoc.oracle._eigenbasis(grid)[1], want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_lattice_is_the_meshgrid_bitwise(n):
+    # each axis written into one array gives the meshgrid lattice, in its order
+    lo, hi, m = np.array([0.1, 0.0, 0.7])[:n], np.array([1.3, 0.5 ** 0.5, 2.0])[:n], 7
+    axes = [lo[d] + (hi[d] - lo[d]) * np.arange(m + 1) / m for d in range(n)]
+    want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    assert np.array_equal(invoc.oracle._box_lattice(lo, hi, m), want)
+
+
 def test_search_leaves_no_basis_on_the_operator():
     # the sine basis is built per search and freed with it: no N x N array
     # stays reachable from the spec's operator, which lives as long as the spec
@@ -382,8 +401,9 @@ def test_block_wide_bound_test_matches_the_elementwise_one(share, flags, unit_sp
     check, kernel, blocks, calls = invoc.oracle._projected_residual, invoc.oracle._solve_qp, [], set()
 
     def recorded(spec, qp, u, y, p, out=None):
+        v = p / spec.sigma  # before the check, which may write over p
         residual = check(spec, qp, u, y, p, out=out)
-        blocks.append((u.copy(), p / spec.sigma, residual))
+        blocks.append((u.copy(), v, residual))
         return residual
 
     def counted(spec, qp, tol, warm):
