@@ -137,7 +137,7 @@ def _cmd_value(args, out: Path) -> list[str]:
 def _cmd_relax(args, out: Path) -> list[str]:
     spec = load_problem(args.problem)
     sol = solve_relaxed(spec, args.eps0, **_tol_overrides(args))
-    return [_write_json(out, "relaxed_solution.json", _fields(sol, "sample", "step"))]
+    return [_write_json(out, "relaxed_solution.json", _fields(sol, "sample", "step", "member"))]
 
 
 def _cmd_path(args, out: Path) -> list[str]:

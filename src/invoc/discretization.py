@@ -16,6 +16,7 @@ band systems.  Vector arguments are checked by errors._vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
 def norm(grid: Grid, u: np.ndarray) -> float:
     """Norm induced by the weighted inner product."""
     u = _vector(u, (grid.n_nodes,), "u")
-    return float(np.sqrt(grid.h) * np.linalg.norm(u))
+    return float(np.sqrt(grid.h) * math.sqrt(float(u.dot(u))))
 
 
 class EllipticOperator:

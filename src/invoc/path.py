@@ -11,7 +11,7 @@ recombines the relaxed multipliers into the limiting tuple
 
 whose limits certify stationarity of the bilevel candidate.  The feasible
 sets shrink as eps falls, so a level that ends at alpha = 0 with gap at most
-the next eps also solves the next level, which records it without a solve.
+the next eps also solves the next level, which copies it and its multipliers.
 Where the constraint binds, the path is smooth in sqrt(eps): x_k - x_lim
 and 1/alpha_k are both about proportional to sqrt(eps_k).  So a level whose
 two predecessors both end at alpha > 0 starts from their extrapolation, a
@@ -144,11 +144,13 @@ def run_path(
     # the last two levels: their solutions are all the predictor reads
     prev: RelaxedSolution | None = None
     warm: RelaxedSolution | None = None
+    carried = False  # warm was carried over, so only its gap can fail the next level
     for k in range(steps + 1):
         eps_k = eps0 * ratio**k
         start = "cold" if warm is None else "warm"
         try:
-            if warm is not None and _solves_level(spec, warm, eps_k, stat_tol):
+            if carried := warm is not None and (
+                    warm.gap <= eps_k if carried else _solves_level(spec, warm, eps_k, stat_tol)):
                 sol = _carry_over(warm, eps_k)
             elif prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
                 start = "predicted"
@@ -163,7 +165,14 @@ def run_path(
                 "residuals": dict(err.residuals or {}),
             }
             break
-        trace.records.append(_recombine(spec, k, sol, start))
+        if carried:  # rec is still the predecessor's record, whose multipliers hold here
+            rec = replace(rec, k=k, eps=eps_k, relaxed=sol, start=start, mu=rec.mu.copy(),
+                          w=rec.w.copy(), rho=rec.rho.copy(), xi=rec.xi.copy())
+        else:
+            rec = _recombine(spec, k, sol, start)
+            trace.multiplier_sup = max(trace.multiplier_sup, sol.alpha, *(
+                norm(spec.grid, v) for v in (rec.mu, rec.w, rec.rho, rec.xi)))
+        trace.records.append(rec)
         prev, warm = warm, sol
 
     _finalize(spec, trace)
@@ -178,17 +187,7 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
     eps_last = last.eps
     trace.deep_enough = eps_last <= 1e-6 * trace.eps0
 
-    sup = 0.0
-    for r in recs:
-        sup = max(
-            sup,
-            r.relaxed.alpha,
-            norm(spec.grid, r.mu),
-            norm(spec.grid, r.w),
-            norm(spec.grid, r.rho),
-            norm(spec.grid, r.xi),
-        )
-    trace.multiplier_sup = sup
+    sup = trace.multiplier_sup
     trace.multipliers_bounded = bool(np.isfinite(sup) and sup <= 1e8)
     if not trace.multipliers_bounded:
         trace.warnings.append(

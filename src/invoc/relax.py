@@ -8,8 +8,8 @@ F + alpha f is a member of the tracking-QP family that lower._solve_qp
 solves exactly.  The solver nests three steps:
 
 - phi(x) and grad phi(x) from one value sample per trial x; a solution
-  keeps the sample its x was accepted with, which the path and the next
-  level's start reuse;
+  keeps the sample its x was accepted with, and its alpha = 0 u-subproblem,
+  which is x-free, for the path and the next level's start to reuse;
 - alpha from gap(alpha) = eps, with gap nonincreasing in alpha: alpha = 0
   when gap(0) <= eps, otherwise Newton on gap^(-1/2), linear in alpha for
   one mode and along an unplanted limit's alpha^(-2) tail, kept inside a
@@ -24,7 +24,7 @@ solves exactly.  The solver nests three steps:
 
 One builder, _level, makes a level of (eps, x, alpha, u) and its value
 sample, with the residuals that check it: the u-subproblem's own
-fixed-point test, whose fresh solves give y, p and lam, the x-equation
+fixed-point test, whose fresh solves of u give y, p and lam, the x-equation
 against the normal cone of X_ad, complementarity, and lam's sign.
 """
 
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, _positive
-from .lower import (_ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _solve_qp, _tangent,
-                    lower_qp)
+from .errors import ConvergenceError, _positive, _vector
+from .lower import (_ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _QPSolution, _solve_qp,
+                    _tangent, lower_qp)
 from .model import ProblemSpec, eval_j
 from .value import ValueSample, value_sample
 
@@ -52,14 +52,15 @@ class RelaxedSolution:
     """Stationary point of one relaxed program with its KKT multipliers.
 
     inner_iterations counts the band matrices factored for the u-subproblems
-    and outer_iterations the accepted x-steps; both are 0 on a level that
-    run_path took over from its predecessor without solving it.  sample is
-    the value sample x was accepted with, which the residuals are taken
-    about; it equals a cold sample at x bitwise but for lower.iterations.
-    step is the x-loop's next Barzilai-Borwein step length, where a warm
-    start with alpha > 0 begins.
+    but a reused member's, and outer_iterations the accepted x-steps; both
+    are 0 on a level that run_path took over from its predecessor without
+    solving it.  sample is the value sample x was accepted with, which the
+    residuals are taken about; it equals a cold sample at x bitwise but for
+    lower.iterations.  step is the x-loop's next Barzilai-Borwein step length,
+    where a warm start with alpha > 0 begins.
     y, p and lam are the u-subproblem's state, adjoint and bound multiplier
-    at (x, alpha, u); the residuals read only x, u, alpha and eps.
+    at (x, alpha, u); the residuals read only x, u, alpha and eps.  member is
+    (spec, the last alpha = 0 point or None), reused by warm starts on spec.
     """
 
     eps: float
@@ -78,6 +79,7 @@ class RelaxedSolution:
     residuals: dict = field(default_factory=dict)
     sample: ValueSample | None = None
     step: float = 1.0
+    member: tuple | None = None
 
 
 @dataclass(eq=False)
@@ -91,6 +93,7 @@ class _Point:
     upper: float
     gap: float
     slope: float
+    sol: _QPSolution | None = None  # the kernel's solution; None where F ignores u
 
 
 def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray,
@@ -125,21 +128,24 @@ def _grad_v(spec: ProblemSpec, vs: ValueSample, alpha: float, y: np.ndarray) -> 
 
 
 def _level(spec: ProblemSpec, eps: float, x: np.ndarray, alpha: float, u: np.ndarray,
-           vs: ValueSample, **counts) -> RelaxedSolution:
+           vs: ValueSample, pt: _Point | None = None, **counts) -> RelaxedSolution:
     """The level eps at (x, alpha, u) about the value sample vs at x, with its residuals:
-    the one builder of a RelaxedSolution.  y and p come from the fresh solves of the
-    u-subproblem's fixed-point check; counts fill the fields from inner_iterations on."""
-    low = lower_qp(spec, vs.x)
-    fixed_point, y, p = _fixed_point_residual(spec, _member(spec, low, alpha), u)
+    the one builder of a RelaxedSolution.  y, p, gap, F and the fixed-point check of u are
+    pt's, the point solved there, else fresh; counts fill the fields from inner_iterations on."""
+    if pt is None or pt.sol is None:
+        low = lower_qp(spec, vs.x)
+        fixed_point, y, p = _fixed_point_residual(spec, _member(spec, low, alpha), u)
+        gap, upper = _gap(spec, vs, low, u)[0], spec.upper.value(spec.grid, x, y, u)
+    else:  # copies: levels that end at alpha = 0 share one kernel solution
+        fixed_point, y, p, u = pt.sol.residual, pt.y.copy(), pt.sol.p.copy(), u.copy()
+        gap, upper = pt.gap, pt.upper
     lam = p - spec.upper.grad_u(u) - alpha * spec.sigma * u
     z = -_grad_v(spec, vs, alpha, y)
-    gap, _ = _gap(spec, vs, low, u)
     residuals = {"x": float(spec.x_set.normal_cone_residual(x, z, tol=1e-6)),
                  "fixed_point": float(fixed_point), "comp": float(abs(alpha * (eps - gap))),
                  "lam": float(spec.bounds.normal_cone_residual(u, lam, spec.active_tol))}
     return RelaxedSolution(eps=eps, x=x, y=y, u=u, alpha=alpha, z=z, p=p, lam=lam,
-                           upper_value=spec.upper.value(spec.grid, x, y, u), gap=gap,
-                           residuals=residuals, sample=vs, **counts)
+                           upper_value=upper, gap=gap, residuals=residuals, sample=vs, **counts)
 
 
 def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
@@ -161,12 +167,12 @@ def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
 
 
 class _Solver:
-    """The three steps of one relaxed solve, with its band-solve count."""
+    """The three steps of one relaxed solve, with its band-solve count and last alpha = 0 point."""
 
-    def __init__(self, spec: ProblemSpec, eps: float, feas_tol: float, comp_tol: float):
+    def __init__(self, spec: ProblemSpec, eps: float, feas_tol: float, comp_tol: float, member=None):
         self.spec, self.eps = spec, eps
         self.feas_tol, self.comp_tol = feas_tol, comp_tol
-        self.solves = 0
+        self.solves, self.member = 0, member if member and member[0] is spec else (spec, None)
 
     def feasible(self, alpha: float, gap: float) -> bool:
         return gap - self.eps <= self.feas_tol and alpha * abs(self.eps - gap) <= self.comp_tol
@@ -175,21 +181,24 @@ class _Solver:
         return pt.upper + pt.alpha * (pt.gap - self.eps)
 
     def _solve(self, vs: ValueSample, low: TrackingQP, alpha: float, warm) -> _Point:
-        spec, up = self.spec, self.spec.upper
+        spec, up, zero = self.spec, self.spec.upper, self.member[1] if alpha == 0.0 else None
         if alpha == 0.0 and up.c_y == 0.0 and up.c_u == 0.0:
             # F ignores u, so this member is singular and every control is
             # optimal: take the lower solution, whose gap is 0
             y, u = vs.lower.y, vs.lower.u
             return _Point(vs=vs, alpha=0.0, y=y, u=u, gap=0.0, slope=0.0,
                           upper=up.value(spec.grid, vs.x, y, u))
+        if zero is not None and zero.vs is vs:
+            return zero
         qp = _member(spec, low, alpha)
-        sol = _solve_qp(spec, qp, spec.solver_tol, warm)
+        sol = zero.sol._replace(solves=0) if zero else _solve_qp(spec, qp, spec.solver_tol, warm)
         y_t, u_t, solves = _tangent(spec, qp, sol, low)
         self.solves += sol.solves + solves
         gap, slope = _gap(spec, vs, low, sol.u, (y_t, u_t))
-        return _Point(vs=vs, alpha=alpha, y=sol.y, u=sol.u,
-                      upper=spec.upper.value(spec.grid, vs.x, sol.y, sol.u),
-                      gap=gap, slope=slope)
+        pt = _Point(vs=vs, alpha=alpha, y=sol.y, u=sol.u, sol=sol,
+                    upper=up.value(spec.grid, vs.x, sol.y, sol.u), gap=gap, slope=slope)
+        self.member = (spec, pt) if alpha == 0.0 else self.member
+        return pt
 
     def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray,
                  bound: float = math.inf) -> _Point:
@@ -229,8 +238,9 @@ class _Solver:
         return pt
 
     def assemble(self, pt: _Point, steps: int, converged: bool, step: float = 1.0):
-        return _level(self.spec, self.eps, pt.vs.x, pt.alpha, pt.u, pt.vs, step=step,
-                      inner_iterations=self.solves, outer_iterations=steps, converged=converged)
+        return _level(self.spec, self.eps, pt.vs.x, pt.alpha, pt.u, pt.vs, pt, step=step,
+                      member=self.member, inner_iterations=self.solves,
+                      outer_iterations=steps, converged=converged)
 
 
 def _stationarity(x_set, x: np.ndarray, grad: np.ndarray) -> float:
@@ -272,10 +282,10 @@ def solve_relaxed(
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u
     and, at the same x bitwise if it passes the kernel's fixed-point check
-    on spec, its value sample.  The solution keeps the sample its x was
-    accepted with.  ConvergenceError carries as best the best accepted point,
-    with converged False and the whole solve's counts, or None if a kernel
-    failure comes before the first; a kernel failure keeps its residuals.
+    on spec, its value sample, and on the same spec object its member.
+    ConvergenceError carries as best the best accepted point, with converged
+    False and the whole solve's counts, or None if a kernel failure comes
+    before the first; a kernel failure keeps its residuals.
     """
     eps = _positive(eps, "relaxation parameter")
     feas_tol = _positive(feas_tol, "feas_tol")
@@ -284,7 +294,7 @@ def solve_relaxed(
     x_set = spec.x_set
     if warm is not None:
         x = x_set.project(np.asarray(warm.x, dtype=float))
-        u = spec.bounds.project(np.asarray(warm.u, dtype=float))
+        u = spec.bounds.project(_vector(warm.u, (spec.grid.n_nodes,), "warm.u"))
         alpha = max(0.0, float(warm.alpha))
         step = warm.step if alpha > 0.0 else 1.0
     else:
@@ -293,7 +303,7 @@ def solve_relaxed(
         u = spec.bounds.project(spec.upper.u_o)
         alpha, step = 0.0, 1.0
 
-    solver = _Solver(spec, eps, feas_tol, comp_tol)
+    solver = _Solver(spec, eps, feas_tol, comp_tol, warm and warm.member)
     best = (math.inf, None)  # (measure, accepted point) of the best point
     steps = 0  # accepted x-steps
     try:

@@ -333,7 +333,7 @@ def test_relax_tol_reaches_the_solver(tmp_path, tol):
                    "--eps0", "1e-2", "--tol", str(tol)])
     assert rc == 0
     sol = invoc.solve_relaxed(load_problem(problem), 1e-2, **_tols(tol))
-    assert _read_json(out / "relaxed_solution.json") == _encoded(cli._fields(sol, "sample", "step"))
+    assert _read_json(out / "relaxed_solution.json") == _encoded(cli._fields(sol, "sample", "step", "member"))
 
 
 def test_result_files_bit_identical_across_runs(problem_file, tmp_path):

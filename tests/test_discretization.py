@@ -25,6 +25,18 @@ def test_grid_rejects_too_few_nodes():
         build_grid(0)
 
 
+def test_norm_is_the_two_norm_formula_bitwise():
+    # norm takes sqrt(u . u) by math.sqrt, which is np.linalg.norm's own
+    # formula for a float vector without its call overhead
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 17, 64, 1000, 4095):
+        grid = build_grid(n)
+        for scale in (1e-12, 1e-3, 1.0, 1e3):
+            v = scale * rng.standard_normal(n)
+            old = float(np.sqrt(grid.h) * np.linalg.norm(v))
+            assert np.float64(norm(grid, v)).tobytes() == np.float64(old).tobytes()
+
+
 def test_weighted_inner_and_norm():
     grid = build_grid(24)
     ones = np.ones(grid.n_nodes)

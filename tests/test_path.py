@@ -23,7 +23,7 @@ from invoc import (
 )
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
-from invoc.path import _carry_over, _predict
+from invoc.path import _carry_over, _predict, _recombine
 from invoc.relax import _solves_level
 
 from conftest import make_bounded_spec, make_generated_spec, make_tilted_spec
@@ -366,6 +366,49 @@ def test_each_solved_level_is_its_own_rebuild(name):
         again = invoc.relax._level(spec, sol.eps, sol.x, sol.alpha, sol.u, sol.sample,
                                    inner_iterations=0, outer_iterations=0, converged=True)
         assert _level_bits(again) == _level_bits(sol), sol.eps
+
+
+def _path_case(name):
+    """(spec, run_path keywords) of the named path."""
+    if name == "generated64_deep":
+        return make_generated_spec(64, (0.3, 0.7)), DEEP
+    return (make_bounded_spec(64) if name == "bounded64" else make_tilted_spec(63)), {}
+
+
+@pytest.mark.parametrize("name, solves", [("generated64_deep", 37), ("bounded64", 110),
+                                          ("tilted63", 143)])
+def test_paths_solve_the_alpha_zero_member_once(name, solves):
+    # the alpha = 0 u-subproblem does not depend on x, so a path solves it
+    # once and a level that restarts at alpha = 0 from its predecessor's
+    # sample reuses its tangent and gap too; solving it at every x took
+    # 51, 121 and 172 band solves on these paths
+    spec, tols = _path_case(name)
+    trace = run_path(spec, **tols)
+    assert trace.failure is None
+    assert sum(r.relaxed.inner_iterations for r in trace.records) <= solves
+
+
+@pytest.mark.parametrize("name", ["generated64_deep", "tilted63"])
+def test_carried_levels_copy_their_recombination(name):
+    # a carried level copies its predecessor's multipliers, and
+    # multiplier_sup is taken as each solved level is recorded: bitwise the
+    # recombination of every record and the sup over all of them
+    spec, tols = _path_case(name)
+    trace = run_path(spec, **tols)
+    recs = trace.records
+    assert trace.failure is None and any(r.relaxed.outer_iterations == 0 for r in recs[1:])
+    for prev, rec in zip(recs, recs[1:]):
+        again = _recombine(spec, rec.k, rec.relaxed, rec.start)
+        assert (rec.k, rec.eps, rec.start, np.float64(rec.du_lower).tobytes()) == (
+            again.k, again.eps, again.start, np.float64(again.du_lower).tobytes())
+        for field in ("mu", "w", "rho", "xi"):
+            assert getattr(rec, field).tobytes() == getattr(again, field).tobytes(), (rec.k, field)
+            assert getattr(rec, field) is not getattr(prev, field)
+    sup = 0.0
+    for r in recs:
+        sup = max(sup, r.relaxed.alpha, norm(spec.grid, r.mu), norm(spec.grid, r.w),
+                  norm(spec.grid, r.rho), norm(spec.grid, r.xi))
+    assert np.float64(trace.multiplier_sup).tobytes() == np.float64(sup).tobytes()
 
 
 def test_default_path_on_pointwise_instance(pointwise_spec):

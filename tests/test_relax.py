@@ -23,7 +23,7 @@ from invoc import (
     solve_relaxed,
 )
 from invoc.discretization import norm
-from invoc.errors import ConvergenceError, DomainError, ValidationError
+from invoc.errors import ConvergenceError, DimensionError, DomainError, ValidationError
 from invoc.lower import _band_solve, _solve_qp, _tangent, lower_qp
 from invoc.relax import _member, _newton, _Point, _Solver
 from invoc.value import lower_objective_value, value_sample
@@ -259,6 +259,8 @@ def _bits(record):
         return tuple(_bits(getattr(record, f.name)) for f in dataclasses.fields(record))
     if isinstance(record, dict):
         return tuple((k, _bits(v)) for k, v in sorted(record.items()))
+    if isinstance(record, tuple):  # the carried member and its kernel solution
+        return tuple(_bits(v) for v in record)
     return None if record is None else np.asarray(record).tobytes()
 
 
@@ -278,6 +280,29 @@ def test_warm_sample_never_changes_the_result(unit_spec, name, request):
     bare = dataclasses.replace(warm, sample=None)
     assert _bits(solve_relaxed(spec, eps=5e-4, warm=warm)) == _bits(
         solve_relaxed(spec, eps=5e-4, warm=bare))
+
+
+@pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
+def test_warm_member_is_reused_on_its_own_spec_only(unit_spec, name, request):
+    # a solution carries its spec's alpha = 0 u-subproblem, solved once: on
+    # that spec a warm start skips its solve and changes nothing else; on
+    # another it is solved afresh, as its band system was built with the
+    # other spec's coefficients (reused, it stalled the tilted solve)
+    spec = request.getfixturevalue(name)
+    warm = solve_relaxed(unit_spec, eps=1e-3)
+    assert warm.alpha == 0.0 and warm.member[0] is unit_spec and warm.member[1] is not None
+    sol = solve_relaxed(spec, eps=5e-4, warm=warm)
+    fresh = solve_relaxed(spec, eps=5e-4, warm=dataclasses.replace(warm, member=None))
+    if spec is unit_spec:
+        assert sol.inner_iterations < fresh.inner_iterations
+        sol, fresh = (dataclasses.replace(s, inner_iterations=0, member=None) for s in (sol, fresh))
+    assert _bits(sol) == _bits(fresh)
+
+
+def test_warm_start_from_another_grid_names_warm_u(unit_spec):
+    warm = solve_relaxed(unit_spec, eps=1e-3)
+    with pytest.raises(DimensionError, match=r"warm\.u has shape \(16,\), expected \(64,\)"):
+        solve_relaxed(make_generated_spec(64, (0.3, 0.7)), eps=5e-4, warm=warm)
 
 
 def test_relaxed_solution_self_residuals(tilted_spec, tilted_sol):
