@@ -9,9 +9,10 @@ product, so a Dirac at node i is e_i / h.  Every solve with the Laplacian
 goes through one tridiagonal LDL^T factor per grid, column by column:
 LAPACK's dpttrf and dpttrs, taken from scipy's Fortran wrappers by _lapack
 so that importing the package does not run scipy.linalg's init.  The
-operator holds only the grid and that factor: the oracle builds the sine
-eigenbasis it needs once per search, and the tracking QPs build their own
-band systems.  Vector arguments are checked by errors._vector.
+operator holds only the grid and that factor; the tracking QPs build their
+own band systems.  A's spectrum is here too: its eigenvalues and the exact
+sine transform that diagonalizes it, by numpy.fft, which loads on the first
+transform.  Vector arguments are checked by errors._vector.
 """
 
 from __future__ import annotations
@@ -62,6 +63,21 @@ def norm(grid: Grid, u: np.ndarray) -> float:
     """Norm induced by the weighted inner product."""
     u = _vector(u, (grid.n_nodes,), "u")
     return float(np.sqrt(grid.h) * math.sqrt(float(u.dot(u))))
+
+
+def eigenvalues(grid: Grid) -> np.ndarray:
+    """A's eigenvalues l_k = 4 sin^2(pi k h / 2) / h^2 for k = 1..N, ascending."""
+    return (2.0 * np.sin(0.5 * np.pi * np.arange(1, grid.n_nodes + 1) * grid.h) / grid.h) ** 2
+
+
+def sine_transform(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Q v along v's last axis, Q = sqrt(2h) sin(pi j k h) the symmetric,
+    orthonormal DST-I with A = Q diag(l) Q, as -sqrt(2h) Im rfft([0, v, 0 ...],
+    n = 2(N+1))[1:N+1], which builds no N x N array."""
+    n = grid.n_nodes
+    padded = np.zeros(v.shape[:-1] + (2 * n + 2,))
+    padded[..., 1:n + 1] = v
+    return -math.sqrt(2.0 * grid.h) * np.fft.rfft(padded)[..., 1:n + 1].imag
 
 
 class EllipticOperator:

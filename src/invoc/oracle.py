@@ -11,21 +11,21 @@ tolerance-dominated.  Lattice rows go in blocks of up to 1024, held in
 three buffers (u, y, p) allocated once per search, which the check and the
 upper objective then reuse in place.  Both lower-objective kinds give the
 unconstrained lower solutions of a whole block in closed form: the target
-kind from the sine eigenbasis of A, built once per search and freed with
-it, the pointwise kind from one n x n system per row, its d being of rank
-n.  The target kind's QP depends on x only through c = 2 x . y_d, linear
-in x, and the scalar d = 2 sum(x), so its rows are taken sorted by d, with
-the runs of equal d found once per search (the sums by column adds), and
-the rows of one d in a block are combinations x [U | Y | P](d) of n basis
-controls, states and adjoints built once per block by fresh solves; c
-itself is never formed.  A row whose closed-form control is feasible and
-passes the kernel's fixed-point check on its own (u, y, p)
-(lower._projected_residual, one call per block for either kind) is solved,
-the QP being strictly convex; a block whose controls and targets all lie
-strictly inside the bounds needs neither the projection nor the per-row
-bound test.  Every other row goes to the active-set kernel, in lattice
-order within its block, warm-started from the last kernel solution; a
-kernel failure's ConvergenceError carries the row's LowerSolution as best.
+kind from A's eigenvalues and sine transform, the pointwise kind from one
+n x n system per row, its d being of rank n.  The target kind's QP depends
+on x only through c = 2 x . y_d, linear in x, and the scalar d = 2 sum(x),
+so its rows are taken sorted by d, with the runs of equal d found once per
+search (the sums by column adds), and the rows of one d in a block are
+combinations x [U | Y | P](d) of n basis controls, states and adjoints
+built once per block by fresh solves; c itself is never formed.  A row
+whose closed-form control is feasible and passes the kernel's fixed-point
+check on its own (u, y, p) (lower._projected_residual, one call per block
+for either kind) is solved, the QP being strictly convex; a block whose
+controls and targets all lie strictly inside the bounds needs neither the
+projection nor the per-row bound test.  Every other row goes to the
+active-set kernel, in lattice order within its block, warm-started from
+the last kernel solution; a kernel failure's ConvergenceError carries the
+row's LowerSolution as best.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid
+from .discretization import eigenvalues, sine_transform
 from .errors import ConvergenceError, ValidationError, _integer, _positive
 from .lower import TrackingQP, _lower_solution, _projected_residual, _solve_qp, lower_qp
 from .model import ProblemSpec
@@ -84,26 +84,6 @@ def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return X.reshape(-1, n)
 
 
-def _eigenbasis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues l and orthonormal eigenvectors Q of the grid's Laplacian,
-    A = Q diag(l) Q^T.
-
-    Column k-1 of Q is the discrete sine sqrt(2h) sin(pi k omega_i), with
-    eigenvalue l_k = 4 sin^2(pi k h / 2) / h^2 (DST-I); Q is symmetric.
-    """
-    k = np.arange(1, grid.n_nodes + 1)
-    l = (2.0 * np.sin(0.5 * np.pi * k * grid.h) / grid.h) ** 2
-    # reduce the integer phase jk mod 2(N+1) first, so sin sees |arg| <= 2 pi;
-    # one integer and one float N x N array, the rest in place
-    phase = np.outer(k, k)
-    phase %= 2 * (grid.n_nodes + 1)
-    Q = np.multiply(np.pi * grid.h, phase)
-    del phase
-    np.sin(Q, out=Q)
-    Q *= np.sqrt(2.0 * grid.h)
-    return l, Q
-
-
 def _row_sums(X: np.ndarray) -> np.ndarray:
     """sum(x) of every row x of X by column adds, left to right as np.sum
     adds the n <= 3 entries of one x, so 2 sum(x) is its lower_qp d bitwise."""
@@ -119,10 +99,10 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     work), which writes the unconstrained (u, y, p) of the rows Xb found at
     position start of that order to work's three arrays.
 
-    With A = Q diag(l) Q^T, c = 2 x . y_d and d = 2 sum(x), (sigma A^2 + d) y
-    = c is diagonal in the sine basis, the coefficient d being constant in
-    space, so u = A y = Q ((l Q^T c) / (sigma l^2 + d)) = sum_i x_i U_i(d)
-    with U_i(d) = Q ((2 l Q^T t_i) / (sigma l^2 + d)), and y = sum_i x_i Y_i,
+    With A = Q diag(l) Q, Q the sine transform, c = 2 x . y_d and d = 2 sum(x),
+    (sigma A^2 + d) y = c is diagonal in the sine basis, d being constant in
+    space, so u = A y = Q ((l Q c) / (sigma l^2 + d)) = sum_i x_i U_i(d) with
+    U_i(d) = Q ((2 l Q t_i) / (sigma l^2 + d)), and y = sum_i x_i Y_i,
     p = sum_i x_i P_i with Y_i = A^{-1} U_i and P_i = A^{-1} (2 t_i - d Y_i).
     A generator's d is 2 _row_sums of its row, that row's own lower_qp d
     bitwise, and c, which no row reads, is never formed.  The runs of equal
@@ -130,13 +110,13 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     those that fall in it.  A run of more than n rows of a block is
     x [U | Y | P](d), one product per run, from a basis of n generators, the
     unit rows of a tile made once per search; a shorter run's rows are their
-    own generators.  All generators of a block take one product with Q and
+    own generators.  All generators of a block take one transform and
     fresh solves of their columns, so A y = u and A p = c - d y hold to
     roundoff in every row, and a run of r rows costs 2 min(n, r) solve
     columns.
     """
-    l, Q = _eigenbasis(spec.grid)
-    weights = 2.0 * l * (spec.lower.targets @ Q)  # row i is 2 l Q^T t_i, Q being symmetric
+    grid, l = spec.grid, eigenvalues(spec.grid)
+    weights = 2.0 * l * sine_transform(grid, spec.lower.targets)  # row i is 2 l Q t_i
     shift = spec.sigma * l * l
     twice_targets = 2.0 * spec.lower.targets
     solve = spec.operator.solve
@@ -158,10 +138,11 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
         dg = 2.0 * _row_sums(Xb[own + [r0 for r0, _ in runs for _ in range(n)]])[:, None]
         m = len(own)
         # a block of own rows only is solved in place
-        basis = work if m == b else np.empty((3, dg.shape[0], Q.shape[0]))
+        basis = work if m == b else np.empty((3, dg.shape[0], grid.n_nodes))
         U, Y, P = basis
         np.divide(np.matmul(G, weights, out=U), np.add(shift, dg, out=P), out=P)
-        solve(np.matmul(P, Q, out=U).T, out=Y.T)
+        U[...] = sine_transform(grid, P)
+        solve(U.T, out=Y.T)
         np.subtract(np.matmul(G, twice_targets, out=P), dg * Y, out=P)
         solve(P.T, out=P.T)
         if runs:

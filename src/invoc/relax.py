@@ -280,9 +280,10 @@ def solve_relaxed(
     A trial's search stops early once its dual value fails the test.  The
     first trial takes warm.step when warm.alpha > 0, else step length 1.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
-    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u
-    and, at the same x bitwise if it passes the kernel's fixed-point check
-    on spec, its value sample, and on the same spec object its member.
+    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u,
+    its value sample at the same x bitwise, and on the same spec object its
+    member; a sample from another spec must pass the kernel's fixed-point
+    check on spec.
     ConvergenceError carries as best the best accepted point, with converged
     False and the whole solve's counts, or None if a kernel failure comes
     before the first; a kernel failure keeps its residuals.
@@ -309,7 +310,8 @@ def solve_relaxed(
     try:
         vs = warm.sample if warm is not None else None
         if vs is None or x.tobytes() != vs.x.tobytes() or not (
-                _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
+                solver.member is warm.member  # the sample was made on spec, so it passes
+                or _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
             vs = value_sample(spec, x)
         pt = solver.evaluate(vs, alpha, u)
         grad = _grad_v(spec, pt.vs, pt.alpha, pt.y)

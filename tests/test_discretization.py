@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from invoc import EllipticOperator, build_grid
-from invoc.discretization import inner, norm
+from invoc.discretization import eigenvalues, inner, norm, sine_transform
 from invoc.errors import DimensionError, DomainError, GridError
 
 from util_dense import dense_matrix, solve_tridiagonal_extended
@@ -68,6 +68,31 @@ def test_apply_matches_dense_matrix():
         assert_allclose(op.apply(v), a.T @ v, rtol=1e-13, atol=1e-9)
 
 
+@pytest.mark.parametrize("n_nodes", [2, 5, 64, 1023])
+def test_sine_transform_is_the_dense_sine_product(n_nodes):
+    # the product with sqrt(2h) sin(pi j k h) along the last axis of a stack,
+    # to roundoff in each entry's sum of absolute terms; applied twice it
+    # returns its input
+    grid = build_grid(n_nodes)
+    k = np.arange(1, n_nodes + 1)
+    Q = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * (np.outer(k, k) % (2 * (n_nodes + 1))))
+    V = np.random.default_rng(n_nodes).standard_normal((2, 3, n_nodes))
+    got = sine_transform(grid, V)
+    assert got.shape == V.shape
+    assert (np.abs(got - V @ Q) <= 1e-14 * (np.abs(V) @ np.abs(Q))).all()
+    assert np.abs(sine_transform(grid, got) - V).max() <= 1e-14 * np.abs(V).max()
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 16, 64])
+def test_sine_vectors_are_the_eigenvectors(n_nodes):
+    # A (Q e_k) = l_k Q e_k to roundoff, the l_k ascending
+    grid = build_grid(n_nodes)
+    op, l = EllipticOperator(grid), eigenvalues(grid)
+    assert l.shape == (n_nodes,) and (np.diff(l) > 0).all()
+    for lk, q in zip(l, sine_transform(grid, np.eye(n_nodes))):
+        assert np.abs(op.apply(q) - lk * q).max() <= 1e-14 * l.max()
+
+
 def test_solve_matches_dense_solve():
     grid = build_grid(33)
     op = EllipticOperator(grid)
@@ -118,6 +143,7 @@ def test_discrete_sine_eigenpairs():
         v = np.sin(np.pi * k * grid.nodes)
         lam = (2.0 - 2.0 * np.cos(np.pi * k * grid.h)) / grid.h**2
         assert norm(grid, op.apply(v) - lam * v) <= 1e-9 * lam
+        assert eigenvalues(grid)[k - 1] == pytest.approx(lam, rel=1e-13)
 
 
 def test_poisson_constant_load_is_nodally_exact():

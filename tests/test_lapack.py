@@ -1,6 +1,7 @@
 """The LAPACK loader: `import invoc` runs none of scipy's Python code, and
 its routines are the objects scipy.linalg.lapack exports, whichever of the
-two a process imports first.  Each import order costs one fresh interpreter."""
+two a process imports first.  Nor does it load numpy.fft, which the sine
+transform loads on first use.  Each import costs one fresh interpreter."""
 
 import importlib
 import importlib.machinery
@@ -54,6 +55,16 @@ def test_import_leaves_scipy_linalg_unloaded(invoc_first):
     # path in scipy/__init__.py, so there the loader's retry imports scipy
     if sys.platform != "win32":
         assert invoc_first["loaded"] == ["scipy.linalg._flapack"]
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy 2 loads numpy.fft on first use, numpy 1 with numpy itself
+    code = ("import sys, numpy\n"
+            "before = 'numpy.fft' in sys.modules\n"
+            "import invoc\n"
+            "print(numpy.__version__.split('.')[0], before, 'numpy.fft' in sys.modules)\n")
+    major, before, after = _run(code).split()
+    assert after == before == ("False" if int(major) >= 2 else "True")
 
 
 def test_routines_are_scipy_lapacks_with_invoc_imported_first(invoc_first):

@@ -3,6 +3,7 @@ the batched solves against the dense reference and the per-row kernel, and
 which rows reach the kernel."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ import invoc.oracle
 from invoc import (
     AdmissibleSetX,
     ControlBounds,
-    EllipticOperator,
     LowerObjective,
     LowerSolution,
     ProblemSpec,
@@ -202,29 +202,17 @@ def test_kernel_failure_carries_a_lower_solution(bounded_spec):
     assert np.array_equal(best.lam, best.p - bounded_spec.sigma * best.u)
 
 
-@pytest.mark.parametrize("n_nodes", [2, 3, 16, 64])
-def test_eigenbasis_diagonalizes_operator(n_nodes):
-    # A = Q diag(l) Q^T with Q orthonormal, both to roundoff
-    grid = build_grid(n_nodes)
-    op = EllipticOperator(grid)
-    l, Q = invoc.oracle._eigenbasis(grid)
-    assert l.shape == (n_nodes,) and Q.shape == (n_nodes, n_nodes)
-    assert_allclose(Q @ Q.T, np.eye(n_nodes), rtol=0.0, atol=1e-14)
-    rng = np.random.default_rng(n_nodes)
-    for v in (*np.eye(n_nodes), rng.standard_normal(n_nodes)):
-        want = op.apply(v)
-        got = Q @ (l * (Q.T @ v))
-        assert np.abs(got - want).max() <= 1e-14 * l.max() * np.abs(v).max()
-
-
-@pytest.mark.parametrize("n_nodes", [2, 5, 64, 1023])
-def test_eigenbasis_is_the_sine_formula_bitwise(n_nodes):
-    # the in-place build gives the formula's Q bit for bit
-    grid = build_grid(n_nodes)
-    k = np.arange(1, n_nodes + 1)
-    phase = np.outer(k, k) % (2 * (n_nodes + 1))
-    want = np.sqrt(2.0 * grid.h) * np.sin(np.pi * grid.h * phase)
-    assert np.array_equal(invoc.oracle._eigenbasis(grid)[1], want)
+def test_target_search_builds_no_dense_matrix():
+    # the sine transform needs no N x N array: at N = 2048 a search's traced
+    # peak stays below an eighth of the 32 MiB that one would take
+    spec = _box(make_generated_spec(2048, (0.25, 0.75)))
+    tracemalloc.start()
+    try:
+        grid_search(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2048 * 8 / 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -237,8 +225,8 @@ def test_box_lattice_is_the_meshgrid_bitwise(n):
 
 
 def test_search_leaves_no_basis_on_the_operator():
-    # the sine basis is built per search and freed with it: no N x N array
-    # stays reachable from the spec's operator, which lives as long as the spec
+    # the sine transform holds no basis: no N x N array stays reachable
+    # from the spec's operator, which lives as long as the spec
     spec = make_generated_spec(16, (0.3, 0.7))
     grid_search(spec, 10)
     n, seen, stack = spec.grid.n_nodes, set(), [spec.operator]
@@ -278,10 +266,12 @@ def _three_parameter_tracking_spec() -> ProblemSpec:
     )
 
 
-def _clipped_box(spec: ProblemSpec, share: float = 0.6) -> ProblemSpec:
-    """spec on the unit box, its upper control bound clipped to share max(u)
-    of the lower solution at x = (1, 1), so that it binds on part of the box."""
-    cap = share * float(solve_lower(spec, np.ones(2)).u.max())
+def _clipped_box(spec: ProblemSpec, share: float = 0.6, u_max: float | None = None) -> ProblemSpec:
+    """spec on the unit box, its upper control bound clipped to share u_max,
+    by default max(u) of the lower solution at x = (1, 1), so that it binds
+    on part of the box."""
+    u_max = float(solve_lower(spec, np.ones(2)).u.max()) if u_max is None else u_max
+    cap = share * u_max
     return replace(_box(spec), bounds=ControlBounds(ua=spec.bounds.ua,
                                                     ub=np.full(spec.grid.n_nodes, cap)))
 
@@ -395,8 +385,6 @@ def test_block_wide_bound_test_matches_the_elementwise_one(share, flags, unit_sp
     # inside the bounds and its controls do not.  Each block's residuals
     # are bitwise those with the projection minimum(ub, maximum(ua, v)),
     # and the rows sent to the kernel are those that fail the per-row test
-    spec = _clipped_box(unit_spec, share)
-    ua, ub = spec.bounds.ua, spec.bounds.ub
     monkeypatch.setattr(invoc.oracle, "_BLOCK", 21)
     check, kernel, blocks, calls = invoc.oracle._projected_residual, invoc.oracle._solve_qp, [], set()
 
@@ -411,6 +399,22 @@ def test_block_wide_bound_test_matches_the_elementwise_one(share, flags, unit_sp
         return kernel(spec, qp, tol, warm)
 
     monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
+    # max(u) is one float below the search's own closed-form u at x = (1, 1),
+    # the one row of the last block in d order, which no bound changes, so
+    # at share 1 that row goes to the kernel.  There u and v agree to
+    # roundoff and the edge needs max(v) below the cap.  Whether v ends that
+    # far below u is a roundoff draw of the basis (about one in ten), and
+    # each target scale in [1, 2) draws again
+    for scale in 1.0 + np.arange(64) / 64:
+        lower = LowerObjective(kind="target_type", targets=scale * unit_spec.lower.targets)
+        grid_search(_box(replace(unit_spec, lower=lower)), 12)
+        u, v, _ = blocks[-1]
+        blocks.clear()
+        if np.nextafter(u.max(), 0.0) > v.max():
+            break
+    assert np.nextafter(u.max(), 0.0) > v.max(), "no target scale puts v below u at x = (1, 1)"
+    spec = _clipped_box(replace(unit_spec, lower=lower), share, u_max=np.nextafter(u.max(), 0.0))
+    ua, ub = spec.bounds.ua, spec.bounds.ub
     monkeypatch.setattr(invoc.oracle, "_solve_qp", counted)
     X = grid_search(spec, 12, keep_samples=True).samples[:, :-1]
     X = X[_processing_order(X)]

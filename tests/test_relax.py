@@ -299,6 +299,27 @@ def test_warm_member_is_reused_on_its_own_spec_only(unit_spec, name, request):
     assert _bits(sol) == _bits(fresh)
 
 
+def test_warm_sample_is_checked_off_its_own_spec_only(unit_spec, tilted_spec, monkeypatch):
+    # a warm sample made on the same spec object passes the fixed-point check
+    # by construction, so it is checked only when it comes from another spec
+    # or with no member; tilted_spec shares unit_spec's lower problem, so
+    # its check passes, and its solve still converges at alpha 631.4
+    warm = solve_relaxed(unit_spec, eps=1e-3)
+    check, checked = invoc.relax._fixed_point_residual, []
+
+    def recorded(spec, qp, u):
+        checked.append(u is warm.sample.lower.u)
+        return check(spec, qp, u)
+
+    monkeypatch.setattr(invoc.relax, "_fixed_point_residual", recorded)
+    for spec, start, want in [(unit_spec, warm, 0), (unit_spec, dataclasses.replace(warm, member=None), 1),
+                              (tilted_spec, warm, 1)]:
+        checked.clear()
+        sol = solve_relaxed(spec, eps=5e-4, warm=start)
+        assert sum(checked) == want
+    assert sol.converged and sol.alpha == pytest.approx(631.4, rel=1e-4)
+
+
 def test_warm_start_from_another_grid_names_warm_u(unit_spec):
     warm = solve_relaxed(unit_spec, eps=1e-3)
     with pytest.raises(DimensionError, match=r"warm\.u has shape \(16,\), expected \(64,\)"):
