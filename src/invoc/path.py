@@ -11,7 +11,8 @@ recombines the relaxed multipliers into the limiting tuple
 
 whose limits certify stationarity of the bilevel candidate.  The feasible
 sets shrink as eps falls, so a level that ends at alpha = 0 with gap at most
-the next eps also solves the next level, which copies it and its multipliers.
+the next eps also solves the next level, which copies it and its multipliers;
+with gamma = 0 such a level minimises its gap, so a planted path lands on x*.
 Where the constraint binds, the path is smooth in sqrt(eps): x_k - x_lim
 and 1/alpha_k are both about proportional to sqrt(eps_k).  So a level whose
 two predecessors both end at alpha > 0 starts from their extrapolation, a
@@ -69,6 +70,7 @@ class PathTrace:
     multipliers_bounded: bool = True
     multiplier_sup: float = 0.0
     warnings: list[str] = field(default_factory=list)
+    work: dict = field(default_factory=dict)  # the records' summed counts, by name
 
     @property
     def converged(self) -> bool:
@@ -91,7 +93,7 @@ def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
     return replace(
         sol, eps=eps, x=sol.x.copy(), y=sol.y.copy(), u=sol.u.copy(),
         z=sol.z.copy(), p=sol.p.copy(), lam=sol.lam.copy(),
-        inner_iterations=0, outer_iterations=0, residuals=dict(sol.residuals),
+        inner_iterations=0, outer_iterations=0, value_iterations=0, residuals=dict(sol.residuals),
     )
 
 
@@ -153,8 +155,9 @@ def run_path(
                     warm.gap <= eps_k if carried else _solves_level(spec, warm, eps_k, stat_tol)):
                 sol = _carry_over(warm, eps_k)
             elif prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
-                start = "predicted"
-                sol = solve_relaxed(spec, eps_k, warm=_predict(spec, prev, warm, eps_k), **tols)
+                start, guess = "predicted", _predict(spec, prev, warm, eps_k)
+                sol = solve_relaxed(spec, eps_k, warm=guess, **tols)
+                sol.value_iterations += guess.sample.lower.iterations  # the predictor's sample
             else:
                 sol = solve_relaxed(spec, eps_k, warm=warm, **tols)
         except ConvergenceError as err:
@@ -181,6 +184,8 @@ def run_path(
 
 def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
     recs = trace.records
+    trace.work = {name: sum(getattr(r.relaxed, name) for r in recs)
+                  for name in ("inner_iterations", "value_iterations", "outer_iterations")}
     if not recs:
         return
     last = recs[-1]
@@ -271,6 +276,7 @@ def trace_rows(trace: PathTrace) -> list[dict]:
             "du_lower": r.du_lower,
             "inner_iterations": r.relaxed.inner_iterations,
             "outer_iterations": r.relaxed.outer_iterations,
+            "value_iterations": r.relaxed.value_iterations,
             "start": r.start,
         }
         for name, val in sorted(r.relaxed.residuals.items()):

@@ -22,6 +22,13 @@ solves exactly.  The solver nests three steps:
   trial's search stops once it exceeds the Armijo threshold, and a warm
   start with alpha > 0 keeps its predecessor's step length.
 
+With gamma = 0 F does not depend on x, so at alpha = 0 the member's control
+u0 solves the level at every x with G(x) = f(x, S u0, u0) - phi(x) <= eps,
+and G is convex.  A start at alpha = 0 first minimises G by the same steps,
+with grad G = j(S u0) - grad phi(x) and no multiplier search: the level ends
+at alpha = 0 once G <= eps at a point stationary to grad G's roundoff, or the
+three steps take over once G's Frank-Wolfe minorant, below min G, exceeds eps.
+
 One builder, _level, makes a level of (eps, x, alpha, u) and its value
 sample, with the residuals that check it: the u-subproblem's own
 fixed-point test, whose fresh solves of u give y, p and lam, the x-equation
@@ -31,7 +38,7 @@ against the normal cone of X_ad, complementarity, and lam's sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,11 +59,11 @@ class RelaxedSolution:
     """Stationary point of one relaxed program with its KKT multipliers.
 
     inner_iterations counts the band matrices factored for the u-subproblems
-    but a reused member's, and outer_iterations the accepted x-steps; both
-    are 0 on a level that run_path took over from its predecessor without
-    solving it.  sample is the value sample x was accepted with, which the
-    residuals are taken about; it equals a cold sample at x bitwise but for
-    lower.iterations.  step is the x-loop's next Barzilai-Borwein step length,
+    but a reused member's, value_iterations those of the value samples the
+    solve made, and outer_iterations the accepted x-steps; all are 0 on a
+    level that run_path took over from its predecessor without solving it.
+    sample is the value sample x was accepted with, which the residuals are
+    taken about; it equals a cold sample at x bitwise but for lower.iterations.  step is the x-loop's next Barzilai-Borwein step length,
     where a warm start with alpha > 0 begins.
     y, p and lam are the u-subproblem's state, adjoint and bound multiplier
     at (x, alpha, u); the residuals read only x, u, alpha and eps.  member is
@@ -80,6 +87,7 @@ class RelaxedSolution:
     sample: ValueSample | None = None
     step: float = 1.0
     member: tuple | None = None
+    value_iterations: int = 0
 
 
 @dataclass(eq=False)
@@ -167,12 +175,12 @@ def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
 
 
 class _Solver:
-    """The three steps of one relaxed solve, with its band-solve count and last alpha = 0 point."""
+    """The steps of one relaxed solve, with its band-solve counts and last alpha = 0 point."""
 
     def __init__(self, spec: ProblemSpec, eps: float, feas_tol: float, comp_tol: float, member=None):
-        self.spec, self.eps = spec, eps
-        self.feas_tol, self.comp_tol = feas_tol, comp_tol
-        self.solves, self.member = 0, member if member and member[0] is spec else (spec, None)
+        self.spec, self.eps, self.feas_tol, self.comp_tol = spec, eps, feas_tol, comp_tol
+        self.solves, self.sampled = 0, 0  # of the u-subproblems and of the value samples
+        self.member = member if member and member[0] is spec else (spec, None)
 
     def feasible(self, alpha: float, gap: float) -> bool:
         return gap - self.eps <= self.feas_tol and alpha * abs(self.eps - gap) <= self.comp_tol
@@ -240,7 +248,31 @@ class _Solver:
     def assemble(self, pt: _Point, steps: int, converged: bool, step: float = 1.0):
         return _level(self.spec, self.eps, pt.vs.x, pt.alpha, pt.u, pt.vs, pt, step=step,
                       member=self.member, inner_iterations=self.solves,
-                      outer_iterations=steps, converged=converged)
+                      value_iterations=self.sampled, outer_iterations=steps, converged=converged)
+
+
+def _descend(solver: _Solver, pt: _Point, grad: np.ndarray, step: float, value, evaluate,
+             gradient):
+    """One projected-gradient step from pt, shared by solve_relaxed's x-loops on V and G:
+    step halves until the trial evaluate(sample, bound) passes the Armijo test bound
+    on value; returns it, its gradient and the Barzilai-Borwein length of the next
+    step, or None where no step moves x."""
+    x, start = pt.vs.x, value(pt)
+    while True:
+        x_t = solver.spec.x_set.project(x - step * grad)
+        move = x_t - x
+        if not move.any():
+            return None
+        bound = start + _ARMIJO * float(grad @ move) + _ROUNDOFF * (1.0 + abs(start))
+        vs = value_sample(solver.spec, x_t, warm_start=pt.vs.lower.u)
+        solver.sampled += vs.lower.iterations
+        trial = evaluate(vs, bound)
+        if value(trial) <= bound:
+            break
+        step *= 0.5
+    grad_t = gradient(trial)
+    curvature = float(move @ (grad_t - grad))
+    return trial, grad_t, float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
 
 
 def _stationarity(x_set, x: np.ndarray, grad: np.ndarray) -> float:
@@ -279,6 +311,8 @@ def solve_relaxed(
     Armijo test on the dual value, and their length follows Barzilai-Borwein.
     A trial's search stops early once its dual value fails the test.  The
     first trial takes warm.step when warm.alpha > 0, else step length 1.
+    With gamma = 0 a start at alpha = 0 first minimises the gap G at the
+    x-free control (module docstring); outer_iterations counts its steps too.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u,
     its value sample at the same x bitwise, and on the same spec object its
@@ -306,13 +340,35 @@ def solve_relaxed(
 
     solver = _Solver(spec, eps, feas_tol, comp_tol, warm and warm.member)
     best = (math.inf, None)  # (measure, accepted point) of the best point
-    steps = 0  # accepted x-steps
+    steps = phase = 0  # accepted x-steps on V and, first, on G
     try:
         vs = warm.sample if warm is not None else None
         if vs is None or x.tobytes() != vs.x.tobytes() or not (
                 solver.member is warm.member  # the sample was made on spec, so it passes
                 or _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
             vs = value_sample(spec, x)
+            solver.sampled = vs.lower.iterations
+        if alpha == 0.0 and spec.upper.gamma == 0.0:
+            # G first (module docstring); where F ignores u, G is 0 at the start
+            zero = solver.member[1] or solver._solve(vs, lower_qp(spec, x), 0.0, u)
+            jy = eval_j(spec.grid, spec.lower, zero.y)
+            target, floor = eps + feas_tol, _ROUNDOFF * (1.0 + float(np.abs(jy).max()))
+
+            def at(vs_t, bound=None):  # the alpha = 0 point at vs_t.x, with gap G
+                return replace(zero, vs=vs_t, gap=_gap(spec, vs_t, lower_qp(spec, vs_t.x), zero.u)[0])
+            pt, grad = at(vs), jy - vs.grad_phi
+            while phase < _MAX_STEPS:
+                best = (math.inf, pt)
+                if pt.gap <= target and _stationarity(x_set, pt.vs.x, grad) <= floor:
+                    return solver.assemble(pt, phase, converged=True)
+                if pt.gap + float(((x_set.vertices() - pt.vs.x) @ grad).min()) > target:
+                    break  # G's Frank-Wolfe minorant: alpha = 0 cannot reach the level
+                moved = _descend(solver, pt, grad, step, lambda t: t.gap, at,
+                                 lambda t: jy - t.vs.grad_phi)
+                if moved is None:
+                    break
+                (pt, grad, step), phase = moved, phase + 1
+            vs, step = pt.vs, 1.0
         pt = solver.evaluate(vs, alpha, u)
         grad = _grad_v(spec, pt.vs, pt.alpha, pt.y)
         best = (math.inf, pt)
@@ -322,33 +378,21 @@ def solve_relaxed(
                           pt.alpha * abs(eps - pt.gap) / comp_tol, residual / stat_tol)
             best = min(best, (measure, pt), key=lambda b: b[0])
             if solver.feasible(pt.alpha, pt.gap) and residual <= stat_tol:
-                return solver.assemble(pt, steps, converged=True, step=step)
+                return solver.assemble(pt, phase + steps, converged=True, step=step)
             if steps == _MAX_STEPS:
                 break
-            value = solver.dual(pt)
-            while True:
-                x_t = x_set.project(pt.vs.x - step * grad)
-                move = x_t - pt.vs.x
-                if not move.any():
-                    break
-                bound = value + _ARMIJO * float(grad @ move) + _ROUNDOFF * (1.0 + abs(value))
-                trial = solver.evaluate(value_sample(spec, x_t, warm_start=pt.vs.lower.u),
-                                        pt.alpha, pt.u, bound)
-                if solver.dual(trial) <= bound:
-                    break
-                step *= 0.5
-            if not move.any():
+            moved = _descend(solver, pt, grad, step, solver.dual,
+                             lambda vs_t, bound: solver.evaluate(vs_t, pt.alpha, pt.u, bound),
+                             lambda t: _grad_v(spec, t.vs, t.alpha, t.y))
+            if moved is None:
                 break  # no step moves x: stalled at this tolerance
-            grad_t = _grad_v(spec, trial.vs, trial.alpha, trial.y)
-            curvature = float(move @ (grad_t - grad))
-            step = float(move @ move) / curvature if curvature > 0.0 else 2.0 * step
-            pt, grad = trial, grad_t
+            pt, grad, step = moved
     except ConvergenceError as err:
-        failed = None if best[1] is None else solver.assemble(best[1], steps, converged=False)
+        failed = best[1] and solver.assemble(best[1], phase + steps, converged=False)
         raise ConvergenceError(f"relaxed solve at eps {eps:g}: {err}", best=failed,
                                residuals=err.residuals) from err
 
-    failed = solver.assemble(best[1], steps, converged=False)
+    failed = solver.assemble(best[1], phase + steps, converged=False)
     raise ConvergenceError(f"relaxed solve at eps {eps:g} stalled after {steps} x-steps "
                            f"(gap {failed.gap:.3e}, alpha {failed.alpha:.3e})",
                            best=failed, residuals=failed.residuals)

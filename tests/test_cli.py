@@ -236,11 +236,12 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
     # the per-level counts match an in-process run of the same path
     trace = invoc.run_path(load_problem(problem_file), eps0=1e-2, steps=6)
     header = rows[0]
-    for name in ("inner_iterations", "outer_iterations"):
+    limit = _read_json(run / "limit.json")
+    for name in ("inner_iterations", "value_iterations", "outer_iterations"):
         column = [int(row[header.index(name)]) for row in rows[1:]]
         assert column == [getattr(r.relaxed, name) for r in trace.records]
+        assert limit["work"][name] == sum(column)
     assert [row[header.index("start")] for row in rows[1:]] == ["cold"] + 6 * ["warm"]
-    limit = _read_json(run / "limit.json")
     assert limit["completed"] == 7
     assert limit["failure"] is None
     assert limit["limit"]
@@ -267,11 +268,11 @@ _RESULT_KEYS = {
     "lower_solution.json": {"x", "y", "u", "p", "lam", "kkt_residual", "iterations"},
     "relaxed_solution.json": {
         "eps", "x", "y", "u", "alpha", "z", "p", "lam", "upper_value", "gap",
-        "inner_iterations", "outer_iterations", "converged", "residuals",
+        "inner_iterations", "outer_iterations", "value_iterations", "converged", "residuals",
     },
     "limit.json": {
         "eps0", "ratio", "steps", "completed", "deep_enough", "multiplier_sup",
-        "multipliers_bounded", "warnings", "failure", "limit",
+        "multipliers_bounded", "warnings", "failure", "limit", "work",
     },
     "certificate.json": {"residuals", "classification", "tol", "active_sets"},
     "oracle.json": {"best_x", "best_value", "sample_count", "resolution", "lattice"},
@@ -599,7 +600,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert found == _OPTIONS
 
 
-def test_path_failure_exits_3_without_candidate(problem_file, tmp_path, monkeypatch):
+def test_path_failure_exits_3_without_candidate(tilted_problem_file, tmp_path, monkeypatch):
     real = invoc.path.solve_relaxed
 
     def flaky(spec, eps, **kwargs):
@@ -608,9 +609,9 @@ def test_path_failure_exits_3_without_candidate(problem_file, tmp_path, monkeypa
         return real(spec, eps, **kwargs)
 
     monkeypatch.setattr(invoc.path, "solve_relaxed", flaky)
-    # at ratio 0.25, level 1 is solved rather than carried over from level 0
+    # the tilted path binds from level 0 on, so level 1 is solved and fails
     rc = cli.main([
-        "path", "--problem", problem_file, "--out", str(tmp_path),
+        "path", "--problem", tilted_problem_file, "--out", str(tmp_path),
         "--eps0", "1e-2", "--ratio", "0.25", "--steps", "4",
     ])
     assert rc == 3

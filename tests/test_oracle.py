@@ -377,6 +377,64 @@ def test_superposed_rows_solve_their_own_equations_across_blocks(case, block, un
         assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_control_outside_the_bounds_reaches_the_kernel_when_the_targets_are_inside(
+        unit_spec, monkeypatch):
+    # a closed-form row has u = v = p/sigma in exact arithmetic, so a block
+    # whose targets all lie inside the bounds while a control does not
+    # arises only from roundoff.  Here it is made so: every row's u is set
+    # to its v, the cap to one float above the largest v, and that entry of
+    # its row to two floats above.  The block's check skips the projection
+    # and passes the row, and the per-row bound test sends it, alone, to
+    # the kernel
+    spec = _box(unit_spec)
+    real, blocks, calls, edit = invoc.oracle._target_rows, [], [], {}
+
+    def edited_rows(spec, X):
+        order, rows = real(spec, X)
+
+        def filled(start, Xb, buffers):
+            rows(start, Xb, buffers)
+            U, _, P = buffers
+            np.divide(P, spec.sigma, out=U)
+            if start in edit:
+                i, j, value = edit[start]
+                U[i, j] = value
+            blocks.append((start, Xb.copy(), U.copy()))
+        return order, filled
+
+    monkeypatch.setattr(invoc.oracle, "_target_rows", edited_rows)
+    grid_search(spec, 12)
+    start, Xb, V = max(blocks, key=lambda b: b[2].max())
+    i, j = np.unravel_index(np.argmax(V), V.shape)
+    cap = np.nextafter(V[i, j], np.inf)
+    spec = replace(spec, bounds=ControlBounds(ua=spec.bounds.ua,
+                                              ub=np.full(spec.grid.n_nodes, cap)))
+    edit[start] = (i, j, np.nextafter(cap, np.inf))
+    blocks.clear()
+    check, kernel, checked = invoc.oracle._projected_residual, invoc.oracle._solve_qp, []
+
+    def recorded(spec, qp, u, y, p, out=None):
+        v = p / spec.sigma  # before the check, which writes over p
+        checked.append((u.copy(), v, check(spec, qp, u, y, p, out=out)))
+        return checked[-1][2]
+
+    def counted(spec, qp, tol, warm):
+        calls.append(qp.c.tobytes())
+        return kernel(spec, qp, tol, warm)
+
+    monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
+    monkeypatch.setattr(invoc.oracle, "_solve_qp", counted)
+    result = grid_search(spec, 12, keep_samples=True)
+    bounds = spec.bounds
+    k = [b[0] for b in blocks].index(start)
+    u, v, residual = checked[k]
+    assert bounds.inside(v) and not bounds.inside(u) and residual[i] <= 1e-12
+    diff = u - np.minimum(bounds.ub, np.maximum(bounds.ua, v))
+    assert np.array_equal(residual, np.sqrt(spec.grid.h) * np.sqrt(invoc.model._row_dot(diff)))
+    assert calls == [lower_qp(spec, Xb[i]).c.tobytes()]
+    _assert_values_match_kernel(spec, result)
+
+
 @pytest.mark.parametrize("share, flags", [(0.9, {(True, True), (False, False)}),
                                           (1.0, {(True, True), (True, False)})])
 def test_block_wide_bound_test_matches_the_elementwise_one(share, flags, unit_spec, monkeypatch):

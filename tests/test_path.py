@@ -10,8 +10,12 @@ from numpy.testing import assert_allclose
 import invoc.relax
 import invoc.value
 from invoc import (
+    AdmissibleSetX,
+    ControlBounds,
+    LowerObjective,
     ProblemSpec,
     UpperObjective,
+    build_grid,
     classify,
     extract_candidate,
     make_default_problem,
@@ -24,6 +28,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 from invoc.path import _carry_over, _predict, _recombine
+from invoc.presets import plant
 from invoc.relax import _solves_level
 
 from conftest import make_bounded_spec, make_generated_spec, make_tilted_spec
@@ -172,8 +177,12 @@ def test_upper_values_nondecreasing_on_clean_run(unit_trace):
 def test_planted_local_minimum_switch_trips_the_sandwich_check(unit_spec, monkeypatch):
     # level 1 reports an upper value 1e-7 too high, as if the solver had
     # moved to another stationary point: F rises beyond alpha_1 (eps_0 - eps_1)
-    # and then falls from level 1 to 2, by far less than 1e-6 each way
+    # and then falls from level 1 to 2, by far less than 1e-6 each way.  The
+    # planted levels all end at alpha = 0 on x*, so each would be carried
+    # over from level 0; here every level is solved, by the gap's phase
     from invoc import path as path_mod
+
+    monkeypatch.setattr(path_mod, "_solves_level", lambda *args: False)
 
     real = path_mod.solve_relaxed
 
@@ -201,7 +210,7 @@ def test_extract_candidate_shapes(unit_trace):
     assert_allclose(point["u"], unit_trace.limit["u"])
 
 
-def test_failure_marker_keeps_partial_trace(unit_spec, monkeypatch):
+def test_failure_marker_keeps_partial_trace(tilted_spec, monkeypatch):
     from invoc import path as path_mod
 
     real = path_mod.solve_relaxed
@@ -212,9 +221,8 @@ def test_failure_marker_keeps_partial_trace(unit_spec, monkeypatch):
         return real(spec, eps, **kwargs)
 
     monkeypatch.setattr(path_mod, "solve_relaxed", flaky)
-    # level 0 leaves gap 3.9e-3, so at ratio 0.5 level 1 (eps 5e-3) would be
-    # carried over without a solve; at 0.25 it is solved, and fails
-    trace = run_path(unit_spec, eps0=1e-2, ratio=0.25, steps=4)
+    # the tilted path binds from level 0 on, so level 1 is solved, and fails
+    trace = run_path(tilted_spec, eps0=1e-2, ratio=0.25, steps=4)
     assert not trace.converged
     assert len(trace.records) == 1
     assert trace.failure["k"] == 1
@@ -331,12 +339,13 @@ def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
     tols = {"feas_tol": 1e-12, "stat_tol": 1e-7, "comp_tol": 1e-12}
     trace = run_path(spec, steps=40, **tols)
     assert trace.failure is None and len(trace.records) == 41
-    assert len(calls) == 1 + sum(r.relaxed.outer_iterations > 0 for r in trace.records)
+    assert calls == [r.eps for r in trace.records if r.relaxed.inner_iterations
+                     + r.relaxed.value_iterations + r.relaxed.outer_iterations > 0]
     carried = [r for r in trace.records if r.eps not in calls]
     assert carried
     for rec in carried:
         sol, prev = rec.relaxed, trace.records[rec.k - 1].relaxed
-        assert sol.inner_iterations == sol.outer_iterations == 0
+        assert sol.inner_iterations == sol.value_iterations == sol.outer_iterations == 0
         assert sol.x is not prev.x and sol.residuals is not prev.residuals
         again = relax.solve_relaxed(spec, rec.eps, warm=prev, **tols)
         for name in ("x", "y", "u", "p", "lam", "z"):
@@ -386,6 +395,109 @@ def test_paths_solve_the_alpha_zero_member_once(name, solves):
     trace = run_path(spec, **tols)
     assert trace.failure is None
     assert sum(r.relaxed.inner_iterations for r in trace.records) <= solves
+
+
+@pytest.mark.parametrize("name, total", [("generated64_deep", 4), ("bounded64", 82),
+                                         ("tilted63", 216)])
+def test_trace_work_sums_every_band_solve(name, total):
+    # a level's band solves are its u-subproblems' and its value samples',
+    # the predictor's included; with gamma = 0 the planted path minimises
+    # the convex gap at alpha = 0 and makes no multiplier search (51 band
+    # solves before), and the bounded one searches only where alpha > 0
+    # (162 before); the tilted path has gamma > 0 and is unchanged
+    spec, tols = _path_case(name)
+    trace = run_path(spec, **tols)
+    assert trace.failure is None
+    for field in ("inner_iterations", "value_iterations", "outer_iterations"):
+        assert trace.work[field] == sum(getattr(r.relaxed, field) for r in trace.records)
+    assert trace.work["inner_iterations"] + trace.work["value_iterations"] <= total
+
+
+def _planted(kind, box, n):
+    """An N = 16 instance planted at an interior x*, with n components of j."""
+    grid = build_grid(16)
+    w = grid.nodes
+    if kind == "target_type":
+        lower = LowerObjective(kind=kind, targets=np.stack(
+            [np.sin((i + 1) * np.pi * w) for i in range(n)]))
+    else:
+        lower = LowerObjective(kind=kind, points=(2, 6, 10)[:n], target=np.sin(np.pi * w))
+    x_set = (AdmissibleSetX(kind="box", n=n, lo=np.zeros(n), hi=np.ones(n)) if box
+             else AdmissibleSetX(kind="simplex", n=n))
+    zeros = np.zeros(16)
+    x_star = np.array((0.3, 0.7) if n == 2 else (0.2, 0.3, 0.5))
+    spec = ProblemSpec(grid=grid, sigma=1e-2, lower=lower,
+                       upper=UpperObjective(c_y=1.0, y_o=zeros, c_u=1.0, u_o=zeros),
+                       x_set=x_set, bounds=ControlBounds(ua=np.full(16, -50.0),
+                                                         ub=np.full(16, 50.0)))
+    return plant(spec, x_star), x_star
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("box", [False, True], ids=["simplex", "box"])
+@pytest.mark.parametrize("kind", ["target_type", "pointwise"])
+def test_planted_limits_land_on_x_star(kind, box, n):
+    # with gamma = 0 the gap G at the x-free control is convex and zero at
+    # x* alone, and the first level minimises it to the roundoff of its
+    # gradient, so every later level carries over and the limit is x*
+    spec, x_star = _planted(kind, box, n)
+    trace = run_path(spec)
+    assert trace.failure is None
+    assert all(r.relaxed.alpha == 0.0 for r in trace.records)
+    assert np.abs(trace.limit["x"] - x_star).max() <= 1e-10
+    assert trace.limit["upper_value"] <= 1e-20
+    assert trace.records[0].relaxed.outer_iterations > 0
+    assert trace.work["outer_iterations"] == trace.records[0].relaxed.outer_iterations
+
+
+def test_gap_phase_hands_over_where_alpha_zero_cannot_reach(monkeypatch):
+    # min G is 7.0e-5 on the bounded instance, so level 14 (eps 6.1e-5)
+    # cannot end at alpha = 0: at its predecessor's minimiser of G the
+    # Frank-Wolfe minorant proves it on that level's sample alone, and the
+    # multiplier search and x-loop end the level at alpha > 0
+    spec = make_bounded_spec(64)
+    trace = run_path(spec)
+    assert trace.failure is None
+    level = next(r for r in trace.records if r.relaxed.alpha > 0.0)
+    warm = trace.records[level.k - 1].relaxed
+    assert level.k == 14 and warm.alpha == 0.0 and warm.gap > level.eps + 1e-8
+    calls = []
+    sample, evaluate = invoc.relax.value_sample, invoc.relax._Solver.evaluate
+
+    def sampled(*args, **kwargs):
+        calls.append("sample")
+        return sample(*args, **kwargs)
+
+    def searched(self, *args, **kwargs):
+        calls.append("search")
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(invoc.relax, "value_sample", sampled)
+    monkeypatch.setattr(invoc.relax._Solver, "evaluate", searched)
+    sol = solve_relaxed(spec, level.eps, warm=warm)
+    assert calls[0] == "search"
+    assert sol.alpha > 0.0 and sol.x.tobytes() == level.relaxed.x.tobytes()
+
+
+def test_gamma_positive_paths_keep_their_work():
+    # with gamma > 0 F depends on x and no level minimises the gap: the
+    # counts and limits measured before that phase existed
+    cases = [
+        (make_tilted_spec(16),
+         [1, 0, 0, 0, 34, 22, 18, 7, 7, 7, 7, 7, 5, 5, 5, 5, 4, 2, 4, 2, 2],
+         [0, 0, 0, 0, 11, 5, 4, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 1, 0, 0],
+         [0.31852253270829145, 0.6814774672917085]),
+        (make_generated_spec(16, (0.3, 0.7), gamma=1e-3),
+         [1, 0, 0, 0, 0, 0, 30, 59, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5, 3, 3],
+         [0, 0, 0, 0, 0, 0, 10, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+         [0.3015678706746435, 0.6984321293253564]),
+    ]
+    for spec, inner, outer, x in cases:
+        trace = run_path(spec)
+        assert trace.failure is None
+        assert [r.relaxed.inner_iterations for r in trace.records] == inner
+        assert [r.relaxed.outer_iterations for r in trace.records] == outer
+        assert_allclose(trace.limit["x"], x, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["generated64_deep", "tilted63"])
@@ -471,10 +583,11 @@ def test_step_length_survives_carry_over(unit_trace):
     assert _carry_over(sol, 0.5 * sol.eps).step == 0.375
 
 
-def test_warm_step_length_only_with_a_positive_multiplier(unit_spec, tilted_spec, monkeypatch):
+def test_warm_step_length_only_with_a_positive_multiplier(tilted_spec, monkeypatch):
     # at alpha = 0 the last secant measured a V whose constraint was
     # inactive, so the first trial takes step length 1 whatever warm.step
-    # is; with alpha > 0 it takes warm.step
+    # is; with alpha > 0 it takes warm.step.  The tilted level at eps 0.1
+    # ends at alpha = 0, the one at 1e-2 at alpha > 0
     trials = []
     sample = invoc.relax.value_sample
 
@@ -484,7 +597,7 @@ def test_warm_step_length_only_with_a_positive_multiplier(unit_spec, tilted_spec
         return sample(spec, x, warm_start=warm_start)
 
     monkeypatch.setattr(invoc.relax, "value_sample", recorded)
-    for spec, eps, kept in ((unit_spec, 1e-2, False), (tilted_spec, 1e-2, True)):
+    for spec, eps, kept in ((tilted_spec, 0.1, False), (tilted_spec, 1e-2, True)):
         warm = solve_relaxed(spec, eps)
         assert (warm.alpha > 0.0) == kept
         runs = []

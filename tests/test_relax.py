@@ -274,12 +274,15 @@ def test_solution_carries_its_cold_value_sample(tilted_spec, tilted_sol):
 @pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
 def test_warm_sample_never_changes_the_result(unit_spec, name, request):
     # the first two share unit_spec's lower problem, so its sample is reused;
-    # it fails the fixed-point check on the other two, which sample afresh
+    # it fails the fixed-point check on the other two, which sample afresh.
+    # The bare start's result is the same bitwise but for that sample's count
     spec = request.getfixturevalue(name)
     warm = solve_relaxed(unit_spec, eps=1e-3)
     bare = dataclasses.replace(warm, sample=None)
-    assert _bits(solve_relaxed(spec, eps=5e-4, warm=warm)) == _bits(
-        solve_relaxed(spec, eps=5e-4, warm=bare))
+    sol, fresh = solve_relaxed(spec, eps=5e-4, warm=warm), solve_relaxed(spec, eps=5e-4, warm=bare)
+    assert sol.value_iterations <= fresh.value_iterations
+    assert _bits(dataclasses.replace(sol, value_iterations=0)) == _bits(
+        dataclasses.replace(fresh, value_iterations=0))
 
 
 @pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
@@ -296,6 +299,23 @@ def test_warm_member_is_reused_on_its_own_spec_only(unit_spec, name, request):
     if spec is unit_spec:
         assert sol.inner_iterations < fresh.inner_iterations
         sol, fresh = (dataclasses.replace(s, inner_iterations=0, member=None) for s in (sol, fresh))
+    assert _bits(sol) == _bits(fresh)
+
+
+@pytest.mark.parametrize("name", ["unit_spec", "box_unit_spec", "bounded_spec"])
+def test_gap_phase_levels_do_not_depend_on_the_member(name, request):
+    # with gamma = 0 a start at alpha = 0 minimises the gap at the x-free
+    # control u0; solving u0 afresh from the start's u gives it bitwise, so a
+    # start with its member and one without reach the same level
+    spec = request.getfixturevalue(name)
+    warm = solve_relaxed(spec, eps=1e-2)
+    assert warm.alpha == 0.0 and warm.member[1] is not None
+    start = dataclasses.replace(warm, x=np.array([0.9, 0.1]))
+    sol = solve_relaxed(spec, eps=5e-3, warm=start)
+    fresh = solve_relaxed(spec, eps=5e-3, warm=dataclasses.replace(start, member=None))
+    assert sol.alpha == 0.0 and sol.outer_iterations > 0
+    assert sol.inner_iterations < fresh.inner_iterations
+    sol, fresh = (dataclasses.replace(s, inner_iterations=0, member=None) for s in (sol, fresh))
     assert _bits(sol) == _bits(fresh)
 
 
@@ -460,11 +480,15 @@ def test_gap_slope_matches_finite_difference(name, request):
 def test_early_exit_changes_no_decision(name, request):
     # a search stopped once its dual value exceeds the Armijo threshold
     # rejects exactly the trials the full search rejects: by weak duality
-    # the dual value at any alpha is at most the one at the root
+    # the dual value at any alpha is at most the one at the root.  With
+    # gamma = 0 the bounded level at eps 1e-4 ends at alpha = 0, so it
+    # takes gamma 1e-3 to keep its bound binding at alpha > 0
     if name == "gamma":
         spec = make_generated_spec(32, (0.25, 0.75), gamma=1e-3)
     else:
         spec = request.getfixturevalue(name)
+    if name == "bounded_spec":
+        spec = dataclasses.replace(spec, upper=dataclasses.replace(spec.upper, gamma=1e-3))
     eps = 1e-4
     sol = solve_relaxed(spec, eps)
     assert sol.alpha > 0.0
