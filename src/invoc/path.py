@@ -11,14 +11,15 @@ recombines the relaxed multipliers into the limiting tuple
 
 whose limits certify stationarity of the bilevel candidate.  The feasible
 sets shrink as eps falls, so a level that ends at alpha = 0 with gap at most
-the next eps also solves the next level, which copies it and its multipliers;
-with gamma = 0 such a level minimises its gap, so a planted path lands on x*.
+the next eps also solves the next level, which copies it and its multipliers:
+at alpha = 0 grad V = grad_x F does not depend on eps, so x stays stationary.
+With gamma = 0 such a level minimises its gap, so a planted path lands on x*.
 Where the constraint binds, the path is smooth in sqrt(eps): x_k - x_lim
 and 1/alpha_k are both about proportional to sqrt(eps_k).  So a level whose
 two predecessors both end at alpha > 0 starts from their extrapolation, a
-predictor that solve_relaxed corrects (Allgower and Georg, Numerical
-Continuation Methods, 1990).  Each level is solved once, and a level that
-fails ends the path.
+predictor that solve_relaxed projects, samples and corrects (Allgower and
+Georg, Numerical Continuation Methods, 1990).  Each level is solved once,
+and a level that fails ends the path.
 Convergence of the whole sequence is not guaranteed, only subsequential
 convergence, so the trace's limit reports the last step's Cauchy
 diagnostics, cauchy_dx and cauchy_du, instead of asserting a limit.
@@ -37,8 +38,8 @@ import numpy as np
 from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, _integer, _positive
 from .model import ProblemSpec
-from .relax import RelaxedSolution, _solves_level, solve_relaxed
-from .value import value_sample
+from .relax import RelaxedSolution, solve_relaxed
+from .value import value_sample  # noqa: F401  (a binding site that bench/test_bench.py checks)
 
 @dataclass(eq=False)
 class PathStep:
@@ -97,24 +98,26 @@ def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
     )
 
 
-def _predict(spec: ProblemSpec, a: RelaxedSolution, b: RelaxedSolution,
-             eps: float) -> RelaxedSolution:
+def _carries(sol: RelaxedSolution, eps: float) -> bool:
+    """Whether sol, solved at a larger eps, also solves the level eps."""
+    return sol.alpha == 0.0 and sol.gap <= eps
+
+
+def _predict(a: RelaxedSolution, b: RelaxedSolution, eps: float) -> RelaxedSolution:
     """The start at level eps extrapolated from the solved levels a and b.
 
-    x is linear in sqrt(eps) through x_a and x_b, projected onto X_ad, and
-    log alpha linear in log eps through alpha_a and alpha_b, capped at
-    alpha_b eps_b / eps: with F bounded, the weak duality that _finalize
-    checks lets alpha grow at most like 1/eps, and a steeper fit comes from
-    an alpha_a that has only just turned positive.  u, the step length and
-    the other fields are b's.  The start carries the value sample at its x,
-    which solve_relaxed takes over.
+    x is linear in sqrt(eps) through x_a and x_b, and log alpha linear in
+    log eps through alpha_a and alpha_b, capped at alpha_b eps_b / eps: with
+    F bounded, the weak duality that _finalize checks lets alpha grow at
+    most like 1/eps, and a steeper fit comes from an alpha_a that has only
+    just turned positive.  u, the step length, the value sample and the
+    other fields are b's; solve_relaxed projects x onto X_ad and samples it
+    afresh, warm-started from b's sample.
     """
     ra, rb = math.sqrt(a.eps), math.sqrt(b.eps)
-    x = spec.x_set.project(b.x + (math.sqrt(eps) - rb) / (rb - ra) * (b.x - a.x))
     power = math.log(eps / b.eps) / math.log(b.eps / a.eps)
     alpha = b.alpha * min((b.alpha / a.alpha) ** power, b.eps / eps)
-    return replace(b, x=x, alpha=alpha,
-                   sample=value_sample(spec, x, warm_start=b.sample.lower.u))
+    return replace(b, x=b.x + (math.sqrt(eps) - rb) / (rb - ra) * (b.x - a.x), alpha=alpha)
 
 
 def run_path(
@@ -130,10 +133,10 @@ def run_path(
 
     Each solve is warm-started from the previous level's x, alpha, u and value
     sample, and solved to the given tolerances.  A level that the previous
-    one already solves (alpha = 0, gap <= eps_k, x stationary to stat_tol)
-    is recorded as a copy of it, with zero iterations.  A level whose two
-    predecessors both end at alpha > 0 starts instead from their
-    extrapolation to eps_k (x linear in sqrt(eps), log alpha in log eps).
+    one already solves (alpha = 0 and gap <= eps_k) is recorded as a copy of
+    it, with zero iterations.  A level whose two predecessors both end at
+    alpha > 0 starts instead from their extrapolation to eps_k (x linear in
+    sqrt(eps), log alpha in log eps).
     Each record names its start: cold, warm or predicted.  A failed level,
     from any start, aborts the path but returns the partial trace with a
     failure marker, so callers can inspect how far the continuation got.
@@ -146,32 +149,22 @@ def run_path(
     # the last two levels: their solutions are all the predictor reads
     prev: RelaxedSolution | None = None
     warm: RelaxedSolution | None = None
-    carried = False  # warm was carried over, so only its gap can fail the next level
     for k in range(steps + 1):
         eps_k = eps0 * ratio**k
-        start = "cold" if warm is None else "warm"
-        try:
-            if carried := warm is not None and (
-                    warm.gap <= eps_k if carried else _solves_level(spec, warm, eps_k, stat_tol)):
-                sol = _carry_over(warm, eps_k)
-            elif prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
-                start, guess = "predicted", _predict(spec, prev, warm, eps_k)
-                sol = solve_relaxed(spec, eps_k, warm=guess, **tols)
-                sol.value_iterations += guess.sample.lower.iterations  # the predictor's sample
-            else:
-                sol = solve_relaxed(spec, eps_k, warm=warm, **tols)
-        except ConvergenceError as err:
-            trace.failure = {
-                "k": k,
-                "eps": eps_k,
-                "message": str(err),
-                "residuals": dict(err.residuals or {}),
-            }
-            break
-        if carried:  # rec is still the predecessor's record, whose multipliers hold here
+        start, guess = ("cold" if warm is None else "warm"), warm
+        if warm is not None and _carries(warm, eps_k):
+            sol = _carry_over(warm, eps_k)  # rec is still warm's record, whose multipliers hold
             rec = replace(rec, k=k, eps=eps_k, relaxed=sol, start=start, mu=rec.mu.copy(),
                           w=rec.w.copy(), rho=rec.rho.copy(), xi=rec.xi.copy())
         else:
+            if prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
+                start, guess = "predicted", _predict(prev, warm, eps_k)
+            try:
+                sol = solve_relaxed(spec, eps_k, warm=guess, **tols)
+            except ConvergenceError as err:
+                trace.failure = {"k": k, "eps": eps_k, "message": str(err),
+                                 "residuals": dict(err.residuals or {})}
+                break
             rec = _recombine(spec, k, sol, start)
             trace.multiplier_sup = max(trace.multiplier_sup, sol.alpha, *(
                 norm(spec.grid, v) for v in (rec.mu, rec.w, rec.rho, rec.xi)))

@@ -63,8 +63,9 @@ class RelaxedSolution:
     solve made, and outer_iterations the accepted x-steps; all are 0 on a
     level that run_path took over from its predecessor without solving it.
     sample is the value sample x was accepted with, which the residuals are
-    taken about; it equals a cold sample at x bitwise but for lower.iterations.  step is the x-loop's next Barzilai-Borwein step length,
-    where a warm start with alpha > 0 begins.
+    taken about; it equals a cold sample at x bitwise but for
+    lower.iterations.  step is the x-loop's next Barzilai-Borwein step
+    length, where a warm start with alpha > 0 begins.
     y, p and lam are the u-subproblem's state, adjoint and bound multiplier
     at (x, alpha, u); the residuals read only x, u, alpha and eps.  member is
     (spec, the last alpha = 0 point or None), reused by warm starts on spec.
@@ -280,22 +281,6 @@ def _stationarity(x_set, x: np.ndarray, grad: np.ndarray) -> float:
     return float(np.linalg.norm(x - x_set.project(x - grad)))
 
 
-def _solves_level(spec: ProblemSpec, sol: RelaxedSolution, eps: float,
-                  stat_tol: float) -> bool:
-    """Whether sol, solved on spec at a larger eps, also solves the level eps.
-
-    The feasible set only shrinks as eps falls, so a point with alpha = 0
-    stays a KKT point while its gap is at most eps.  These are the tests
-    solve_relaxed warm-started from sol would pass at once: x is its own
-    projection, the alpha = 0 exit of _Solver.evaluate, and the x-loop's
-    stationarity test with grad V = -z.  Complementarity is 0 at alpha = 0.
-    """
-    x = sol.x
-    return (sol.alpha == 0.0 and sol.gap <= eps
-            and spec.x_set.project(x).tobytes() == x.tobytes()
-            and _stationarity(spec.x_set, x, -sol.z) <= stat_tol)
-
-
 def solve_relaxed(
     spec: ProblemSpec,
     eps: float,
@@ -314,10 +299,12 @@ def solve_relaxed(
     With gamma = 0 a start at alpha = 0 first minimises the gap G at the
     x-free control (module docstring); outer_iterations counts its steps too.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
-    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, alpha, u,
-    its value sample at the same x bitwise, and on the same spec object its
-    member; a sample from another spec must pass the kernel's fixed-point
-    check on spec.
+    ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, projected
+    onto X_ad, alpha, u, and on the same spec object its member.  Its value
+    sample is taken over where it was made at that x bitwise, on spec or
+    passing the kernel's fixed-point check there; else the start samples x
+    afresh, warm-started from the sample's control, and counts that sample
+    in value_iterations.
     ConvergenceError carries as best the best accepted point, with converged
     False and the whole solve's counts, or None if a kernel failure comes
     before the first; a kernel failure keeps its residuals.
@@ -346,7 +333,7 @@ def solve_relaxed(
         if vs is None or x.tobytes() != vs.x.tobytes() or not (
                 solver.member is warm.member  # the sample was made on spec, so it passes
                 or _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
-            vs = value_sample(spec, x)
+            vs = value_sample(spec, x, warm_start=vs and vs.lower.u)
             solver.sampled = vs.lower.iterations
         if alpha == 0.0 and spec.upper.gamma == 0.0:
             # G first (module docstring); where F ignores u, G is 0 at the start

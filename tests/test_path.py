@@ -29,7 +29,6 @@ from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
 from invoc.path import _carry_over, _predict, _recombine
 from invoc.presets import plant
-from invoc.relax import _solves_level
 
 from conftest import make_bounded_spec, make_generated_spec, make_tilted_spec
 from util_dense import (
@@ -182,7 +181,7 @@ def test_planted_local_minimum_switch_trips_the_sandwich_check(unit_spec, monkey
     # over from level 0; here every level is solved, by the gap's phase
     from invoc import path as path_mod
 
-    monkeypatch.setattr(path_mod, "_solves_level", lambda *args: False)
+    monkeypatch.setattr(path_mod, "_carries", lambda *args: False)
 
     real = path_mod.solve_relaxed
 
@@ -322,9 +321,9 @@ def test_every_level_keeps_a_cold_exact_sample(name, request):
 
 
 def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
-    # a level whose predecessor ends at alpha = 0 with gap <= eps and a
-    # stationary x is recorded without a solve; solving it anyway from that
-    # predecessor gives back the same point bitwise
+    # a level whose predecessor ends at alpha = 0 with gap <= eps, where its
+    # x stays stationary, is recorded without a solve; solving it anyway
+    # from that predecessor gives back the same point bitwise
     from invoc import path as path_mod
     from invoc import relax
 
@@ -384,32 +383,23 @@ def _path_case(name):
     return (make_bounded_spec(64) if name == "bounded64" else make_tilted_spec(63)), {}
 
 
-@pytest.mark.parametrize("name, solves", [("generated64_deep", 37), ("bounded64", 110),
-                                          ("tilted63", 143)])
-def test_paths_solve_the_alpha_zero_member_once(name, solves):
-    # the alpha = 0 u-subproblem does not depend on x, so a path solves it
-    # once and a level that restarts at alpha = 0 from its predecessor's
-    # sample reuses its tangent and gap too; solving it at every x took
-    # 51, 121 and 172 band solves on these paths
-    spec, tols = _path_case(name)
-    trace = run_path(spec, **tols)
-    assert trace.failure is None
-    assert sum(r.relaxed.inner_iterations for r in trace.records) <= solves
-
-
 @pytest.mark.parametrize("name, total", [("generated64_deep", 4), ("bounded64", 82),
                                          ("tilted63", 216)])
 def test_trace_work_sums_every_band_solve(name, total):
-    # a level's band solves are its u-subproblems' and its value samples',
-    # the predictor's included; with gamma = 0 the planted path minimises
-    # the convex gap at alpha = 0 and makes no multiplier search (51 band
-    # solves before), and the bounded one searches only where alpha > 0
-    # (162 before); the tilted path has gamma > 0 and is unchanged
+    # a level's band solves are its u-subproblems' (inner) and its value
+    # samples', a predicted start's included.  A path solves the x-free
+    # alpha = 0 u-subproblem once.  With gamma = 0 the planted path
+    # minimises the convex gap at alpha = 0 with no multiplier search; the
+    # bounded path's binding bound holds alpha > 0 from level 1 on, where
+    # its multiplier searches make 53 inner solves; the tilted path has
+    # gamma > 0
+    levels, inner = {"generated64_deep": (41, 37), "bounded64": (21, 110), "tilted63": (21, 143)}[name]
     spec, tols = _path_case(name)
     trace = run_path(spec, **tols)
-    assert trace.failure is None
+    assert trace.failure is None and len(trace.records) == levels
     for field in ("inner_iterations", "value_iterations", "outer_iterations"):
         assert trace.work[field] == sum(getattr(r.relaxed, field) for r in trace.records)
+    assert trace.work["inner_iterations"] <= inner
     assert trace.work["inner_iterations"] + trace.work["value_iterations"] <= total
 
 
@@ -559,12 +549,14 @@ def test_gamma_path_within_its_work_budget():
         assert sum(r.relaxed.inner_iterations for r in trace.records) <= budget, gamma
 
 
-def test_bound_path_within_its_work_budget():
-    # the binding bound holds alpha > 0 from level 1 on; the multiplier
-    # searches take 121 band solves here, 155 with Newton on log gap
-    trace = run_path(make_bounded_spec(64))
+@pytest.mark.xfail(strict=True, reason="stalls at eps 2^-6 on a smooth piece (ROADMAP item 4)")
+def test_box_path_with_gamma_completes():
+    # the planted box instance with gamma = 1e-3 completes at N = 16, but at
+    # N = 32 and 64 the x-loop stalls after 200 x-steps at k = 6 with
+    # alpha about 3e-3, where no control bound is active
+    box = AdmissibleSetX(kind="box", n=2, lo=np.zeros(2), hi=np.ones(2))
+    trace = run_path(make_generated_spec(32, (0.3, 0.7), x_set=box, gamma=1e-3))
     assert trace.failure is None and len(trace.records) == 21
-    assert sum(r.relaxed.inner_iterations for r in trace.records) <= 130
 
 
 def test_predictor_caps_alpha_growth_at_the_inverse_eps_rate(tilted_spec):
@@ -574,7 +566,7 @@ def test_predictor_caps_alpha_growth_at_the_inverse_eps_rate(tilted_spec):
     assert b.alpha > 0.0
     for ratio, want in ((1e-6, 2.0), (1.0 / 1.2, 1.2)):
         a = replace(b, eps=2e-2, alpha=ratio * b.alpha)
-        start = _predict(tilted_spec, a, b, 5e-3)
+        start = _predict(a, b, 5e-3)
         assert start.alpha == pytest.approx(want * b.alpha, rel=1e-12)
 
 
@@ -621,7 +613,7 @@ def _reference_path(spec, steps=20, **tols):
     sols, warm = [], None
     for k in range(steps + 1):
         eps = 0.5**k
-        if warm is not None and _solves_level(spec, warm, eps, tols["stat_tol"]):
+        if warm is not None and warm.alpha == 0.0 and warm.gap <= eps:
             warm = _carry_over(warm, eps)
         else:
             warm = solve_relaxed(spec, eps, warm=warm, **tols)

@@ -24,7 +24,7 @@ from invoc import (
 )
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DimensionError, DomainError, ValidationError
-from invoc.lower import _band_solve, _solve_qp, _tangent, lower_qp
+from invoc.lower import LowerSolution, _band_solve, _solve_qp, _tangent, lower_qp
 from invoc.relax import _member, _newton, _Point, _Solver
 from invoc.value import lower_objective_value, value_sample
 
@@ -253,14 +253,17 @@ def test_warm_and_cold_agree(unit_spec):
     assert abs(cold.upper_value - warm.upper_value) <= 1e-6
 
 
-def _bits(record):
-    """A record's fields as bytes, recursively, for bitwise comparison."""
+def _bits(record, counts=True):
+    """A record's fields as bytes, recursively, for bitwise comparison;
+    counts=False leaves out the lower solutions' iterations, which depend
+    on their warm start."""
     if dataclasses.is_dataclass(record):
-        return tuple(_bits(getattr(record, f.name)) for f in dataclasses.fields(record))
+        return tuple(_bits(getattr(record, f.name), counts) for f in dataclasses.fields(record)
+                     if counts or not (isinstance(record, LowerSolution) and f.name == "iterations"))
     if isinstance(record, dict):
-        return tuple((k, _bits(v)) for k, v in sorted(record.items()))
+        return tuple((k, _bits(v, counts)) for k, v in sorted(record.items()))
     if isinstance(record, tuple):  # the carried member and its kernel solution
-        return tuple(_bits(v) for v in record)
+        return tuple(_bits(v, counts) for v in record)
     return None if record is None else np.asarray(record).tobytes()
 
 
@@ -274,15 +277,36 @@ def test_solution_carries_its_cold_value_sample(tilted_spec, tilted_sol):
 @pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
 def test_warm_sample_never_changes_the_result(unit_spec, name, request):
     # the first two share unit_spec's lower problem, so its sample is reused;
-    # it fails the fixed-point check on the other two, which sample afresh.
-    # The bare start's result is the same bitwise but for that sample's count
+    # it fails the fixed-point check on the other two, which sample afresh,
+    # warm-started from it.  The bare start's result is the same bitwise but
+    # for the samples' counts
     spec = request.getfixturevalue(name)
     warm = solve_relaxed(unit_spec, eps=1e-3)
     bare = dataclasses.replace(warm, sample=None)
     sol, fresh = solve_relaxed(spec, eps=5e-4, warm=warm), solve_relaxed(spec, eps=5e-4, warm=bare)
     assert sol.value_iterations <= fresh.value_iterations
-    assert _bits(dataclasses.replace(sol, value_iterations=0)) == _bits(
-        dataclasses.replace(fresh, value_iterations=0))
+    assert _bits(dataclasses.replace(sol, value_iterations=0), counts=False) == _bits(
+        dataclasses.replace(fresh, value_iterations=0), counts=False)
+
+
+def test_a_start_away_from_its_sample_samples_once_from_its_control(tilted_spec, monkeypatch):
+    # a start whose x is not its sample's, as a predicted one, gets one fresh
+    # sample at its projected x, warm-started from the old sample's control,
+    # and value_iterations counts that sample's band solves with the trials'
+    warm = solve_relaxed(tilted_spec, eps=1e-2)
+    start = dataclasses.replace(warm, x=warm.x + np.array([0.05, -0.05]))
+    calls, sample = [], invoc.relax.value_sample
+
+    def spied(spec, x, warm_start=None):
+        calls.append((np.asarray(x).tobytes(), warm_start, sample(spec, x, warm_start=warm_start)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(invoc.relax, "value_sample", spied)
+    sol = solve_relaxed(tilted_spec, eps=5e-3, warm=start)
+    x0 = tilted_spec.x_set.project(start.x).tobytes()
+    assert [c[0] for c in calls].count(x0) == 1 and calls[0][0] == x0
+    assert calls[0][1] is warm.sample.lower.u and calls[0][2].lower.iterations > 0
+    assert sol.value_iterations == sum(c[2].lower.iterations for c in calls)
 
 
 @pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
