@@ -408,17 +408,22 @@ class ProblemSpec:
         return self.x_set.n
 
 
-_TOP_KEYS = {
-    "grid", "sigma", "lower_objective", "upper_objective",
-    "x_ad", "u_bounds", "tolerances", "metadata",
+_KEYS = {  # the problem's keys with their blocks' keys; sigma is a number, metadata free-form
+    "grid": {"N"}, "sigma": None, "lower_objective": {"kind", "targets", "points", "target"},
+    "upper_objective": {"c_y", "y_o", "c_u", "u_o", "gamma"}, "x_ad": {"kind", "bounds"},
+    "u_bounds": {"ua", "ub", "allow_infinite"}, "tolerances": {"solver_tol", "active_tol"},
+    "metadata": None,
 }
 
 
 def _block(data: dict, key: str) -> dict:
-    """data[key], which must be an object; an absent key gives an empty one."""
+    """data[key], an object of its block's keys; an absent key gives an empty one."""
     block = data.get(key, {})
     if not isinstance(block, dict):
         raise ValidationError(f"{key} must be an object, got {block!r}")
+    unknown = set(block) - (_KEYS[key] or set(block))
+    if unknown:
+        raise ValidationError(f"unknown {key} keys: {sorted(unknown)}")
     return block
 
 
@@ -431,13 +436,14 @@ def _numbers(value, name: str) -> np.ndarray:
 def problem_from_dict(data: dict) -> ProblemSpec:
     """Build a validated ProblemSpec from the JSON configuration schema.
 
-    Every malformed field raises ValidationError: a block that is not an
-    object, a scalar that is not a number, a node count or measurement node
-    that is not an integer, a flag that is not true or false.
+    Every malformed field raises ValidationError: a key that its block does
+    not have (metadata takes any), a block that is not an object, a scalar
+    that is not a number, a node count or measurement node that is not an
+    integer, a flag that is not true or false.
     """
     if not isinstance(data, dict):
         raise ValidationError("problem description must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - set(_KEYS)
     if unknown:
         raise ValidationError(f"unknown problem keys: {sorted(unknown)}")
     for key in ("grid", "sigma", "lower_objective", "upper_objective", "x_ad", "u_bounds"):
@@ -483,8 +489,8 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         x_set = AdmissibleSetX(kind="simplex", n=lower.n)
     elif xkind == "box":
         bb = xad.get("bounds")
-        if not isinstance(bb, dict) or "lo" not in bb or "hi" not in bb:
-            raise ValidationError("box x_ad needs bounds with 'lo' and 'hi'")
+        if not isinstance(bb, dict) or set(bb) != {"lo", "hi"}:
+            raise ValidationError("box x_ad needs bounds with 'lo' and 'hi' and no other key")
         x_set = AdmissibleSetX(
             kind="box", n=lower.n,
             lo=_numbers(bb["lo"], "x_ad.bounds.lo"),

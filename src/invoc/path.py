@@ -11,7 +11,7 @@ recombines the relaxed multipliers into the limiting tuple
 
 whose limits certify stationarity of the bilevel candidate.  The feasible
 sets shrink as eps falls, so a level that ends at alpha = 0 with gap at most
-the next eps also solves the next level, which copies it and its multipliers:
+the next eps also solves the next level, which is carried with its solution:
 at alpha = 0 grad V = grad_x F does not depend on eps, so x stays stationary.
 With gamma = 0 such a level minimises its gap, so a planted path lands on x*.
 Where the constraint binds, the path is smooth in sqrt(eps): x_k - x_lim
@@ -41,10 +41,13 @@ from .model import ProblemSpec
 from .relax import RelaxedSolution, solve_relaxed
 from .value import value_sample  # noqa: F401  (a binding site that bench/test_bench.py checks)
 
+_COUNTS = ("inner_iterations", "value_iterations", "outer_iterations")  # trace.work's, in order
+
 @dataclass(eq=False)
 class PathStep:
     """One relaxation level: the relaxed iterate, whose value sample holds
-    its exact lower-level companion, and the recombined multipliers."""
+    its exact lower-level companion, and the recombined multipliers, which a
+    carried level shares with the level that solved it, eps and counts too."""
 
     k: int
     eps: float
@@ -54,7 +57,7 @@ class PathStep:
     rho: np.ndarray
     xi: np.ndarray
     du_lower: float  # ||u_k - psi_u(x_k)||, controls the feasibility bound
-    start: str  # the level's start: cold, warm or predicted
+    start: str  # the level's start: cold, warm, predicted or carried
 
 
 @dataclass(eq=False)
@@ -71,7 +74,7 @@ class PathTrace:
     multipliers_bounded: bool = True
     multiplier_sup: float = 0.0
     warnings: list[str] = field(default_factory=list)
-    work: dict = field(default_factory=dict)  # the records' summed counts, by name
+    work: dict = field(default_factory=dict)  # the solved levels' and failure["work"]'s counts
 
     @property
     def converged(self) -> bool:
@@ -85,21 +88,12 @@ def _recombine(spec: ProblemSpec, k: int, sol: RelaxedSolution, start: str) -> P
                     du_lower=norm(spec.grid, sol.u - low.u), start=start)
 
 
-def _carry_over(sol: RelaxedSolution, eps: float) -> RelaxedSolution:
-    """sol recorded at the level eps that it also solves, with no iterations.
+def _carries(sol: RelaxedSolution, eps: float) -> bool:
+    """Whether sol, solved at a larger eps, also solves the level eps.
 
     Its residuals hold unchanged: they check (x, alpha, u), and of them only
     comp = |alpha (eps - gap)| depends on eps, and it is 0 at alpha = 0.
     """
-    return replace(
-        sol, eps=eps, x=sol.x.copy(), y=sol.y.copy(), u=sol.u.copy(),
-        z=sol.z.copy(), p=sol.p.copy(), lam=sol.lam.copy(),
-        inner_iterations=0, outer_iterations=0, value_iterations=0, residuals=dict(sol.residuals),
-    )
-
-
-def _carries(sol: RelaxedSolution, eps: float) -> bool:
-    """Whether sol, solved at a larger eps, also solves the level eps."""
     return sol.alpha == 0.0 and sol.gap <= eps
 
 
@@ -133,13 +127,13 @@ def run_path(
 
     Each solve is warm-started from the previous level's x, alpha, u and value
     sample, and solved to the given tolerances.  A level that the previous
-    one already solves (alpha = 0 and gap <= eps_k) is recorded as a copy of
-    it, with zero iterations.  A level whose two predecessors both end at
-    alpha > 0 starts instead from their extrapolation to eps_k (x linear in
-    sqrt(eps), log alpha in log eps).
-    Each record names its start: cold, warm or predicted.  A failed level,
-    from any start, aborts the path but returns the partial trace with a
-    failure marker, so callers can inspect how far the continuation got.
+    one already solves (alpha = 0 and gap <= eps_k) is carried: its record
+    keeps the previous one's solution.  A level whose two predecessors both
+    end at alpha > 0 starts instead from their extrapolation to eps_k (x
+    linear in sqrt(eps), log alpha in log eps).  Each record names its start:
+    cold, warm, predicted or carried.  A failed level, from any start, aborts
+    the path but returns the partial trace with a failure marker and its
+    work, so callers can inspect how far the continuation got.
     """
     eps0, ratio = _positive(eps0, "eps0"), _positive(ratio, "ratio", 1.0)
     steps = _integer(steps, "steps", 2)
@@ -151,12 +145,10 @@ def run_path(
     warm: RelaxedSolution | None = None
     for k in range(steps + 1):
         eps_k = eps0 * ratio**k
-        start, guess = ("cold" if warm is None else "warm"), warm
         if warm is not None and _carries(warm, eps_k):
-            sol = _carry_over(warm, eps_k)  # rec is still warm's record, whose multipliers hold
-            rec = replace(rec, k=k, eps=eps_k, relaxed=sol, start=start, mu=rec.mu.copy(),
-                          w=rec.w.copy(), rho=rec.rho.copy(), xi=rec.xi.copy())
+            rec = replace(rec, k=k, eps=eps_k, start="carried")  # rec is still warm's record
         else:
+            start, guess = ("cold" if warm is None else "warm"), warm
             if prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
                 start, guess = "predicted", _predict(prev, warm, eps_k)
             try:
@@ -164,12 +156,14 @@ def run_path(
             except ConvergenceError as err:
                 trace.failure = {"k": k, "eps": eps_k, "message": str(err),
                                  "residuals": dict(err.residuals or {})}
+                if err.best is not None:
+                    trace.failure["work"] = {name: getattr(err.best, name) for name in _COUNTS}
                 break
             rec = _recombine(spec, k, sol, start)
             trace.multiplier_sup = max(trace.multiplier_sup, sol.alpha, *(
                 norm(spec.grid, v) for v in (rec.mu, rec.w, rec.rho, rec.xi)))
         trace.records.append(rec)
-        prev, warm = warm, sol
+        prev, warm = warm, rec.relaxed
 
     _finalize(spec, trace)
     return trace
@@ -177,8 +171,9 @@ def run_path(
 
 def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
     recs = trace.records
-    trace.work = {name: sum(getattr(r.relaxed, name) for r in recs)
-                  for name in ("inner_iterations", "value_iterations", "outer_iterations")}
+    failed = (trace.failure or {}).get("work", {})
+    trace.work = {name: failed.get(name, 0) + sum(
+        getattr(r.relaxed, name) for r in recs if r.start != "carried") for name in _COUNTS}
     if not recs:
         return
     last = recs[-1]
@@ -215,20 +210,10 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
     if trace.failure is None:  # then the path has all steps + 1 >= 3 levels
         low, prev = last.relaxed.sample.lower, recs[-2].relaxed
         trace.limit = {
-            "x": last.relaxed.x,
-            "y": low.y,
-            "u": low.u,
-            "z": last.relaxed.z,
-            "mu": last.mu,
-            "w": last.w,
-            "rho": last.rho,
-            "xi": last.xi,
-            "p": low.p,
-            "lam": low.lam,
+            "x": last.relaxed.x, "y": low.y, "u": low.u, "z": last.relaxed.z,
+            "mu": last.mu, "w": last.w, "rho": last.rho, "xi": last.xi, "p": low.p, "lam": low.lam,
             "eps_final": eps_last,
-            "upper_value": float(
-                spec.upper.value(spec.grid, last.relaxed.x, low.y, low.u)
-            ),
+            "upper_value": float(spec.upper.value(spec.grid, last.relaxed.x, low.y, low.u)),
             "cauchy_dx": float(np.linalg.norm(last.relaxed.x - prev.x)),
             "cauchy_du": norm(spec.grid, last.relaxed.u - prev.u),
         }
@@ -257,21 +242,14 @@ def extract_candidate(trace: PathTrace) -> tuple[dict, dict]:
 
 
 def trace_rows(trace: PathTrace) -> list[dict]:
-    """Flat per-step records for CSV export."""
+    """Flat per-step records for CSV export, with 0 counts on carried levels."""
     rows = []
     for r in trace.records:
-        row = {
-            "k": r.k,
-            "eps": r.eps,
-            "upper_value": r.relaxed.upper_value,
-            "gap": r.relaxed.gap,
-            "alpha": r.relaxed.alpha,
-            "du_lower": r.du_lower,
-            "inner_iterations": r.relaxed.inner_iterations,
-            "outer_iterations": r.relaxed.outer_iterations,
-            "value_iterations": r.relaxed.value_iterations,
-            "start": r.start,
-        }
+        row = {"k": r.k, "eps": r.eps, "upper_value": r.relaxed.upper_value,
+               "gap": r.relaxed.gap, "alpha": r.relaxed.alpha, "du_lower": r.du_lower}
+        for name in ("inner_iterations", "outer_iterations", "value_iterations"):
+            row[name] = 0 if r.start == "carried" else getattr(r.relaxed, name)
+        row["start"] = r.start
         for name, val in sorted(r.relaxed.residuals.items()):
             row[f"res_{name}"] = val
         rows.append(row)

@@ -60,8 +60,7 @@ class RelaxedSolution:
 
     inner_iterations counts the band matrices factored for the u-subproblems
     but a reused member's, value_iterations those of the value samples the
-    solve made, and outer_iterations the accepted x-steps; all are 0 on a
-    level that run_path took over from its predecessor without solving it.
+    solve made, and outer_iterations the accepted x-steps.
     sample is the value sample x was accepted with, which the residuals are
     taken about; it equals a cold sample at x bitwise but for
     lower.iterations.  step is the x-loop's next Barzilai-Borwein step
@@ -257,12 +256,12 @@ def _descend(solver: _Solver, pt: _Point, grad: np.ndarray, step: float, value, 
     """One projected-gradient step from pt, shared by solve_relaxed's x-loops on V and G:
     step halves until the trial evaluate(sample, bound) passes the Armijo test bound
     on value; returns it, its gradient and the Barzilai-Borwein length of the next
-    step, or None where no step moves x."""
+    step, or None where no step moves x beyond roundoff."""
     x, start = pt.vs.x, value(pt)
     while True:
         x_t = solver.spec.x_set.project(x - step * grad)
         move = x_t - x
-        if not move.any():
+        if np.abs(move).max() <= _ROUNDOFF * (1.0 + np.abs(x).max()):
             return None
         bound = start + _ARMIJO * float(grad @ move) + _ROUNDOFF * (1.0 + abs(start))
         vs = value_sample(solver.spec, x_t, warm_start=pt.vs.lower.u)
@@ -372,7 +371,7 @@ def solve_relaxed(
                              lambda vs_t, bound: solver.evaluate(vs_t, pt.alpha, pt.u, bound),
                              lambda t: _grad_v(spec, t.vs, t.alpha, t.y))
             if moved is None:
-                break  # no step moves x: stalled at this tolerance
+                break  # stalled at this tolerance
             pt, grad, step = moved
     except ConvergenceError as err:
         failed = best[1] and solver.assemble(best[1], phase + steps, converged=False)
@@ -380,7 +379,8 @@ def solve_relaxed(
                                residuals=err.residuals) from err
 
     failed = solver.assemble(best[1], phase + steps, converged=False)
-    raise ConvergenceError(f"relaxed solve at eps {eps:g} stalled after {steps} x-steps "
+    why = "" if steps == _MAX_STEPS else ", where no step moves x beyond roundoff"
+    raise ConvergenceError(f"relaxed solve at eps {eps:g} stalled after {steps} x-steps{why} "
                            f"(gap {failed.gap:.3e}, alpha {failed.alpha:.3e})",
                            best=failed, residuals=failed.residuals)
 

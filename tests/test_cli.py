@@ -233,15 +233,16 @@ def test_path_then_certify_round_trip(problem_file, tmp_path):
     assert rc == 0
     rows = _read_csv(run / "path_trace.csv")
     assert len(rows) == 8
-    # the per-level counts match an in-process run of the same path
+    # the per-level counts match an in-process run of the same path, whose
+    # level 0 solves every later one: those are carried, with no work
     trace = invoc.run_path(load_problem(problem_file), eps0=1e-2, steps=6)
     header = rows[0]
     limit = _read_json(run / "limit.json")
     for name in ("inner_iterations", "value_iterations", "outer_iterations"):
         column = [int(row[header.index(name)]) for row in rows[1:]]
-        assert column == [getattr(r.relaxed, name) for r in trace.records]
+        assert column == [getattr(trace.records[0].relaxed, name)] + 6 * [0]
         assert limit["work"][name] == sum(column)
-    assert [row[header.index("start")] for row in rows[1:]] == ["cold"] + 6 * ["warm"]
+    assert [row[header.index("start")] for row in rows[1:]] == ["cold"] + 6 * ["carried"]
     assert limit["completed"] == 7
     assert limit["failure"] is None
     assert limit["limit"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import invoc.lower
+import invoc.relax
 from invoc import (
     AdmissibleSetX,
     ControlBounds,
@@ -478,3 +479,30 @@ def test_kernel_matches_bvls_across_regimes(
     # the kernel's point is at least as good as BVLS's, up to roundoff
     best = value(y_ref, u_ref)
     assert value(y, u) <= best + 1e-12 * (1.0 + abs(best))
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="stops at 200 solves, fixed-point residual 0.61 (ROADMAP item 22)")
+def test_kernel_solves_the_relaxed_member_at_s_zero_with_binding_caps():
+    # with c_u = 0 the relaxed u-subproblem at alpha = 0 has s = 0: least
+    # squares in S u against y_o under caps +-7, where BVLS ends with 48 of
+    # the 49 nodes on a cap; run_path fails at its level 0 on this member
+    n_nodes = 49
+    grid = build_grid(n_nodes)
+    t = grid.nodes
+    y_o = 0.5 * np.sin(np.pi * t + 0.6) + 0.6 * np.sin(2.0 * np.pi * t + 0.8)
+    zeros = np.zeros(n_nodes)
+    spec = ProblemSpec(
+        grid=grid, sigma=6e-3,
+        lower=LowerObjective(kind="target_type",
+                             targets=np.vstack([np.sin(np.pi * t), np.sin(2.0 * np.pi * t)])),
+        upper=UpperObjective(c_y=1.0, y_o=y_o, c_u=0.0, u_o=zeros),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(n_nodes, -7.0), ub=np.full(n_nodes, 7.0)),
+    )
+    x = np.array([0.5, 0.5])
+    qp = invoc.relax._member(spec, invoc.lower.lower_qp(spec, x), 0.0)
+    sol = invoc.lower._solve_qp(spec, qp, spec.solver_tol)
+    assert sol.residual <= spec.solver_tol
+    _, u_ref = _relaxed_dense(spec, x, 0.0, 1.0, 0.0, y_o, zeros)
+    assert h_norm(grid, sol.u - u_ref) <= 1e-8 * h_norm(grid, u_ref)

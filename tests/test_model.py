@@ -467,6 +467,12 @@ def test_problem_round_trip_dict(unit_spec):
     assert back.metadata == unit_spec.metadata
 
 
+def test_problem_metadata_takes_any_key(unit_spec):
+    data = problem_to_dict(unit_spec)
+    data["metadata"] = {"note": "any key", "x_star": [0.3, 0.7]}
+    assert problem_from_dict(data).metadata == data["metadata"]
+
+
 def test_problem_round_trip_file(tmp_path, pointwise_spec):
     path = tmp_path / "prob.json"
     save_problem(pointwise_spec, path)
@@ -568,6 +574,20 @@ _REFUSED = [
     ("box_unit_spec", ("x_ad", "bounds", "hi"), _DELETE, ValidationError,
      "box x_ad needs bounds with 'lo' and 'hi'"),
     ("unit_spec", ("x_ad", "kind"), "ball", ValidationError, "unknown x_ad kind 'ball'"),
+    # a misspelled key in any block but metadata, which would load silently
+    # with the key's default in its place
+    ("unit_spec", ("grid", "n"), 16, ValidationError, "unknown grid keys: ['n']"),
+    ("unit_spec", ("lower_objective", "targts"), [], ValidationError,
+     "unknown lower_objective keys: ['targts']"),
+    ("unit_spec", ("upper_objective", "gama"), 0.5, ValidationError,
+     "unknown upper_objective keys: ['gama']"),
+    ("unit_spec", ("x_ad", "bound"), {}, ValidationError, "unknown x_ad keys: ['bound']"),
+    ("box_unit_spec", ("x_ad", "bounds", "hl"), [1.0, 1.0], ValidationError,
+     "box x_ad needs bounds with 'lo' and 'hi' and no other key"),
+    ("unit_spec", ("u_bounds", "lb"), [0.0] * 16, ValidationError,
+     "unknown u_bounds keys: ['lb']"),
+    ("unit_spec", ("tolerances", "solver_tl"), 1e-3, ValidationError,
+     "unknown tolerances keys: ['solver_tl']"),
 ]
 
 

@@ -27,7 +27,7 @@ from invoc import (
 )
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
-from invoc.path import _carry_over, _predict, _recombine
+from invoc.path import _predict, _recombine
 from invoc.presets import plant
 
 from conftest import make_bounded_spec, make_generated_spec, make_tilted_spec
@@ -99,9 +99,13 @@ def test_inactive_constraint_is_a_fixed_point(slack_spec):
         assert np.all(rec.mu == 0.0) and np.all(rec.w == 0.0)
         assert_allclose(rec.rho, rec.relaxed.p)
         assert_allclose(rec.xi, rec.relaxed.lam)
-    # level 0 solves levels 1 and 2 too, which are carried over unsolved
-    for rec in trace.records[1:]:
-        assert rec.relaxed.inner_iterations == rec.relaxed.outer_iterations == 0
+    # level 0 solves levels 1 and 2 too, which are carried over unsolved:
+    # they keep its solution, and the trace counts its work once
+    assert [rec.start for rec in trace.records] == ["cold", "carried", "carried"]
+    assert all(rec.relaxed is first.relaxed for rec in trace.records)
+    for name in ("inner_iterations", "outer_iterations"):
+        assert [row[name] for row in trace_rows(trace)] == [getattr(first.relaxed, name), 0, 0]
+        assert trace.work[name] == getattr(first.relaxed, name)
 
 
 def test_geometric_schedule_and_record_indexing(unit_trace):
@@ -233,6 +237,50 @@ def test_failure_marker_keeps_partial_trace(tilted_spec, monkeypatch):
         extract_candidate(trace)
 
 
+def _stalling_spec():
+    """A pointwise n = 2 instance whose level 7 stalls where V has a kink."""
+    grid = build_grid(5)
+    target = np.sin(np.pi * grid.nodes)
+    return ProblemSpec(
+        grid=grid, sigma=0.1606,
+        lower=LowerObjective(kind="pointwise", points=(1, 4), target=target),
+        upper=UpperObjective(c_y=1.0, y_o=0.334 * target, c_u=0.0, u_o=np.zeros(5), gamma=1.3e-3),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(5, -1.18), ub=np.full(5, 1.18)),
+    )
+
+
+def test_stalled_level_ends_at_its_roundoff_floor_and_counts_its_work(monkeypatch):
+    # level 7's x-loop halves its step down to one ulp of x, which the
+    # Armijo slack accepted: 200 such steps made 27,580 + 9,288 band
+    # solves.  A move within x's roundoff now ends the loop as a stall, and
+    # the failed level's work, which its best point carries, is counted
+    from invoc import path as path_mod
+
+    real, errors = path_mod.solve_relaxed, []
+
+    def kept(spec, eps, **kwargs):
+        try:
+            return real(spec, eps, **kwargs)
+        except ConvergenceError as err:
+            errors.append(err)
+            raise
+
+    monkeypatch.setattr(path_mod, "solve_relaxed", kept)
+    trace = run_path(_stalling_spec())
+    assert trace.failure["k"] == 7 and trace.failure["eps"] == 2.0**-7
+    assert "stalled" in trace.failure["message"]
+    assert "no step moves x beyond roundoff" in trace.failure["message"]
+    (err,) = errors
+    work = {name: getattr(err.best, name)
+            for name in ("inner_iterations", "value_iterations", "outer_iterations")}
+    assert trace.failure["work"] == work
+    assert work["outer_iterations"] < 200 and work["value_iterations"] <= 1000
+    for name, count in work.items():
+        assert trace.work[name] == count + sum(
+            getattr(r.relaxed, name) for r in trace.records if r.start != "carried")
+
+
 def test_trace_rows_export(unit_trace):
     rows = trace_rows(unit_trace)
     assert len(rows) == 7
@@ -277,6 +325,20 @@ def test_multiplier_search_stays_near_its_root():
     assert trace.failure is None and len(trace.records) == 41
     assert trace.records[6].eps == 1.5625e-2
     assert trace.records[6].relaxed.inner_iterations <= 10
+    point, multipliers = extract_candidate(trace)
+    assert classify(spec, point, multipliers, tol=1e-4).classification == "S"
+
+
+def test_multiplier_searches_at_positive_alpha_stay_near_their_roots():
+    # the search above now runs on no level of its path, which carries level
+    # 0; on the unplanted deep path every predicted level searches at
+    # alpha > 0, at most 20 band solves (at k = 6)
+    spec = make_tilted_spec(63)
+    trace = run_path(spec, **DEEP)
+    assert trace.failure is None and len(trace.records) == 41
+    searched = [r.relaxed for r in trace.records if r.start == "predicted"]
+    assert len(searched) == 35
+    assert all(sol.alpha > 0.0 and 0 < sol.inner_iterations <= 25 for sol in searched)
     point, multipliers = extract_candidate(trace)
     assert classify(spec, point, multipliers, tol=1e-4).classification == "S"
 
@@ -338,14 +400,15 @@ def test_levels_the_previous_level_solves_are_carried_over(monkeypatch):
     tols = {"feas_tol": 1e-12, "stat_tol": 1e-7, "comp_tol": 1e-12}
     trace = run_path(spec, steps=40, **tols)
     assert trace.failure is None and len(trace.records) == 41
-    assert calls == [r.eps for r in trace.records if r.relaxed.inner_iterations
-                     + r.relaxed.value_iterations + r.relaxed.outer_iterations > 0]
-    carried = [r for r in trace.records if r.eps not in calls]
+    assert calls == [r.eps for r in trace.records if r.start != "carried"]
+    carried = [r for r in trace.records if r.start == "carried"]
     assert carried
+    rows = trace_rows(trace)
     for rec in carried:
         sol, prev = rec.relaxed, trace.records[rec.k - 1].relaxed
-        assert sol.inner_iterations == sol.value_iterations == sol.outer_iterations == 0
-        assert sol.x is not prev.x and sol.residuals is not prev.residuals
+        assert sol is prev and sol.eps > rec.eps
+        row = rows[rec.k]
+        assert row["inner_iterations"] == row["value_iterations"] == row["outer_iterations"] == 0
         again = relax.solve_relaxed(spec, rec.eps, warm=prev, **tols)
         for name in ("x", "y", "u", "p", "lam", "z"):
             assert getattr(again, name).tobytes() == getattr(sol, name).tobytes(), name
@@ -368,7 +431,7 @@ def test_each_solved_level_is_its_own_rebuild(name):
     deep = name == "tilted63_deep"
     spec = make_tilted_spec(63) if deep else make_bounded_spec(16)
     trace = run_path(spec, **(DEEP if deep else {}))
-    solved = [r.relaxed for r in trace.records if r.relaxed.inner_iterations > 0]
+    solved = [r.relaxed for r in trace.records if r.start != "carried"]
     assert trace.failure is None and solved
     for sol in solved:
         again = invoc.relax._level(spec, sol.eps, sol.x, sol.alpha, sol.u, sol.sample,
@@ -393,7 +456,7 @@ def test_paths_solve_the_alpha_zero_member_once(name, solves):
     spec, tols = _path_case(name)
     trace = run_path(spec, **tols)
     assert trace.failure is None
-    assert sum(r.relaxed.inner_iterations for r in trace.records) <= solves
+    assert trace.work["inner_iterations"] <= solves
 
 
 @pytest.mark.parametrize("name, total", [("generated64_deep", 4), ("bounded64", 82),
@@ -407,8 +470,10 @@ def test_trace_work_sums_every_band_solve(name, total):
     spec, tols = _path_case(name)
     trace = run_path(spec, **tols)
     assert trace.failure is None
+    rows = trace_rows(trace)
     for field in ("inner_iterations", "value_iterations", "outer_iterations"):
-        assert trace.work[field] == sum(getattr(r.relaxed, field) for r in trace.records)
+        assert trace.work[field] == sum(row[field] for row in rows) == sum(
+            getattr(r.relaxed, field) for r in trace.records if r.start != "carried")
     assert trace.work["inner_iterations"] + trace.work["value_iterations"] <= total
 
 
@@ -494,27 +559,30 @@ def test_gamma_positive_paths_keep_their_work():
     for spec, inner, outer, x in cases:
         trace = run_path(spec)
         assert trace.failure is None
-        assert [r.relaxed.inner_iterations for r in trace.records] == inner
-        assert [r.relaxed.outer_iterations for r in trace.records] == outer
+        rows = trace_rows(trace)
+        assert [row["inner_iterations"] for row in rows] == inner
+        assert [row["outer_iterations"] for row in rows] == outer
         assert_allclose(trace.limit["x"], x, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["generated64_deep", "tilted63"])
 def test_carried_levels_copy_their_recombination(name):
-    # a carried level copies its predecessor's multipliers, and
+    # a carried level keeps its predecessor's solution and multipliers, and
     # multiplier_sup is taken as each solved level is recorded: bitwise the
     # recombination of every record and the sup over all of them
     spec, tols = _path_case(name)
     trace = run_path(spec, **tols)
     recs = trace.records
-    assert trace.failure is None and any(r.relaxed.outer_iterations == 0 for r in recs[1:])
+    assert trace.failure is None and any(r.start == "carried" for r in recs[1:])
     for prev, rec in zip(recs, recs[1:]):
         again = _recombine(spec, rec.k, rec.relaxed, rec.start)
-        assert (rec.k, rec.eps, rec.start, np.float64(rec.du_lower).tobytes()) == (
-            again.k, again.eps, again.start, np.float64(again.du_lower).tobytes())
+        assert (rec.k, rec.start, np.float64(rec.du_lower).tobytes()) == (
+            again.k, again.start, np.float64(again.du_lower).tobytes())
+        assert (rec.eps == again.eps) == (rec.start != "carried")  # again has the solve's eps
         for field in ("mu", "w", "rho", "xi"):
             assert getattr(rec, field).tobytes() == getattr(again, field).tobytes(), (rec.k, field)
-            assert getattr(rec, field) is not getattr(prev, field)
+            if rec.start == "carried":
+                assert getattr(rec, field) is getattr(prev, field)
     sup = 0.0
     for r in recs:
         sup = max(sup, r.relaxed.alpha, norm(spec.grid, r.mu), norm(spec.grid, r.w),
@@ -555,7 +623,7 @@ def test_gamma_path_within_its_work_budget():
         trace = run_path(make_generated_spec(32, (0.25, 0.75), gamma=gamma))
         assert trace.failure is None and len(trace.records) == 21
         assert "predicted" in [r.start for r in trace.records]
-        assert sum(r.relaxed.inner_iterations for r in trace.records) <= budget, gamma
+        assert trace.work["inner_iterations"] <= budget, gamma
 
 
 def test_bound_path_within_its_work_budget():
@@ -564,7 +632,7 @@ def test_bound_path_within_its_work_budget():
     # searches of levels 14-20
     trace = run_path(make_bounded_spec(64))
     assert trace.failure is None and len(trace.records) == 21
-    assert sum(r.relaxed.inner_iterations for r in trace.records) <= 130
+    assert trace.work["inner_iterations"] <= 130
 
 
 @pytest.mark.xfail(strict=True, reason="stalls at eps 2^-6 on a smooth piece (ROADMAP item 4)")
@@ -588,9 +656,24 @@ def test_predictor_caps_alpha_growth_at_the_inverse_eps_rate(tilted_spec):
         assert start.alpha == pytest.approx(want * b.alpha, rel=1e-12)
 
 
-def test_step_length_survives_carry_over(unit_trace):
-    sol = replace(unit_trace.records[-1].relaxed, step=0.375)
-    assert _carry_over(sol, 0.5 * sol.eps).step == 0.375
+def test_step_length_survives_carry_over(monkeypatch):
+    # the first level solved after carried ones starts from the solution
+    # they keep, step length and all: on the bounded path levels 1-13 are
+    # carried and level 14 is solved
+    from invoc import path as path_mod
+
+    real, warms = path_mod.solve_relaxed, []
+
+    def stepped(spec, eps, warm=None, **kwargs):
+        warms.append(warm)
+        return replace(real(spec, eps, warm=warm, **kwargs), step=0.375)
+
+    monkeypatch.setattr(path_mod, "solve_relaxed", stepped)
+    trace = run_path(make_bounded_spec(64))
+    assert trace.failure is None
+    assert [r.start for r in trace.records[1:14]] == 13 * ["carried"]
+    assert trace.records[14].start == "warm" and warms[1] is trace.records[13].relaxed
+    assert warms[1].step == 0.375
 
 
 def test_warm_step_length_only_with_a_positive_multiplier(tilted_spec, monkeypatch):
@@ -626,17 +709,21 @@ DEEP = {"steps": 40, "feas_tol": 1e-12, "stat_tol": 1e-7, "comp_tol": 1e-12}
 
 def _reference_path(spec, steps=20, **tols):
     """run_path's levels at eps0 1 and ratio 1/2, each started from its
-    predecessor: the path without its predictor."""
+    predecessor: the path without its predictor.  A level that its
+    predecessor solves repeats that solution."""
     tols = {"feas_tol": 1e-8, "stat_tol": 1e-7, "comp_tol": 1e-8, **tols}
     sols, warm = [], None
     for k in range(steps + 1):
         eps = 0.5**k
-        if warm is not None and warm.alpha == 0.0 and warm.gap <= eps:
-            warm = _carry_over(warm, eps)
-        else:
+        if warm is None or warm.alpha > 0.0 or warm.gap > eps:
             warm = solve_relaxed(spec, eps, warm=warm, **tols)
         sols.append(warm)
     return sols
+
+
+def _solved(sols):
+    """The solutions of a list of levels that are not their predecessor's."""
+    return [sol for i, sol in enumerate(sols) if i == 0 or sol is not sols[i - 1]]
 
 
 @pytest.mark.parametrize("name", ["default", "generated64"])
@@ -647,7 +734,10 @@ def test_planted_deep_path_equals_the_plain_warm_start_path(name):
     trace = run_path(spec, **DEEP)
     reference = _reference_path(spec, **DEEP)
     assert trace.failure is None and len(trace.records) == len(reference) == 41
-    assert {r.start for r in trace.records[1:]} == {"warm"} and trace.records[0].start == "cold"
+    assert trace.records[0].start == "cold"
+    assert {r.start for r in trace.records[1:]} <= {"warm", "carried"}
+    assert [r.start == "carried" for r in trace.records[1:]] == [
+        sol is prev for prev, sol in zip(reference, reference[1:])]
     for rec, ref in zip(trace.records, reference):
         sol = rec.relaxed
         for name in ("x", "y", "u", "z", "p", "lam"):
@@ -675,8 +765,8 @@ def test_predicted_starts_reach_the_same_limit_with_less_work(tols):
     assert trace.limit["upper_value"] == pytest.approx(
         spec.upper.value(spec.grid, last.x, low.y, low.u), rel=1e-9)
     assert trace.records[-1].relaxed.upper_value == pytest.approx(last.upper_value, rel=1e-9)
-    solves = sum(r.relaxed.inner_iterations for r in trace.records)
-    assert solves <= 0.75 * sum(sol.inner_iterations for sol in reference)
+    solves = trace.work["inner_iterations"]
+    assert solves <= 0.75 * sum(sol.inner_iterations for sol in _solved(reference))
 
 
 def test_unplanted_paths_at_large_n():
@@ -688,7 +778,7 @@ def test_unplanted_paths_at_large_n():
     assert trace.failure is None and len(trace.records) == 21
     trace = run_path(make_tilted_spec(511), **DEEP)
     assert trace.failure is None and len(trace.records) == 41
-    assert sum(r.relaxed.inner_iterations for r in trace.records) < 4096
+    assert trace.work["inner_iterations"] < 4096
 
 
 def _forced_failures(monkeypatch, eps_failing):
