@@ -1,16 +1,18 @@
 """Command-line front end.
 
-One command per process: load a problem file, run the requested solve or
-probe, and persist results as JSON/CSV through model.write_file, which
+One command per process: main loads the problem file once, for every
+command but make-default, runs the requested solve or probe on it, and
+persists results as JSON/CSV through model.write_file, which
 replaces each file atomically and gives it the mode open() would.  Every
 run writes a manifest recording the command, the problem digest,
 overrides, and the produced files; the manifest is the only output
 containing a timestamp, so result files are bit-identical across identical
 runs.
 
-Exit codes: 0 success, 2 validation or file errors, 3 numerical failures
-(non-convergence, insufficient path).  Failures leave a machine-readable
-error.json in the output directory.
+Exit codes: 0 success, 2 validation or file errors (ValidationError,
+OSError), 3 numerical failures (ConvergenceError, InsufficientPathError).
+Failures leave a machine-readable error.json in the output directory,
+unless that directory cannot be created.
 """
 
 from __future__ import annotations
@@ -68,26 +70,18 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ValidationError(f"cannot parse vector {text!r}: {err}") from None
 
 
-def _tol(args) -> dict:
-    """--tol as the keyword tol when given; otherwise the library's default holds."""
-    return {} if args.tol is None else {"tol": args.tol}
-
-
-def _tol_overrides(args) -> dict:
-    if args.tol is None:
-        return {}
-    t = float(args.tol)
-    return {"feas_tol": t, "stat_tol": t, "comp_tol": t}
+def _tol(args, *names) -> dict:
+    """--tol under each keyword of names when given; otherwise the library's defaults hold."""
+    return {} if args.tol is None else dict.fromkeys(names, args.tol)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_lower(args, out: Path) -> list[str]:
-    spec = load_problem(args.problem)
+def _cmd_lower(args, spec, out: Path) -> list[str]:
     if args.x is None:
         raise ValidationError("lower requires --x")
-    sol = solve_lower(spec, _parse_vector(args.x), **_tol(args))
+    sol = solve_lower(spec, _parse_vector(args.x), **_tol(args, "tol"))
     return [_write_json(out, "lower_solution.json", _fields(sol))]
 
 
@@ -104,23 +98,15 @@ def _value_rows(spec, args):
     if args.x is None:
         raise ValidationError("value requires --x (slice endpoints) or --samples")
     parts = args.x.split(";")
-    if len(parts) == 1:
-        x0 = x1 = _parse_vector(parts[0])
-    elif len(parts) == 2:
-        x0, x1 = _parse_vector(parts[0]), _parse_vector(parts[1])
-    else:
+    if len(parts) > 2:
         raise ValidationError("slice takes at most two endpoints separated by ';'")
+    x0, x1 = _parse_vector(parts[0]), _parse_vector(parts[-1])
     count = 21 if args.resolution is None else _integer(args.resolution, "--resolution", 1)
     samples = sample_segment(spec, x0, x1, count)
-    if len(samples) == 1:
-        ts = [0.0]
-    else:
-        ts = list(np.linspace(0.0, 1.0, len(samples)))
-    return ts, samples
+    return list(np.linspace(0.0, 1.0, len(samples))), samples
 
 
-def _cmd_value(args, out: Path) -> list[str]:
-    spec = load_problem(args.problem)
+def _cmd_value(args, spec, out: Path) -> list[str]:
     ts, samples = _value_rows(spec, args)
     n = spec.n
     header = (
@@ -134,18 +120,14 @@ def _cmd_value(args, out: Path) -> list[str]:
     return [_write_csv(out, "value_slice.csv", header, rows)]
 
 
-def _cmd_relax(args, out: Path) -> list[str]:
-    spec = load_problem(args.problem)
-    sol = solve_relaxed(spec, args.eps0, **_tol_overrides(args))
+def _cmd_relax(args, spec, out: Path) -> list[str]:
+    sol = solve_relaxed(spec, args.eps0, **_tol(args, "feas_tol", "stat_tol", "comp_tol"))
     return [_write_json(out, "relaxed_solution.json", _fields(sol, "sample", "step", "member"))]
 
 
-def _cmd_path(args, out: Path) -> list[str]:
-    spec = load_problem(args.problem)
-    trace = run_path(
-        spec, eps0=args.eps0, ratio=args.ratio, steps=args.steps,
-        **_tol_overrides(args),
-    )
+def _cmd_path(args, spec, out: Path) -> list[str]:
+    trace = run_path(spec, eps0=args.eps0, ratio=args.ratio, steps=args.steps,
+                     **_tol(args, "feas_tol", "stat_tol", "comp_tol"))
     outputs = []
     rows = trace_rows(trace)
     if rows:
@@ -168,18 +150,16 @@ def _cmd_path(args, out: Path) -> list[str]:
     return outputs
 
 
-def _cmd_certify(args, out: Path) -> list[str]:
-    spec = load_problem(args.problem)
+def _cmd_certify(args, spec, out: Path) -> list[str]:
     point = read_json(args.point)
     multipliers = read_json(args.multipliers)
-    cert = classify(spec, point, multipliers, **_tol(args))
+    cert = classify(spec, point, multipliers, **_tol(args, "tol"))
     payload = {**_fields(cert, "active"), "active_sets": _fields(cert.active)}
     return [_write_json(out, "certificate.json", payload)]
 
 
-def _cmd_oracle(args, out: Path) -> list[str]:
-    spec = load_problem(args.problem)
-    result = grid_search(spec, args.resolution, keep_samples=args.landscape, **_tol(args))
+def _cmd_oracle(args, spec, out: Path) -> list[str]:
+    result = grid_search(spec, args.resolution, keep_samples=args.landscape, **_tol(args, "tol"))
     outputs = [_write_json(out, "oracle.json", _fields(result, "samples"))]
     if result.samples is not None:
         n = spec.n
@@ -189,14 +169,9 @@ def _cmd_oracle(args, out: Path) -> list[str]:
     return outputs
 
 
-def _cmd_make_default(args, out: Path) -> list[str]:
-    if args.variant == "box":
-        spec = make_box_variant()
-        name = "box_problem.json"
-    else:
-        spec = make_default_problem()
-        name = "default_problem.json"
-    save_problem(spec, out / name)
+def _cmd_make_default(args, spec, out: Path) -> list[str]:
+    name = f"{args.variant}_problem.json"
+    save_problem(make_box_variant() if args.variant == "box" else make_default_problem(), out / name)
     return [name]
 
 
@@ -324,19 +299,14 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory: {err}", file=sys.stderr)
         return 2
     try:
-        outputs = args.handler(args, out)
-    except ValidationError as err:
+        problem = getattr(args, "problem", None)
+        spec = None if problem is None else load_problem(problem)
+        outputs = args.handler(args, spec, out)
+    except (ConvergenceError, InsufficientPathError, ValidationError, OSError) as err:
+        code = 3 if isinstance(err, (ConvergenceError, InsufficientPathError)) else 2
         print(f"error: {err}", file=sys.stderr)
-        _write_error(out, err, 2)
-        return 2
-    except (ConvergenceError, InsufficientPathError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        _write_error(out, err, 3)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        _write_error(out, err, 2)
-        return 2
+        _write_error(out, err, code)
+        return code
     _write_manifest(out, args, outputs)
     return 0
 

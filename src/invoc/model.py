@@ -24,6 +24,14 @@ from .errors import (DimensionError, DomainError, InfeasibleError, ValidationErr
                      _integer, _number, _positive, _vector)
 
 
+def _entry(value, refusal: str) -> float:
+    """A JSON number, or "inf"/"-inf", as a float; ValidationError with refusal otherwise."""
+    if (isinstance(value, str) and value in ("inf", "-inf")
+            or isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return float(value)
+    raise ValidationError(f"{refusal} {value!r}")
+
+
 def grid_function(
     grid: Grid, value, allow_infinite: bool = False, name: str = "grid function"
 ) -> np.ndarray:
@@ -34,30 +42,15 @@ def grid_function(
     "inf"/"-inf" strings.
     """
     n = grid.n_nodes
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = np.full(n, float(value))
-    elif isinstance(value, str):
-        if value not in ("inf", "-inf"):
-            raise ValidationError(f"{name}: unknown string {value!r}")
-        out = np.full(n, float(value))
-    elif isinstance(value, (list, tuple)):
-        entries = []
-        for entry in value:
-            if isinstance(entry, str):
-                if entry not in ("inf", "-inf"):
-                    raise ValidationError(f"{name}: bad array entry {entry!r}")
-                entries.append(float(entry))
-            elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                entries.append(float(entry))
-            else:
-                raise ValidationError(f"{name}: bad array entry {entry!r}")
-        out = np.array(entries, dtype=float)
+    if isinstance(value, (list, tuple)):
+        out = np.array([_entry(v, f"{name}: bad array entry") for v in value], dtype=float)
         if out.shape[0] != n:
             raise DimensionError(
                 f"{name}: array has length {out.shape[0]}, grid has {n} nodes"
             )
     else:
-        raise ValidationError(f"{name}: cannot interpret {value!r}")
+        bad = "unknown string" if isinstance(value, str) else "cannot interpret"
+        out = np.full(n, _entry(value, f"{name}: {bad}"))
     if np.isnan(out).any():
         raise ValidationError(f"{name}: contains NaN")
     if not allow_infinite and not np.isfinite(out).all():
@@ -452,8 +445,6 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 
     grid = build_grid(_integer(_block(data, "grid").get("N"), "grid.N"))
 
-    sigma = _number(data["sigma"], "sigma")
-
     lo_block = _block(data, "lower_objective")
     kind = lo_block.get("kind")
     if kind == "target_type":
@@ -513,7 +504,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 
     return ProblemSpec(
         grid=grid,
-        sigma=sigma,
+        sigma=data["sigma"],
         lower=lower,
         upper=upper,
         x_set=x_set,

@@ -67,7 +67,8 @@ class RelaxedSolution:
     length, where a warm start with alpha > 0 begins.
     y, p and lam are the u-subproblem's state, adjoint and bound multiplier
     at (x, alpha, u); the residuals read only x, u, alpha and eps.  member is
-    (spec, the last alpha = 0 point or None), reused by warm starts on spec.
+    (spec, the kernel's solution of the alpha = 0 u-subproblem, which is
+    x-free, or None), reused by warm starts on spec.
     """
 
     eps: float
@@ -175,7 +176,7 @@ def _newton(pt: _Point, eps: float, lo: float, hi: float) -> float:
 
 
 class _Solver:
-    """The steps of one relaxed solve, with its band-solve counts and last alpha = 0 point."""
+    """The steps of one relaxed solve, with its band-solve counts and alpha = 0 member."""
 
     def __init__(self, spec: ProblemSpec, eps: float, feas_tol: float, comp_tol: float, member=None):
         self.spec, self.eps, self.feas_tol, self.comp_tol = spec, eps, feas_tol, comp_tol
@@ -196,16 +197,14 @@ class _Solver:
             y, u = vs.lower.y, vs.lower.u
             return _Point(vs=vs, alpha=0.0, y=y, u=u, gap=0.0, slope=0.0,
                           upper=up.value(spec.grid, vs.x, y, u))
-        if zero is not None and zero.vs is vs:
-            return zero
         qp = _member(spec, low, alpha)
-        sol = zero.sol._replace(solves=0) if zero else _solve_qp(spec, qp, spec.solver_tol, warm)
+        sol = zero._replace(solves=0) if zero else _solve_qp(spec, qp, spec.solver_tol, warm)
         y_t, u_t, solves = _tangent(spec, qp, sol, low)
         self.solves += sol.solves + solves
         gap, slope = _gap(spec, vs, low, sol.u, (y_t, u_t))
         pt = _Point(vs=vs, alpha=alpha, y=sol.y, u=sol.u, sol=sol,
                     upper=up.value(spec.grid, vs.x, sol.y, sol.u), gap=gap, slope=slope)
-        self.member = (spec, pt) if alpha == 0.0 else self.member
+        self.member = (spec, sol) if alpha == 0.0 else self.member
         return pt
 
     def evaluate(self, vs: ValueSample, alpha: float, u: np.ndarray,
@@ -304,9 +303,11 @@ def solve_relaxed(
     passing the kernel's fixed-point check there; else the start samples x
     afresh, warm-started from the sample's control, and counts that sample
     in value_iterations.
-    ConvergenceError carries as best the best accepted point, with converged
-    False and the whole solve's counts, or None if a kernel failure comes
-    before the first; a kernel failure keeps its residuals.
+    ConvergenceError carries as best the best accepted point, or before the
+    first the start (x, alpha, u) about its value sample, with converged
+    False and the whole solve's counts, the failing kernel call's included;
+    None only if the start's own value sample fails.  A kernel failure keeps
+    its residuals.
     """
     eps = _positive(eps, "relaxation parameter")
     feas_tol = _positive(feas_tol, "feas_tol")
@@ -325,7 +326,7 @@ def solve_relaxed(
         alpha, step = 0.0, 1.0
 
     solver = _Solver(spec, eps, feas_tol, comp_tol, warm and warm.member)
-    best = (math.inf, None)  # (measure, accepted point) of the best point
+    best, start = (math.inf, None), None  # (measure, point) of the best accepted point; x's sample
     steps = phase = 0  # accepted x-steps on V and, first, on G
     try:
         vs = warm.sample if warm is not None else None
@@ -334,9 +335,10 @@ def solve_relaxed(
                 or _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
             vs = value_sample(spec, x, warm_start=vs and vs.lower.u)
             solver.sampled = vs.lower.iterations
+        start = vs
         if alpha == 0.0 and spec.upper.gamma == 0.0:
             # G first (module docstring); where F ignores u, G is 0 at the start
-            zero = solver.member[1] or solver._solve(vs, lower_qp(spec, x), 0.0, u)
+            zero = solver._solve(vs, lower_qp(spec, x), 0.0, u)
             jy = eval_j(spec.grid, spec.lower, zero.y)
             target, floor = eps + feas_tol, _ROUNDOFF * (1.0 + float(np.abs(jy).max()))
 
@@ -374,7 +376,16 @@ def solve_relaxed(
                 break  # stalled at this tolerance
             pt, grad, step = moved
     except ConvergenceError as err:
+        # the failing kernel call's solves: a u-subproblem's, or a value sample's lower solve's
+        if isinstance(err.best, _QPSolution):
+            solver.solves += err.best.solves
+        elif err.best is not None:
+            solver.sampled += err.best.iterations
         failed = best[1] and solver.assemble(best[1], phase + steps, converged=False)
+        if failed is None and start is not None:  # no accepted point: the start, about its sample
+            failed = _level(spec, eps, x, alpha, u, start, step=step, member=solver.member,
+                            inner_iterations=solver.solves, value_iterations=solver.sampled,
+                            outer_iterations=0, converged=False)
         raise ConvergenceError(f"relaxed solve at eps {eps:g}: {err}", best=failed,
                                residuals=err.residuals) from err
 

@@ -88,6 +88,23 @@ def make_tilted_spec(n_nodes: int) -> ProblemSpec:
     )
 
 
+def make_capped_member_spec() -> ProblemSpec:
+    """An N = 49 instance with c_u = 0 and caps +-7 whose relaxed u-subproblem
+    at alpha = 0, with s = 0, the kernel does not solve (ROADMAP item 22)."""
+    n_nodes = 49
+    grid = build_grid(n_nodes)
+    t = grid.nodes
+    y_o = 0.5 * np.sin(np.pi * t + 0.6) + 0.6 * np.sin(2.0 * np.pi * t + 0.8)
+    return ProblemSpec(
+        grid=grid, sigma=6e-3,
+        lower=LowerObjective(kind="target_type",
+                             targets=np.vstack([np.sin(np.pi * t), np.sin(2.0 * np.pi * t)])),
+        upper=UpperObjective(c_y=1.0, y_o=y_o, c_u=0.0, u_o=np.zeros(n_nodes)),
+        x_set=AdmissibleSetX(kind="simplex", n=2),
+        bounds=ControlBounds(ua=np.full(n_nodes, -7.0), ub=np.full(n_nodes, 7.0)),
+    )
+
+
 @pytest.fixture(scope="session")
 def unit_spec() -> ProblemSpec:
     return make_generated_spec(16, (0.3, 0.7))

@@ -667,6 +667,16 @@ def test_oracle_landscape_files(problem_file, tmp_path):
     assert len(rows) == 12
 
 
+def test_out_under_a_regular_file_exits_2(problem_file, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main(["lower", "--problem", problem_file, "--out", str(blocker / "out"),
+                   "--x", "0.5,0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+
 def test_invalid_usage_raises_system_exit(problem_file, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["bogus-command"])

@@ -24,7 +24,7 @@ from invoc import (
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, DimensionError, DomainError, ValidationError
 
-from conftest import make_generated_spec, make_unplanted_spec
+from conftest import make_capped_member_spec, make_generated_spec, make_unplanted_spec
 from test_stationarity import _w_not_c_fixture
 from util_dense import (
     _least_squares_form,
@@ -487,19 +487,8 @@ def test_kernel_solves_the_relaxed_member_at_s_zero_with_binding_caps():
     # with c_u = 0 the relaxed u-subproblem at alpha = 0 has s = 0: least
     # squares in S u against y_o under caps +-7, where BVLS ends with 48 of
     # the 49 nodes on a cap; run_path fails at its level 0 on this member
-    n_nodes = 49
-    grid = build_grid(n_nodes)
-    t = grid.nodes
-    y_o = 0.5 * np.sin(np.pi * t + 0.6) + 0.6 * np.sin(2.0 * np.pi * t + 0.8)
-    zeros = np.zeros(n_nodes)
-    spec = ProblemSpec(
-        grid=grid, sigma=6e-3,
-        lower=LowerObjective(kind="target_type",
-                             targets=np.vstack([np.sin(np.pi * t), np.sin(2.0 * np.pi * t)])),
-        upper=UpperObjective(c_y=1.0, y_o=y_o, c_u=0.0, u_o=zeros),
-        x_set=AdmissibleSetX(kind="simplex", n=2),
-        bounds=ControlBounds(ua=np.full(n_nodes, -7.0), ub=np.full(n_nodes, 7.0)),
-    )
+    spec = make_capped_member_spec()
+    grid, y_o, zeros = spec.grid, spec.upper.y_o, spec.upper.u_o
     x = np.array([0.5, 0.5])
     qp = invoc.relax._member(spec, invoc.lower.lower_qp(spec, x), 0.0)
     sol = invoc.lower._solve_qp(spec, qp, spec.solver_tol)

@@ -27,10 +27,10 @@ from invoc import (
 )
 from invoc.discretization import norm
 from invoc.errors import ConvergenceError, InsufficientPathError, ValidationError
-from invoc.path import _predict, _recombine
+from invoc.path import _finalize, _predict, _recombine
 from invoc.presets import plant
 
-from conftest import make_bounded_spec, make_generated_spec, make_tilted_spec
+from conftest import make_bounded_spec, make_capped_member_spec, make_generated_spec, make_tilted_spec
 from util_dense import (
     dense_matrix,
     lower_value_dense,
@@ -279,6 +279,25 @@ def test_stalled_level_ends_at_its_roundoff_floor_and_counts_its_work(monkeypatc
     for name, count in work.items():
         assert trace.work[name] == count + sum(
             getattr(r.relaxed, name) for r in trace.records if r.start != "carried")
+
+
+def test_level_failing_before_its_first_step_counts_its_work():
+    # level 0's alpha = 0 member fails in the kernel after 200 band solves,
+    # before any x-step: the trace counts them with the start sample's
+    trace = run_path(make_capped_member_spec())
+    assert trace.failure["k"] == 0 and not trace.records
+    assert "after 200 solves" in trace.failure["message"]
+    work = trace.failure["work"]
+    assert work["inner_iterations"] >= 200 and work["value_iterations"] >= 1
+    assert trace.work == work
+
+
+def test_unbounded_multipliers_are_flagged(unit_spec, unit_trace):
+    # a multiplier sup norm above 1e8 says the bounded-multiplier premise fails
+    trace = replace(unit_trace, multiplier_sup=1e9, warnings=[])
+    _finalize(unit_spec, trace)
+    assert not trace.multipliers_bounded
+    assert any("sup norm 1.000e+09" in w and "premise looks violated" in w for w in trace.warnings)
 
 
 def test_trace_rows_export(unit_trace):

@@ -28,7 +28,7 @@ from invoc.lower import LowerSolution, _band_solve, _solve_qp, _tangent, lower_q
 from invoc.relax import _member, _newton, _Point, _Solver
 from invoc.value import lower_objective_value, value_sample
 
-from conftest import make_generated_spec
+from conftest import make_capped_member_spec, make_generated_spec
 from util_dense import dense_matrix, h_inner, phi_dense, simplex_points, upper_value_dense
 
 
@@ -436,6 +436,20 @@ def test_kernel_failure_before_the_first_point_carries_no_best(unit_spec, monkey
     trace = run_path(unit_spec, eps0=1e-2, steps=4)
     assert not trace.records and trace.failure["k"] == 0
     assert trace.failure["residuals"] == err.value.residuals
+
+
+def test_kernel_failure_before_the_first_step_carries_the_start():
+    # the alpha = 0 member fails in the kernel after 200 band solves, before
+    # any x-step: best is the start about its cold sample, and its counts
+    # take in the failing kernel call's solves and the sample's
+    spec = make_capped_member_spec()
+    with pytest.raises(ConvergenceError, match="relaxed solve at eps 1: QP solve missed") as err:
+        solve_relaxed(spec, eps=1.0)
+    best = err.value.best
+    assert isinstance(best, RelaxedSolution) and not best.converged
+    assert best.x.tolist() == [0.5, 0.5] and best.alpha == 0.0 and best.outer_iterations == 0
+    assert best.inner_iterations >= 200 and best.value_iterations >= 1
+    assert best.residuals == relaxed_kkt_residuals(spec, best)
 
 
 def test_kernel_failure_after_an_accepted_step_carries_the_best_point(unit_spec, monkeypatch):
