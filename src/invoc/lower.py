@@ -180,7 +180,7 @@ def _exact(u: np.ndarray, target: np.ndarray) -> bool:
 def _objective(spec: ProblemSpec, qp: TrackingQP, y: np.ndarray, u: np.ndarray) -> float:
     """The member's objective at (y, u), without its constant."""
     return spec.grid.h * float(
-        0.5 * y @ (qp.d * y) - qp.c @ y + 0.5 * qp.s * (u @ u) - np.sum(qp.b * u)
+        0.5 * y @ (qp.d * y) - qp.c @ y + 0.5 * qp.s * (u @ u) - (qp.b * u).sum()
     )
 
 

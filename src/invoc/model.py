@@ -120,7 +120,7 @@ def eval_j(grid: Grid, obj: LowerObjective, y: np.ndarray) -> np.ndarray:
     y = _vector(y, (grid.n_nodes,), "state")
     if obj.kind == "target_type":
         d = y[None, :] - obj.targets
-        return grid.h * np.sum(d * d, axis=1)
+        return grid.h * (d * d).sum(axis=1)
     idx = np.asarray(obj.points)
     d = y[idx] - obj.target[idx]
     return d * d
@@ -145,7 +145,7 @@ def lower_coefficients(grid: Grid, obj: LowerObjective,
     Dirac at node i is e_i / h.
     """
     if obj.kind == "target_type":
-        return 2.0 * float(np.sum(x)), 2.0 * (x @ obj.targets)
+        return 2.0 * float(x.sum()), 2.0 * (x @ obj.targets)
     d = np.zeros(grid.n_nodes)
     np.add.at(d, np.asarray(obj.points), 2.0 * x / grid.h)
     return d, d * obj.target
@@ -272,7 +272,7 @@ class AdmissibleSetX:
             return False
         if self.kind == "box":
             return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
-        return bool((x >= -tol).all() and abs(float(np.sum(x)) - 1.0) <= tol * self.n)
+        return bool((x >= -tol).all() and abs(float(x.sum()) - 1.0) <= tol * self.n)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one uniformly distributed feasible point."""
@@ -334,16 +334,15 @@ class ControlBounds:
         Where u is strictly above the lower bound the multiplier must be
         nonnegative, where u is strictly below the upper bound it must be
         nonpositive; strictness is measured with the active-set tolerance.
+        Each node's violation is the larger of its two signs', 0 where
+        neither applies, in one array and one reduction.
         """
         u = _vector(u, self.ua.shape, "control")
         lam = _vector(lam, self.ua.shape, "multiplier")
-        if not self.feasible(u, tol_act):
+        if not ((u >= self.ua - tol_act) & (u <= self.ub + tol_act)).all():
             raise InfeasibleError("control violates its bounds beyond tolerance")
-        above = u > self.ua + tol_act
-        below = u < self.ub - tol_act
-        viol_a = np.where(above, np.maximum(0.0, -lam), 0.0)
-        viol_b = np.where(below, np.maximum(0.0, lam), 0.0)
-        return float(max(viol_a.max(), viol_b.max()))
+        return float(np.maximum(np.where(u < self.ub - tol_act, lam, 0.0),
+                                np.where(u > self.ua + tol_act, -lam, 0.0)).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,6 @@ row's LowerSolution as best.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -65,12 +64,13 @@ class OracleResult:
 
 
 def _simplex_lattice(n: int, m: int) -> np.ndarray:
-    """Barycentric lattice {k/m : sum k = m} in ascending lexicographic order."""
-    pts = [
-        k + (m - sum(k),)
-        for k in itertools.product(range(m + 1), repeat=n - 1) if sum(k) <= m
-    ]
-    return np.asarray(pts, dtype=float) / m
+    """Barycentric lattice {k/m : sum k = m} in ascending lexicographic order:
+    the product lattice of the first n - 1 coordinates, in C order, keeps the
+    rows summing to at most m, and the last coordinate is m minus that sum.
+    The k are exact integers held as floats: integer loops would page in more numpy code."""
+    k = np.indices((m + 1,) * (n - 1), dtype=float).reshape(n - 1, (m + 1) ** (n - 1)).T
+    k = k[k.sum(axis=1) <= m]
+    return np.column_stack([k, m - k.sum(axis=1)]) / m
 
 
 def _box_lattice(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:

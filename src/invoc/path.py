@@ -37,6 +37,7 @@ import numpy as np
 
 from .discretization import norm
 from .errors import ConvergenceError, InsufficientPathError, _integer, _positive
+from .lower import LowerSolution
 from .model import ProblemSpec
 from .relax import RelaxedSolution, solve_relaxed
 from .value import value_sample  # noqa: F401  (a binding site that bench/test_bench.py checks)
@@ -146,7 +147,8 @@ def run_path(
     for k in range(steps + 1):
         eps_k = eps0 * ratio**k
         if warm is not None and _carries(warm, eps_k):
-            rec = replace(rec, k=k, eps=eps_k, start="carried")  # rec is still warm's record
+            # rec is still warm's record: the new one shares its solution and multipliers
+            rec = PathStep(k, eps_k, rec.relaxed, rec.mu, rec.w, rec.rho, rec.xi, rec.du_lower, "carried")
         else:
             start, guess = ("cold" if warm is None else "warm"), warm
             if prev is not None and prev.alpha > 0.0 and warm.alpha > 0.0:
@@ -158,6 +160,9 @@ def run_path(
                                  "residuals": dict(err.residuals or {})}
                 if err.best is not None:
                     trace.failure["work"] = {name: getattr(err.best, name) for name in _COUNTS}
+                elif isinstance(getattr(err.__cause__, "best", None), LowerSolution):
+                    # the start's own value sample failed: its lower solve's band solves
+                    trace.failure["work"] = dict(zip(_COUNTS, (0, err.__cause__.best.iterations, 0)))
                 break
             rec = _recombine(spec, k, sol, start)
             trace.multiplier_sup = max(trace.multiplier_sup, sol.alpha, *(
@@ -190,8 +195,11 @@ def _finalize(spec: ProblemSpec, trace: PathTrace) -> None:
 
     # weak duality between two levels that are saddle points of their
     # Lagrangians: alpha_k d <= F_{k+1} - F_k <= alpha_{k+1} d, d = eps_k - eps_{k+1};
-    # a rise outside it says the solver left one stationary point for another
+    # a rise outside it says the solver left one stationary point for another.
+    # A carried record shares its predecessor's alpha = 0 solution: rise and bounds are 0
     for a, b in zip(recs, recs[1:]):
+        if a.relaxed is b.relaxed:
+            continue
         rise = b.relaxed.upper_value - a.relaxed.upper_value
         lo, hi = a.relaxed.alpha * (a.eps - b.eps), b.relaxed.alpha * (a.eps - b.eps)
         slack = 1e-9 * (1.0 + abs(a.relaxed.upper_value))

@@ -105,9 +105,8 @@ class _Point:
     sol: _QPSolution | None = None  # the kernel's solution; None where F ignores u
 
 
-def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray,
-         tangent=None):
-    """f(x, Su, u) - phi(x) as the lower QP's expansion about its solution,
+def _gap(spec: ProblemSpec, vs: ValueSample, u: np.ndarray, tangent=None):
+    """f(x, Su, u) - phi(x) as the expansion of vs's lower QP about its solution,
     and its derivative along the tangent (y', u') of u, if given.
 
     With du = u - psi_u: -<lam, du> + sigma/2 ||du||^2 + 1/2 <S du, d S du>,
@@ -116,12 +115,12 @@ def _gap(spec: ProblemSpec, vs: ValueSample, low: TrackingQP, u: np.ndarray,
     """
     du = u - vs.lower.u
     dy = spec.operator.solve(du)
-    h, lam = spec.grid.h, vs.lower.lam
-    gap = h * float(0.5 * spec.sigma * (du @ du) - lam @ du + 0.5 * dy @ (low.d * dy))
+    h, lam, d = spec.grid.h, vs.lower.lam, vs.qp.d
+    gap = h * float(0.5 * spec.sigma * (du @ du) - lam @ du + 0.5 * dy @ (d * dy))
     if tangent is None:
         return gap, None
     y_t, u_t = tangent
-    return gap, h * float(spec.sigma * (du @ u_t) - lam @ u_t + dy @ (low.d * y_t))
+    return gap, h * float(spec.sigma * (du @ u_t) - lam @ u_t + dy @ (d * y_t))
 
 
 def _member(spec: ProblemSpec, low: TrackingQP, alpha: float) -> TrackingQP:
@@ -142,9 +141,8 @@ def _level(spec: ProblemSpec, eps: float, x: np.ndarray, alpha: float, u: np.nda
     the one builder of a RelaxedSolution.  y, p, gap, F and the fixed-point check of u are
     pt's, the point solved there, else fresh; counts fill the fields from inner_iterations on."""
     if pt is None or pt.sol is None:
-        low = lower_qp(spec, vs.x)
-        fixed_point, y, p = _fixed_point_residual(spec, _member(spec, low, alpha), u)
-        gap, upper = _gap(spec, vs, low, u)[0], spec.upper.value(spec.grid, x, y, u)
+        fixed_point, y, p = _fixed_point_residual(spec, _member(spec, vs.qp, alpha), u)
+        gap, upper = _gap(spec, vs, u)[0], spec.upper.value(spec.grid, x, y, u)
     else:  # copies: levels that end at alpha = 0 share one kernel solution
         fixed_point, y, p, u = pt.sol.residual, pt.y.copy(), pt.sol.p.copy(), u.copy()
         gap, upper = pt.gap, pt.upper
@@ -189,7 +187,7 @@ class _Solver:
     def dual(self, pt: _Point) -> float:
         return pt.upper + pt.alpha * (pt.gap - self.eps)
 
-    def _solve(self, vs: ValueSample, low: TrackingQP, alpha: float, warm) -> _Point:
+    def _solve(self, vs: ValueSample, alpha: float, warm) -> _Point:
         spec, up, zero = self.spec, self.spec.upper, self.member[1] if alpha == 0.0 else None
         if alpha == 0.0 and up.c_y == 0.0 and up.c_u == 0.0:
             # F ignores u, so this member is singular and every control is
@@ -197,11 +195,11 @@ class _Solver:
             y, u = vs.lower.y, vs.lower.u
             return _Point(vs=vs, alpha=0.0, y=y, u=u, gap=0.0, slope=0.0,
                           upper=up.value(spec.grid, vs.x, y, u))
-        qp = _member(spec, low, alpha)
+        qp = _member(spec, vs.qp, alpha)
         sol = zero._replace(solves=0) if zero else _solve_qp(spec, qp, spec.solver_tol, warm)
-        y_t, u_t, solves = _tangent(spec, qp, sol, low)
+        y_t, u_t, solves = _tangent(spec, qp, sol, vs.qp)
         self.solves += sol.solves + solves
-        gap, slope = _gap(spec, vs, low, sol.u, (y_t, u_t))
+        gap, slope = _gap(spec, vs, sol.u, (y_t, u_t))
         pt = _Point(vs=vs, alpha=alpha, y=sol.y, u=sol.u, sol=sol,
                     upper=up.value(spec.grid, vs.x, sol.y, sol.u), gap=gap, slope=slope)
         self.member = (spec, sol) if alpha == 0.0 else self.member
@@ -221,10 +219,9 @@ class _Solver:
         dual value at any alpha is at most the one at the root, so the full
         search would end above bound too.
         """
-        low = lower_qp(self.spec, vs.x)
         lo, hi = 0.0, math.inf  # gap(lo) > eps >= gap(hi)
         zero_tried = alpha == 0.0
-        pt = self._solve(vs, low, alpha, u)
+        pt = self._solve(vs, alpha, u)
         for _ in range(_MAX_SEARCH):
             if (pt.alpha == 0.0 and pt.gap <= self.eps) or self.dual(pt) > bound:
                 break
@@ -241,7 +238,7 @@ class _Solver:
                     break
                 if alpha in (lo, hi):
                     break  # the bracket is down to adjacent floats
-            pt = self._solve(vs, low, alpha, pt.u)
+            pt = self._solve(vs, alpha, pt.u)
         return pt
 
     def assemble(self, pt: _Point, steps: int, converged: bool, step: float = 1.0):
@@ -300,9 +297,9 @@ def solve_relaxed(
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, projected
     onto X_ad, alpha, u, and on the same spec object its member.  Its value
     sample is taken over where it was made at that x bitwise, on spec or
-    passing the kernel's fixed-point check there; else the start samples x
-    afresh, warm-started from the sample's control, and counts that sample
-    in value_iterations.
+    passing the kernel's fixed-point check there, with spec's lower QP as its
+    qp; else the start samples x afresh, warm-started from the sample's
+    control, and counts that sample in value_iterations.
     ConvergenceError carries as best the best accepted point, or before the
     first the start (x, alpha, u) about its value sample, with converged
     False and the whole solve's counts, the failing kernel call's included;
@@ -330,20 +327,23 @@ def solve_relaxed(
     steps = phase = 0  # accepted x-steps on V and, first, on G
     try:
         vs = warm.sample if warm is not None else None
+        if vs is not None and solver.member is not warm.member:  # made on another spec: take spec's QP
+            vs = replace(vs, qp=lower_qp(spec, vs.x))
         if vs is None or x.tobytes() != vs.x.tobytes() or not (
                 solver.member is warm.member  # the sample was made on spec, so it passes
-                or _fixed_point_residual(spec, lower_qp(spec, x), vs.lower.u)[0] <= spec.solver_tol):
+                or _fixed_point_residual(spec, vs.qp, vs.lower.u)[0] <= spec.solver_tol):
             vs = value_sample(spec, x, warm_start=vs and vs.lower.u)
             solver.sampled = vs.lower.iterations
         start = vs
         if alpha == 0.0 and spec.upper.gamma == 0.0:
             # G first (module docstring); where F ignores u, G is 0 at the start
-            zero = solver._solve(vs, lower_qp(spec, x), 0.0, u)
+            zero = solver._solve(vs, 0.0, u)
             jy = eval_j(spec.grid, spec.lower, zero.y)
             target, floor = eps + feas_tol, _ROUNDOFF * (1.0 + float(np.abs(jy).max()))
 
             def at(vs_t, bound=None):  # the alpha = 0 point at vs_t.x, with gap G
-                return replace(zero, vs=vs_t, gap=_gap(spec, vs_t, lower_qp(spec, vs_t.x), zero.u)[0])
+                return _Point(vs=vs_t, alpha=0.0, y=zero.y, u=zero.u, upper=zero.upper,
+                              gap=_gap(spec, vs_t, zero.u)[0], slope=zero.slope, sol=zero.sol)
             pt, grad = at(vs), jy - vs.grad_phi
             while phase < _MAX_STEPS:
                 best = (math.inf, pt)

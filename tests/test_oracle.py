@@ -2,6 +2,7 @@
 the batched solves against the dense reference and the per-row kernel, and
 which rows reach the kernel."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -222,6 +223,18 @@ def test_box_lattice_is_the_meshgrid_bitwise(n):
     axes = [lo[d] + (hi[d] - lo[d]) * np.arange(m + 1) / m for d in range(n)]
     want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     assert np.array_equal(invoc.oracle._box_lattice(lo, hi, m), want)
+
+
+@pytest.mark.parametrize("m", [2, 7, 200])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_simplex_lattice_matches_the_product_filter_bitwise(n, m):
+    # the product of the first n - 1 coordinates filtered by their sum, the
+    # last coordinate the rest: the same floats in the same order
+    want = np.asarray([k + (m - sum(k),) for k in itertools.product(range(m + 1), repeat=n - 1)
+                       if sum(k) <= m], dtype=float) / m
+    got = invoc.oracle._simplex_lattice(n, m)
+    assert got.shape == want.shape == (math.comb(m + n - 1, n - 1), n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_search_leaves_no_basis_on_the_operator():

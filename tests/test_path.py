@@ -18,6 +18,7 @@ from invoc import (
     build_grid,
     classify,
     extract_candidate,
+    grid_search,
     make_default_problem,
     relaxed_kkt_residuals,
     run_path,
@@ -292,12 +293,52 @@ def test_level_failing_before_its_first_step_counts_its_work():
     assert trace.work == work
 
 
+def test_level_whose_start_sample_fails_counts_its_work(monkeypatch):
+    # the start's own value sample fails in the kernel after 2 active-set
+    # steps and the refinement step, before any start level exists to carry
+    # them: the trace counts that lower solve's band solves
+    spec = make_bounded_spec(64)
+    monkeypatch.setattr(invoc.lower, "_MAX_SOLVES", 2)
+    trace = run_path(spec)
+    assert trace.failure["k"] == 0 and not trace.records
+    assert "QP solve missed tol 1e-10 after 3 solves" in trace.failure["message"]
+    work = {"inner_iterations": 0, "value_iterations": 3, "outer_iterations": 0}
+    assert trace.failure["work"] == work and trace.work == work
+
+
 def test_unbounded_multipliers_are_flagged(unit_spec, unit_trace):
     # a multiplier sup norm above 1e8 says the bounded-multiplier premise fails
     trace = replace(unit_trace, multiplier_sup=1e9, warnings=[])
     _finalize(unit_spec, trace)
     assert not trace.multipliers_bounded
     assert any("sup norm 1.000e+09" in w and "premise looks violated" in w for w in trace.warnings)
+
+
+def test_finalize_warns_as_the_test_on_every_pair_does():
+    # _finalize skips the weak-duality test where a carried record shares its
+    # predecessor's alpha = 0 solution.  With F moved up and down by 1e-3 on
+    # alternate solutions of the bounded path (13 carried levels, then
+    # solved ones at alpha > 0), its warnings are those of the test on every
+    # consecutive pair
+    spec = make_bounded_spec(16)
+    trace = run_path(spec)
+    sols = list({id(r.relaxed): r.relaxed for r in trace.records}.values())
+    moved = {id(s): replace(s, upper_value=s.upper_value + (-1.0) ** j * 1e-3)
+             for j, s in enumerate(sols)}
+    recs = [replace(r, relaxed=moved[id(r.relaxed)]) for r in trace.records]
+    assert sum(a.relaxed is b.relaxed for a, b in zip(recs, recs[1:])) == 13
+    want = []
+    for a, b in zip(recs, recs[1:]):
+        rise = b.relaxed.upper_value - a.relaxed.upper_value
+        lo, hi = a.relaxed.alpha * (a.eps - b.eps), b.relaxed.alpha * (a.eps - b.eps)
+        slack = 1e-9 * (1.0 + abs(a.relaxed.upper_value))
+        if not lo - slack <= rise <= hi + slack:
+            want.append(f"upper value rose by {rise:.3e} between steps {a.k} and {b.k}, "
+                        f"outside [{lo:.3e}, {hi:.3e}]; likely a local-minimum switch")
+    again = replace(trace, records=recs, warnings=[])
+    _finalize(spec, again)
+    assert want and [w for w in again.warnings if "local-minimum" in w] == want
+    assert [w for w in again.warnings if "local-minimum" not in w] == trace.warnings
 
 
 def test_trace_rows_export(unit_trace):
@@ -652,6 +693,27 @@ def test_bound_path_within_its_work_budget():
     trace = run_path(make_bounded_spec(64))
     assert trace.failure is None and len(trace.records) == 21
     assert trace.work["inner_iterations"] <= 130
+
+
+def test_criterion_5_relaxation_feasibility_at_positive_alpha():
+    # the acceptance gate's criterion 5 on an unplanted instance, where 17
+    # of the default path's 21 levels end at alpha > 0
+    spec = make_tilted_spec(63)
+    trace = run_path(spec)
+    assert trace.failure is None
+    assert sum(r.relaxed.alpha > 0.0 for r in trace.records) == 17
+    worst = max(max(0.5 * spec.sigma * r.du_lower ** 2 - r.eps, r.relaxed.gap - r.eps)
+                for r in trace.records)
+    assert worst <= 1e-8
+
+
+def test_criterion_7_oracle_agreement_at_positive_alpha():
+    # the acceptance gate's criterion 7 on the same instance's deep path,
+    # whose limit has alpha -> infinity and F > 0
+    spec = make_tilted_spec(63)
+    trace = run_path(spec, **DEEP)
+    assert trace.failure is None and trace.records[-1].relaxed.alpha > 0.0
+    assert abs(trace.limit["upper_value"] - grid_search(spec, 200).best_value) <= 1e-3
 
 
 @pytest.mark.xfail(strict=True, reason="stalls at eps 2^-6 on a smooth piece (ROADMAP item 4)")

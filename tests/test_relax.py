@@ -489,9 +489,9 @@ def test_gap_slope_matches_finite_difference(name, request):
 
     binding = 0
     for alpha in (0.5, 3.0, 20.0):
-        pt = solver._solve(vs, low, alpha, None)
+        pt = solver._solve(vs, alpha, None)
         step = 1e-4 * alpha
-        plus, minus = (solver._solve(vs, low, a, pt.u) for a in (alpha + step, alpha - step))
+        plus, minus = (solver._solve(vs, a, pt.u) for a in (alpha + step, alpha - step))
         assert (active(plus.u) == active(pt.u)).all() and (active(minus.u) == active(pt.u)).all()
         binding += int(active(pt.u).sum())
         fd = (plus.gap - minus.gap) / (2.0 * step)
