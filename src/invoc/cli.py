@@ -82,7 +82,7 @@ def _cmd_lower(args, spec, out: Path) -> list[str]:
     if args.x is None:
         raise ValidationError("lower requires --x")
     sol = solve_lower(spec, _parse_vector(args.x), **_tol(args, "tol"))
-    return [_write_json(out, "lower_solution.json", _fields(sol))]
+    return [_write_json(out, "lower_solution.json", _fields(sol, "qp"))]
 
 
 def _value_rows(spec, args):

@@ -54,7 +54,8 @@ class LowerSolution:
     residual ||u - P_U(p/sigma)|| from those solves and lam's sign residual.
     iterations counts the kernel's solves: one per active-set step, one per
     projected-Newton evaluation and factorization after a cycle, and one for
-    the refinement step's factorization where it needs one.
+    the refinement step's factorization where it needs one.  qp is the
+    lower QP at x that the kernel solved, built once for every reader.
     """
 
     x: np.ndarray
@@ -64,6 +65,7 @@ class LowerSolution:
     lam: np.ndarray
     kkt_residual: float
     iterations: int
+    qp: TrackingQP
 
 
 def _validate_parameter(spec: ProblemSpec, x) -> np.ndarray:
@@ -320,8 +322,7 @@ def _solve_qp(spec: ProblemSpec, qp: TrackingQP, tol: float, warm: np.ndarray | 
     u = bounds.project(u)
     residual, y, p = _fixed_point_residual(spec, qp, u)
     sol = _QPSolution(y, u, p, solves, system, factors, float(residual))
-    if (residual > min(tol, _ROUNDOFF) and residual > min(tol, _ROUNDOFF * (1.0 + np.abs(u).max()))
-            and factors is not None):
+    if residual > min(tol, _ROUNDOFF * (1.0 + np.abs(u).max())) and factors is not None:
         # the step: H_FF du = p + b - s u, on the last factors if they fix u's bound nodes
         _, du, factored = _tangent(spec, qp, sol, TrackingQP(d=0.0, c=0.0, s=0.0, b=p + qp.b - qp.s * u))
         u_r = bounds.project(u + du)
@@ -362,13 +363,13 @@ def _tangent(spec: ProblemSpec, qp: TrackingQP, sol: _QPSolution, dqp: TrackingQ
     return y_t, u_t, int(factors is not sol.factors)
 
 
-def _lower_solution(spec: ProblemSpec, x: np.ndarray, sol: _QPSolution) -> LowerSolution:
-    """The LowerSolution at x of the kernel's (y, u, p) for the lower QP there,
-    with lam = p - sigma u; a failed kernel's final iterate is built alike."""
+def _lower_solution(spec: ProblemSpec, x: np.ndarray, qp: TrackingQP, sol: _QPSolution) -> LowerSolution:
+    """The LowerSolution at x of the kernel's (y, u, p) for qp, the lower QP
+    there, with lam = p - sigma u; a failed kernel's final iterate is built alike."""
     lam = sol.p - spec.sigma * sol.u
     sign_res = spec.bounds.normal_cone_residual(sol.u, lam, spec.active_tol)
     return LowerSolution(x=x, y=sol.y, u=sol.u, p=sol.p, lam=lam,
-                         kkt_residual=max(sol.residual, sign_res), iterations=sol.solves)
+                         kkt_residual=max(sol.residual, sign_res), iterations=sol.solves, qp=qp)
 
 
 def solve_lower(
@@ -391,9 +392,10 @@ def solve_lower(
     if warm_start is not None:
         warm_start = _vector(warm_start, (spec.grid.n_nodes,), "warm_start")
 
+    qp = lower_qp(spec, x)
     try:
-        sol = _solve_qp(spec, lower_qp(spec, x), tol, warm_start)
+        sol = _solve_qp(spec, qp, tol, warm_start)
     except ConvergenceError as err:
-        err.best = _lower_solution(spec, x, err.best)
+        err.best = _lower_solution(spec, x, qp, err.best)
         raise
-    return _lower_solution(spec, x, sol)
+    return _lower_solution(spec, x, qp, sol)

@@ -223,10 +223,11 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
             solved &= ((Ub >= bounds.ua) & (Ub <= bounds.ub)).all(axis=1)
         rest = np.flatnonzero(~solved)
         for row in rest[np.argsort(index[rest])]:  # in lattice order
+            qp = lower_qp(spec, Xb[row])
             try:
-                sol = _solve_qp(spec, lower_qp(spec, Xb[row]), tol, warm)
+                sol = _solve_qp(spec, qp, tol, warm)
             except ConvergenceError as err:
-                err.best = _lower_solution(spec, Xb[row], err.best)
+                err.best = _lower_solution(spec, Xb[row], qp, err.best)
                 raise
             Yb[row], Ub[row], warm = sol.y, sol.u, sol.u
         vals[index] = spec.upper.value(spec.grid, Xb, Yb, Ub, work=Yb)

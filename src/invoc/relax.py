@@ -38,13 +38,12 @@ against the normal cone of X_ad, complementarity, and lam's sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, _positive, _vector
-from .lower import (_ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _QPSolution, _solve_qp,
-                    _tangent, lower_qp)
+from .errors import ConvergenceError, DomainError, _number, _positive, _vector
+from .lower import _ARMIJO, _ROUNDOFF, TrackingQP, _fixed_point_residual, _QPSolution, _solve_qp, _tangent
 from .model import ProblemSpec, eval_j
 from .value import ValueSample, value_sample
 
@@ -68,7 +67,7 @@ class RelaxedSolution:
     y, p and lam are the u-subproblem's state, adjoint and bound multiplier
     at (x, alpha, u); the residuals read only x, u, alpha and eps.  member is
     (spec, the kernel's solution of the alpha = 0 u-subproblem, which is
-    x-free, or None), reused by warm starts on spec.
+    x-free, or None): only a warm start on spec reuses it, and sample.
     """
 
     eps: float
@@ -115,7 +114,7 @@ def _gap(spec: ProblemSpec, vs: ValueSample, u: np.ndarray, tangent=None):
     """
     du = u - vs.lower.u
     dy = spec.operator.solve(du)
-    h, lam, d = spec.grid.h, vs.lower.lam, vs.qp.d
+    h, lam, d = spec.grid.h, vs.lower.lam, vs.lower.qp.d
     gap = h * float(0.5 * spec.sigma * (du @ du) - lam @ du + 0.5 * dy @ (d * dy))
     if tangent is None:
         return gap, None
@@ -141,7 +140,7 @@ def _level(spec: ProblemSpec, eps: float, x: np.ndarray, alpha: float, u: np.nda
     the one builder of a RelaxedSolution.  y, p, gap, F and the fixed-point check of u are
     pt's, the point solved there, else fresh; counts fill the fields from inner_iterations on."""
     if pt is None or pt.sol is None:
-        fixed_point, y, p = _fixed_point_residual(spec, _member(spec, vs.qp, alpha), u)
+        fixed_point, y, p = _fixed_point_residual(spec, _member(spec, vs.lower.qp, alpha), u)
         gap, upper = _gap(spec, vs, u)[0], spec.upper.value(spec.grid, x, y, u)
     else:  # copies: levels that end at alpha = 0 share one kernel solution
         fixed_point, y, p, u = pt.sol.residual, pt.y.copy(), pt.sol.p.copy(), u.copy()
@@ -179,7 +178,7 @@ class _Solver:
     def __init__(self, spec: ProblemSpec, eps: float, feas_tol: float, comp_tol: float, member=None):
         self.spec, self.eps, self.feas_tol, self.comp_tol = spec, eps, feas_tol, comp_tol
         self.solves, self.sampled = 0, 0  # of the u-subproblems and of the value samples
-        self.member = member if member and member[0] is spec else (spec, None)
+        self.member = member or (spec, None)
 
     def feasible(self, alpha: float, gap: float) -> bool:
         return gap - self.eps <= self.feas_tol and alpha * abs(self.eps - gap) <= self.comp_tol
@@ -195,9 +194,9 @@ class _Solver:
             y, u = vs.lower.y, vs.lower.u
             return _Point(vs=vs, alpha=0.0, y=y, u=u, gap=0.0, slope=0.0,
                           upper=up.value(spec.grid, vs.x, y, u))
-        qp = _member(spec, vs.qp, alpha)
+        qp = _member(spec, vs.lower.qp, alpha)
         sol = zero._replace(solves=0) if zero else _solve_qp(spec, qp, spec.solver_tol, warm)
-        y_t, u_t, solves = _tangent(spec, qp, sol, vs.qp)
+        y_t, u_t, solves = _tangent(spec, qp, sol, vs.lower.qp)
         self.solves += sol.solves + solves
         gap, slope = _gap(spec, vs, sol.u, (y_t, u_t))
         pt = _Point(vs=vs, alpha=alpha, y=sol.y, u=sol.u, sol=sol,
@@ -295,11 +294,10 @@ def solve_relaxed(
     x-free control (module docstring); outer_iterations counts its steps too.
     Exits when gap - eps <= feas_tol, |alpha (eps - gap)| <= comp_tol and
     ||x - P_X(x - grad V)|| <= stat_tol.  A warm start passes x, projected
-    onto X_ad, alpha, u, and on the same spec object its member.  Its value
-    sample is taken over where it was made at that x bitwise, on spec or
-    passing the kernel's fixed-point check there, with spec's lower QP as its
-    qp; else the start samples x afresh, warm-started from the sample's
-    control, and counts that sample in value_iterations.
+    onto X_ad, alpha, u and, where alpha > 0, step, each checked by name;
+    where its member was made on this spec object, also the member, and its
+    value sample if made at that x bitwise.  Other starts sample x afresh
+    from the old sample's control, and value_iterations counts that sample.
     ConvergenceError carries as best the best accepted point, or before the
     first the start (x, alpha, u) about its value sample, with converged
     False and the whole solve's counts, the failing kernel call's included;
@@ -312,26 +310,26 @@ def solve_relaxed(
     comp_tol = _positive(comp_tol, "comp_tol")
     x_set = spec.x_set
     if warm is not None:
-        x = x_set.project(np.asarray(warm.x, dtype=float))
+        x, alpha = _vector(warm.x, (spec.n,), "warm.x"), _number(warm.alpha, "warm.alpha")
+        for name, value in (("warm.x", x), ("warm.alpha", alpha)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"{name} must be finite, got {value}")
+        x, alpha = x_set.project(x), max(0.0, alpha)
         u = spec.bounds.project(_vector(warm.u, (spec.grid.n_nodes,), "warm.u"))
-        alpha = max(0.0, float(warm.alpha))
-        step = warm.step if alpha > 0.0 else 1.0
+        step = _positive(warm.step, "warm.step") if alpha > 0.0 else 1.0
     else:
         simplex = x_set.kind == "simplex"
         x = np.full(spec.n, 1.0 / spec.n) if simplex else 0.5 * (x_set.lo + x_set.hi)
         u = spec.bounds.project(spec.upper.u_o)
         alpha, step = 0.0, 1.0
 
-    solver = _Solver(spec, eps, feas_tol, comp_tol, warm and warm.member)
+    own = warm is not None and warm.member is not None and warm.member[0] is spec
+    solver = _Solver(spec, eps, feas_tol, comp_tol, warm.member if own else None)
     best, start = (math.inf, None), None  # (measure, point) of the best accepted point; x's sample
     steps = phase = 0  # accepted x-steps on V and, first, on G
     try:
-        vs = warm.sample if warm is not None else None
-        if vs is not None and solver.member is not warm.member:  # made on another spec: take spec's QP
-            vs = replace(vs, qp=lower_qp(spec, vs.x))
-        if vs is None or x.tobytes() != vs.x.tobytes() or not (
-                solver.member is warm.member  # the sample was made on spec, so it passes
-                or _fixed_point_residual(spec, vs.qp, vs.lower.u)[0] <= spec.solver_tol):
+        vs = warm and warm.sample
+        if not (own and vs is not None and x.tobytes() == vs.x.tobytes()):
             vs = value_sample(spec, x, warm_start=vs and vs.lower.u)
             solver.sampled = vs.lower.iterations
         start = vs

@@ -15,20 +15,18 @@ import numpy as np
 
 from .discretization import inner
 from .errors import _integer, _positive, _vector
-from .lower import LowerSolution, TrackingQP, lower_qp, solve_lower
+from .lower import LowerSolution, solve_lower
 from .model import ProblemSpec, eval_j
 
 
 @dataclass(frozen=True, eq=False)
 class ValueSample:
-    """One evaluation of the value function with its lower solution, and
-    qp, the lower QP at x, built once for every consumer of the sample."""
+    """One evaluation of the value function with its lower solution, lower QP included."""
 
     x: np.ndarray
     phi: float
     grad_phi: np.ndarray
     lower: LowerSolution
-    qp: TrackingQP
 
 
 def lower_objective_value(spec: ProblemSpec, x: np.ndarray, y: np.ndarray, u: np.ndarray,
@@ -46,7 +44,7 @@ def value_sample(spec: ProblemSpec, x, warm_start: np.ndarray | None = None) -> 
     sol = solve_lower(spec, x, warm_start=warm_start)
     jy = eval_j(spec.grid, spec.lower, sol.y)
     return ValueSample(x=sol.x, phi=lower_objective_value(spec, sol.x, sol.y, sol.u, jy),
-                       grad_phi=jy, lower=sol, qp=lower_qp(spec, sol.x))
+                       grad_phi=jy, lower=sol)
 
 
 def phi(spec: ProblemSpec, x) -> float:

@@ -276,10 +276,9 @@ def test_solution_carries_its_cold_value_sample(tilted_spec, tilted_sol):
 
 @pytest.mark.parametrize("name", ["unit_spec", "tilted_spec", "bounded_spec", "pointwise_spec"])
 def test_warm_sample_never_changes_the_result(unit_spec, name, request):
-    # the first two share unit_spec's lower problem, so its sample is reused;
-    # it fails the fixed-point check on the other two, which sample afresh,
-    # warm-started from it.  The bare start's result is the same bitwise but
-    # for the samples' counts
+    # unit_spec, where it was made, reuses the sample; the other three sample
+    # afresh, warm-started from it.  The bare start's result is the same
+    # bitwise but for the samples' counts
     spec = request.getfixturevalue(name)
     warm = solve_relaxed(unit_spec, eps=1e-3)
     bare = dataclasses.replace(warm, sample=None)
@@ -314,7 +313,9 @@ def test_warm_member_is_reused_on_its_own_spec_only(unit_spec, name, request):
     # a solution carries its spec's alpha = 0 u-subproblem, solved once: on
     # that spec a warm start skips its solve and changes nothing else; on
     # another it is solved afresh, as its band system was built with the
-    # other spec's coefficients (reused, it stalled the tilted solve)
+    # other spec's coefficients (reused, it stalled the tilted solve).  A
+    # start without a member samples afresh as well, so on unit_spec its
+    # sample's band solves are left out of the comparison
     spec = request.getfixturevalue(name)
     warm = solve_relaxed(unit_spec, eps=1e-3)
     assert warm.alpha == 0.0 and warm.member[0] is unit_spec and warm.member[1] is not None
@@ -322,7 +323,9 @@ def test_warm_member_is_reused_on_its_own_spec_only(unit_spec, name, request):
     fresh = solve_relaxed(spec, eps=5e-4, warm=dataclasses.replace(warm, member=None))
     if spec is unit_spec:
         assert sol.inner_iterations < fresh.inner_iterations
-        sol, fresh = (dataclasses.replace(s, inner_iterations=0, member=None) for s in (sol, fresh))
+        assert sol.value_iterations <= fresh.value_iterations
+        sol, fresh = (dataclasses.replace(s, inner_iterations=0, value_iterations=0, member=None)
+                      for s in (sol, fresh))
     assert _bits(sol) == _bits(fresh)
 
 
@@ -343,25 +346,72 @@ def test_gap_phase_levels_do_not_depend_on_the_member(name, request):
     assert _bits(sol) == _bits(fresh)
 
 
-def test_warm_sample_is_checked_off_its_own_spec_only(unit_spec, tilted_spec, monkeypatch):
-    # a warm sample made on the same spec object passes the fixed-point check
-    # by construction, so it is checked only when it comes from another spec
-    # or with no member; tilted_spec shares unit_spec's lower problem, so
-    # its check passes, and its solve still converges at alpha 631.4
+def test_warm_sample_is_taken_over_on_its_own_spec_only(unit_spec, tilted_spec, monkeypatch):
+    # a warm sample is reused only where the start's member was made on the
+    # spec being solved; from another spec, or with no member, the start
+    # samples its x afresh from the old sample's control, even where, as on
+    # tilted_spec, which shares unit_spec's lower problem, the old sample
+    # would pass the kernel's fixed-point check; its solve converges at
+    # alpha 631.4
     warm = solve_relaxed(unit_spec, eps=1e-3)
-    check, checked = invoc.relax._fixed_point_residual, []
+    calls, sample = [], invoc.relax.value_sample
 
-    def recorded(spec, qp, u):
-        checked.append(u is warm.sample.lower.u)
-        return check(spec, qp, u)
+    def spied(spec, x, warm_start=None):
+        calls.append((np.asarray(x).tobytes(), warm_start is warm.sample.lower.u))
+        return sample(spec, x, warm_start=warm_start)
 
-    monkeypatch.setattr(invoc.relax, "_fixed_point_residual", recorded)
-    for spec, start, want in [(unit_spec, warm, 0), (unit_spec, dataclasses.replace(warm, member=None), 1),
-                              (tilted_spec, warm, 1)]:
-        checked.clear()
-        sol = solve_relaxed(spec, eps=5e-4, warm=start)
-        assert sum(checked) == want
-    assert sol.converged and sol.alpha == pytest.approx(631.4, rel=1e-4)
+    monkeypatch.setattr(invoc.relax, "value_sample", spied)
+    start = (warm.sample.x.tobytes(), True)
+    for spec, warm_start, fresh in [(unit_spec, warm, False),
+                                    (unit_spec, dataclasses.replace(warm, member=None), True),
+                                    (tilted_spec, warm, True)]:
+        calls.clear()
+        sol = solve_relaxed(spec, eps=5e-4, warm=warm_start)
+        assert sol.converged and (calls[:1] == [start]) == fresh
+        assert sum(call == start for call in calls) == fresh
+    assert sol.alpha == pytest.approx(631.4, rel=1e-4)
+
+
+def test_a_warm_sample_from_another_spec_never_steers_the_solve(tilted_spec, tilted_sol):
+    # swapping tilted_spec's targets keeps its lower QP at x = (0.5, 0.5) but
+    # swaps grad phi there, so the old spec's sample passes the fixed-point
+    # check yet carries the wrong gradient; taken over, it stalled this solve
+    # after 0 x-steps.  The start samples afresh and ends where one with no
+    # sample does, in every field but the samples' band solves
+    swapped = dataclasses.replace(tilted_spec, lower=dataclasses.replace(
+        tilted_spec.lower, targets=tilted_spec.lower.targets[::-1]))
+    vs = value_sample(tilted_spec, np.array([0.5, 0.5]))
+    start = dataclasses.replace(tilted_sol, x=vs.x, sample=vs)
+    sol = solve_relaxed(swapped, eps=5e-3, warm=start)
+    bare = solve_relaxed(swapped, eps=5e-3, warm=dataclasses.replace(start, sample=None))
+    assert sol.converged and sol.outer_iterations > 0
+    assert sol.alpha == pytest.approx(151.18, rel=1e-4)
+    assert _bits(dataclasses.replace(sol, value_iterations=0), counts=False) == _bits(
+        dataclasses.replace(bare, value_iterations=0), counts=False)
+
+
+@pytest.mark.parametrize("name, value, error, message", [
+    ("x", np.array([0.2, 0.3, 0.5]), DimensionError, r"warm\.x has shape \(3,\), expected \(2,\)"),
+    ("x", np.array([np.nan, 0.5]), DomainError, r"warm\.x must be finite"),
+    ("alpha", math.inf, DomainError, r"warm\.alpha must be finite"),
+    ("alpha", math.nan, DomainError, r"warm\.alpha must be finite"),
+    ("alpha", "1", ValidationError, r"warm\.alpha must be a number"),
+    ("step", math.nan, DomainError, r"warm\.step must be positive and finite"),
+    ("step", 0.0, DomainError, r"warm\.step must be positive and finite"),
+    ("alpha", -1.0, None, None),
+], ids=["x-shape", "x-nan", "alpha-inf", "alpha-nan", "alpha-str", "step-nan", "step-zero", "alpha-negative"])
+def test_malformed_warm_start_is_refused_by_name(tilted_spec, tilted_sol, name, value, error, message):
+    # each field of the start is checked where it is read, tilted_sol's step
+    # because its alpha > 0; a negative alpha clips to 0
+    assert tilted_sol.alpha > 0.0
+    start = dataclasses.replace(tilted_sol, **{name: value})
+    if error is None:
+        at_zero = dataclasses.replace(tilted_sol, alpha=0.0)
+        assert _bits(solve_relaxed(tilted_spec, eps=5e-3, warm=start)) == _bits(
+            solve_relaxed(tilted_spec, eps=5e-3, warm=at_zero))
+        return
+    with pytest.raises(error, match=message):
+        solve_relaxed(tilted_spec, eps=5e-3, warm=start)
 
 
 def test_warm_start_from_another_grid_names_warm_u(unit_spec):

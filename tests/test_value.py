@@ -129,6 +129,25 @@ def test_value_sample_is_exact_whatever_the_warm_start(unit_spec, monkeypatch):
     assert solved[-1] == sol.x.tobytes()
 
 
+def test_value_sample_builds_its_lower_qp_once(unit_spec, monkeypatch):
+    # solve_lower builds the lower QP at x for its kernel, and the sample
+    # keeps that one as lower.qp
+    import invoc.lower
+
+    built, coefficients = [], invoc.lower.lower_coefficients
+
+    def recorded(grid, obj, x):
+        built.append(np.asarray(x).tobytes())
+        return coefficients(grid, obj, x)
+
+    monkeypatch.setattr(invoc.lower, "lower_coefficients", recorded)
+    vs = value_sample(unit_spec, [0.2, 0.8])
+    assert built == [vs.x.tobytes()]
+    d, c = coefficients(unit_spec.grid, unit_spec.lower, vs.x)
+    np.testing.assert_array_equal(vs.lower.qp.d, d)
+    np.testing.assert_array_equal(vs.lower.qp.c, c)
+
+
 def test_domain_restriction(unit_spec):
     with pytest.raises(DomainError):
         phi(unit_spec, np.array([-0.2, 1.2]))
