@@ -191,11 +191,10 @@ class UpperObjective:
         x = np.asarray(x, dtype=float)
         y = _vector(y, x.shape[:-1] + (grid.n_nodes,), "state")
         u = _vector(u, x.shape[:-1] + (grid.n_nodes,), "control")
-        return (
-            0.5 * self.c_y * (grid.h * _row_dot(np.subtract(y, self.y_o, out=work)))
-            + 0.5 * self.c_u * (grid.h * _row_dot(np.subtract(u, self.u_o, out=work)))
-            + 0.5 * self.gamma * _row_dot(x)
-        )
+        F = (0.5 * self.c_y * (grid.h * _row_dot(np.subtract(y, self.y_o, out=work)))
+             + 0.5 * self.c_u * (grid.h * _row_dot(np.subtract(u, self.u_o, out=work))))
+        # with gamma = 0 the parameter term would add +0.0 to a nonnegative F
+        return F + 0.5 * self.gamma * _row_dot(x) if self.gamma else F
 
     def grad_x(self, x: np.ndarray) -> np.ndarray:
         return self.gamma * np.asarray(x, dtype=float)

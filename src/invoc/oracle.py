@@ -14,18 +14,19 @@ unconstrained lower solutions of a whole block in closed form: the target
 kind from A's eigenvalues and sine transform, the pointwise kind from one
 n x n system per row, its d being of rank n.  The target kind's QP depends
 on x only through c = 2 x . y_d, linear in x, and the scalar d = 2 sum(x),
-so its rows are taken sorted by d, with the runs of equal d found once per
-search (the sums by column adds), and the rows of one d in a block are
-combinations x [U | Y | P](d) of n basis controls, states and adjoints
-built once per block by fresh solves; c itself is never formed.  A row
-whose closed-form control is feasible and passes the kernel's fixed-point
-check on its own (u, y, p) (lower._projected_residual, one call per block
-for either kind) is solved, the QP being strictly convex; a block whose
-controls and targets all lie strictly inside the bounds needs neither the
-projection nor the per-row bound test.  Every other row goes to the
-active-set kernel, in lattice order within its block, warm-started from
-the last kernel solution; a kernel failure's ConvergenceError carries the
-row's LowerSolution as best.
+so its rows are taken sorted by d, cut into runs where d moves by more
+than roundoff once per search (the sums by column adds), and the rows of
+one run in a block are combinations x [U | Y | P](d) of n basis controls,
+states and adjoints built once per block at the run's first d by fresh
+solves; c itself is never formed.  A row whose closed-form control is
+feasible and passes the kernel's fixed-point check on its own (u, y, p)
+(lower._projected_residual, one call per block for either kind) is
+solved, the QP being strictly convex; a block whose controls and targets
+all lie strictly inside the bounds needs neither the projection nor the
+per-row bound test.  Every other row goes to the active-set kernel, in
+lattice order within its block, warm-started from the last kernel
+solution; a kernel failure's ConvergenceError carries the row's
+LowerSolution as best.
 """
 
 from __future__ import annotations
@@ -104,16 +105,19 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     space, so u = A y = Q ((l Q c) / (sigma l^2 + d)) = sum_i x_i U_i(d) with
     U_i(d) = Q ((2 l Q t_i) / (sigma l^2 + d)), and y = sum_i x_i Y_i,
     p = sum_i x_i P_i with Y_i = A^{-1} U_i and P_i = A^{-1} (2 t_i - d Y_i).
-    A generator's d is 2 _row_sums of its row, that row's own lower_qp d
-    bitwise, and c, which no row reads, is never formed.  The runs of equal
-    d are found once per search, from the sorted sums, and each block takes
-    those that fall in it.  A run of more than n rows of a block is
-    x [U | Y | P](d), one product per run, from a basis of n generators, the
-    unit rows of a tile made once per search; a shorter run's rows are their
-    own generators.  All generators of a block take one transform and
-    fresh solves of their columns, so A y = u and A p = c - d y hold to
-    roundoff in every row, and a run of r rows costs 2 min(n, r) solve
-    columns.
+    A generator's d is 2 _row_sums of a row, that row's own lower_qp d
+    bitwise, and c, which no row reads, is never formed.  The runs are found
+    once per search, cut where the sorted sums differ by more than 4 n ulps
+    of the largest: rounding splits one lattice sum into floats about 2n
+    ulps apart, while distinct lattice sums lie an edge / resolution apart.
+    Each block takes the runs that fall in it.  A run of more than n rows of
+    a block is x [U | Y | P](d) at the d of its first row there, one product
+    per run, from a basis of n generators, the unit rows of a tile made once
+    per search; a shorter run's rows are their own generators.  All
+    generators of a block take one transform and fresh solves of their
+    columns, so in every row A y = u holds to roundoff, and A p = c - d y to
+    roundoff and the basis d's distance from the row's own, 4 n eps max|d|
+    in a run of one lattice sum; a run of r rows costs 2 min(n, r) columns.
     """
     grid, l = spec.grid, eigenvalues(spec.grid)
     weights = 2.0 * l * sine_transform(grid, spec.lower.targets)  # row i is 2 l Q t_i
@@ -123,7 +127,9 @@ def _target_rows(spec: ProblemSpec, X: np.ndarray):
     n = weights.shape[0]
     total = _row_sums(X)
     order = np.argsort(total, kind="stable")
-    cuts = (np.flatnonzero(np.diff(total[order])) + 1).tolist()  # where the sorted d changes
+    total = total[order]
+    roundoff = 4 * n * np.spacing(max(total[-1], -total[0]))
+    cuts = (np.flatnonzero(np.diff(total) > roundoff) + 1).tolist()  # where d moves beyond roundoff
     # the unit generators of as many runs as a block can hold, each run having more than n rows
     units = np.tile(np.eye(n), (min(_BLOCK, X.shape[0]) // (n + 1), 1))
 
@@ -194,7 +200,7 @@ def _reduced_values(spec: ProblemSpec, X: np.ndarray, tol: float) -> np.ndarray:
     once, whose transposes are the F-ordered column blocks the solves run
     on in place.  The target kind's rows go through the blocks sorted by
     d = 2 sum(x), ties in lattice order, so that a block solves one basis
-    per distinct d rather than two columns per row; the pointwise kind's go
+    per d, to roundoff, rather than two columns per row; the pointwise kind's go
     in lattice order.  Either kind writes its rows' (u, y, p) to them; the
     one check of the block, on a member with only the s and b it reads,
     writes v and u - v over p, and F writes y - y_o and u - u_o over y,

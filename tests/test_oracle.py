@@ -503,7 +503,7 @@ def test_block_wide_bound_test_matches_the_elementwise_one(share, flags, unit_sp
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_block_size_changes_no_sample_beyond_roundoff(n, unit_spec, monkeypatch):
-    # a block takes the runs of equal d that fall in it from the search's
+    # a block takes the runs of d that fall in it from the search's
     # run table, so every row still passes on its closed form, whatever
     # the block size; only how runs split into bases and the products'
     # shapes change, which moves a value by roundoff
@@ -547,20 +547,9 @@ def test_target_kind_forms_no_stacked_c(bounded_spec, pointwise_spec, monkeypatc
         assert shapes == [1] * len(calls) and calls
 
 
-@pytest.mark.parametrize("name", ["bounded_box", "irrational_box", "simplex3", "box3"])
-def test_target_rows_solve_columns_per_distinct_d(name, unit_spec, bounded_spec, monkeypatch):
-    # a run of r rows of one d in a block costs 2 min(n, r) Laplacian solve
-    # columns: its basis, or its rows where they are no more than n; the
-    # kernel's rows make their own solves on top.  On a box with edges
-    # 1 and 1/sqrt(2) no two rows share a d
-    spec = {
-        "bounded_box": lambda: _box(bounded_spec),
-        "irrational_box": lambda: replace(unit_spec, x_set=AdmissibleSetX(
-            kind="box", n=2, lo=np.zeros(2), hi=np.array([1.0, 0.5 ** 0.5]))),
-        "simplex3": _three_parameter_tracking_spec,
-        "box3": lambda: _box(_three_parameter_tracking_spec()),
-    }[name]()
-    monkeypatch.setattr(invoc.oracle, "_BLOCK", 40)
+def _count_columns(spec: ProblemSpec, resolution: int, monkeypatch):
+    """grid_search's result and its Laplacian solve columns, split into the
+    oracle's own and those the kernel's rows make."""
     operator_solve, kernel = type(spec.operator).solve, invoc.oracle._solve_qp
     columns, in_kernel = {"oracle": 0, "kernel": 0}, []
 
@@ -577,15 +566,87 @@ def test_target_rows_solve_columns_per_distinct_d(name, unit_spec, bounded_spec,
 
     monkeypatch.setattr(type(spec.operator), "solve", counted)
     monkeypatch.setattr(invoc.oracle, "_solve_qp", flagged)
-    result = grid_search(spec, 12 if spec.n == 2 else 6, keep_samples=True)
-    d = 2.0 * np.sort(result.samples[:, :-1].sum(axis=1), kind="stable")
+    return grid_search(spec, resolution, keep_samples=True), columns
+
+
+def _irrational_box(spec: ProblemSpec) -> ProblemSpec:
+    """spec on a box with edges 1 and 1/sqrt(2), where no two lattice sums agree."""
+    return replace(spec, x_set=AdmissibleSetX(kind="box", n=2, lo=np.zeros(2),
+                                              hi=np.array([1.0, 0.5 ** 0.5])))
+
+
+@pytest.mark.parametrize("name", ["bounded_box", "irrational_box", "simplex3", "box3"])
+def test_target_rows_solve_columns_per_distinct_d(name, unit_spec, bounded_spec, monkeypatch):
+    # the d-sorted rows form runs, cut where consecutive sums differ by more
+    # than roundoff, 4 n ulps of the largest |sum|; a run of r rows in a
+    # block costs 2 min(n, r) Laplacian solve columns: its basis, or its
+    # rows where they are no more than n; the kernel's rows make their own
+    # solves on top.  On a box with edges 1 and 1/sqrt(2) no two rows share a run
+    spec = {
+        "bounded_box": lambda: _box(bounded_spec),
+        "irrational_box": lambda: _irrational_box(unit_spec),
+        "simplex3": _three_parameter_tracking_spec,
+        "box3": lambda: _box(_three_parameter_tracking_spec()),
+    }[name]()
+    monkeypatch.setattr(invoc.oracle, "_BLOCK", 40)
+    result, columns = _count_columns(spec, 12 if spec.n == 2 else 6, monkeypatch)
+    total = np.sort(result.samples[:, :-1].sum(axis=1), kind="stable")
+    cut = np.diff(total) > 4 * spec.n * np.spacing(np.abs(total).max())
     want = 0
-    for start in range(0, d.size, 40):
-        _, runs = np.unique(d[start:start + 40], return_counts=True)
-        want += 2 * np.minimum(spec.n, runs).sum()
+    for start in range(0, total.size, 40):
+        stop = min(start + 40, total.size)
+        edges = [start, *(i + 1 for i in range(start, stop - 1) if cut[i]), stop]
+        want += 2 * np.minimum(spec.n, np.diff(edges)).sum()
     assert columns["oracle"] == want
-    assert want == 2 * d.size if name == "irrational_box" else want < d.size
+    assert want == 2 * total.size if name == "irrational_box" else want < total.size
     assert (columns["kernel"] > 0) == (name == "bounded_box")
+
+
+def test_runs_join_the_floats_of_one_lattice_sum(unit_spec, monkeypatch):
+    # on the unit box at resolution 12 rounding splits the 25 lattice sums
+    # k_1 + k_2 into 37 float sums.  Each lattice sum is one run, whose rows
+    # of more than n take the basis built at its first row's d; rows whose
+    # own d differs from it bitwise still solve their own lower_qp equations
+    # to roundoff and match the per-row kernel
+    spec = _box(unit_spec)
+    check, sums, blocks = invoc.oracle._projected_residual, invoc.oracle._row_sums, []
+    generators = []
+
+    def recorded(spec, qp, u, y, p, out=None):
+        blocks.append((u.copy(), y.copy(), p.copy()))
+        return check(spec, qp, u, y, p, out=out)
+
+    def generator_rows(X):
+        generators.append(X.copy())
+        return sums(X)
+
+    monkeypatch.setattr(invoc.oracle, "_projected_residual", recorded)
+    monkeypatch.setattr(invoc.oracle, "_row_sums", generator_rows)
+    result, columns = _count_columns(spec, 12, monkeypatch)
+    X = result.samples[:, :-1]
+    X = X[_processing_order(X)]
+    d = 2.0 * X.sum(axis=1)
+    k = np.rint(12 * X).sum(axis=1)  # the lattice sum k_1 + k_2
+    assert np.unique(d).size == 37 and np.unique(k).size == 25
+    # one run per lattice sum: 2 min(n, r) columns for each lattice sum of r rows
+    assert columns["oracle"] == 2 * np.minimum(2, np.unique(k, return_counts=True)[1]).sum()
+    # a basis row appears n times among the block's generators, once per basis control
+    rows, counts = np.unique(generators[1], axis=0, return_counts=True)
+    basis = {np.rint(12 * x).sum(): 2.0 * x.sum() for x in rows[counts == 2]}
+    joined = [i for i in range(d.size) if k[i] in basis and d[i] != basis[k[i]]]
+    assert joined
+    A, scale = spec.operator.apply, 4.0 / spec.grid.h ** 2  # scale: the norm of A
+    (u, y, p), = blocks
+    for i in joined:
+        qp = lower_qp(spec, X[i])
+        assert np.abs(A(y[i]) - u[i]).max() <= 1e-14 * scale * np.abs(y[i]).max()
+        assert np.abs(A(p[i]) - (qp.c - qp.d * y[i])).max() <= 1e-14 * scale * np.abs(p[i]).max()
+        want = _solve_qp(spec, qp, 1e-12).u
+        assert np.abs(u[i] - want).max() <= 1e-12 * np.abs(want).max()
+    # a box whose lattice sums are all distinct keeps its own generator per row
+    monkeypatch.undo()
+    result, columns = _count_columns(_irrational_box(unit_spec), 12, monkeypatch)
+    assert columns["oracle"] == 2 * result.sample_count
 
 
 def test_kernel_only_where_a_bound_binds(unit_spec, bounded_spec, pointwise_spec, monkeypatch):
